@@ -30,15 +30,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.linalg import matmul_toeplitz
 from scipy.signal import lfilter
 from scipy.special import roots_jacobi
 
+from perifou.estimator import block_inverse
 from perifou.fgn import fgn_autocovariance
-from perifou.model import FouModel, steady_euler_orbit, steady_mean
+from perifou.model import (
+    _UNIT_NODES,
+    _UNIT_WEIGHTS,
+    FouModel,
+    period_grid,
+    steady_euler_orbit,
+    steady_mean,
+)
 
 # H below 3/4 is where the slow central limit theorem applies; the
 # matrices remain computable for H up to 1.
@@ -48,10 +55,6 @@ DEGENERATE_LIMIT_THRESHOLD = 1e-12
 
 # The geometric memory a^j of the Euler noise is cut where it drops below this.
 _EULER_MEMORY_FORGETTING = 1e-17
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_UNIT_NODES = 0.5 * (_GL_NODES + 1.0)
-_UNIT_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 _GL_NODES_FINE, _GL_WEIGHTS_FINE = np.polynomial.legendre.leggauss(128)
 _UNIT_NODES_FINE = 0.5 * (_GL_NODES_FINE + 1.0)
@@ -93,43 +96,60 @@ class LimitSummary:
         }
 
 
-def singular_pair_integral(f, g, hurst: float, n_jacobi: int = 48, n_inner: int = 64) -> float:
-    """H(2H-1) * int_0^1 int_0^1 f(s) g(t) |t-s|^{2H-2} ds dt.
+def _long_memory_gram(evaluate, hurst: float, n_jacobi: int = 48) -> np.ndarray:
+    """Gram matrix of integrands f_1..f_K under the long-memory inner product
+    <f, g>_H = H(2H-1) * int_0^1 int_0^1 f(s) g(t) |t-s|^{2H-2} ds dt.
 
+    ``evaluate(t)`` returns the stacked values (f_1(t), ..., f_K(t)), of
+    shape (K,) + shape(t); the integrands must be bounded on [0, 1].
     Splitting the square along the diagonal and substituting u = t - s
-    reduces the double integral to int_0^1 u^{2H-2} F(u) du with the smooth
+    reduces each entry to int_0^1 u^{2H-2} F(u) du with the smooth
     symmetrized correlation
 
         F(u) = int_0^{1-u} ( f(s) g(s+u) + g(s) f(s+u) ) ds.
 
     The u integral is Gauss-Jacobi with weight exponent 2H-2 (exact for the
-    singular factor); F is evaluated by Gauss-Legendre on the shrinking
-    interval.  Both callables must be vectorized and bounded on [0, 1].
+    singular factor); F is Gauss-Legendre on the shrinking interval.  Every
+    entry shares these nodes, so each integrand is evaluated once at s and
+    once at s + u, and with M_ij = sum w f_i(s) f_j(s+u) the Gram matrix is
+    M + M^t.
     """
     if not 0.5 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
     a = 2.0 * hurst - 2.0
     xj, wj = roots_jacobi(n_jacobi, 0.0, a)
     u = 0.5 * (xj + 1.0)
-    nodes, weights = np.polynomial.legendre.leggauss(n_inner)
-    s01 = 0.5 * (nodes + 1.0)
-    w01 = 0.5 * weights
-
     length = (1.0 - u)[:, None]
-    s = length * s01[None, :]
-    shifted = s + u[:, None]
-    corr = f(s) * g(shifted) + g(s) * f(shifted)
-    inner = (length * w01[None, :] * corr).sum(axis=1)
-    integral = 2.0 ** (-a - 1.0) * float(np.dot(wj, inner))
-    return hurst * (2.0 * hurst - 1.0) * integral
+    s = length * _UNIT_NODES[None, :]
+    weights = (hurst * (2.0 * hurst - 1.0) * 2.0 ** (-a - 1.0)) * (
+        wj[:, None] * length * _UNIT_WEIGHTS[None, :]
+    )
+    at_s = evaluate(s).reshape(-1, s.size)
+    at_shifted = evaluate(s + u[:, None]).reshape(-1, s.size)
+    cross = (at_s * weights.ravel()) @ at_shifted.T
+    return cross + cross.T
+
+
+def singular_pair_integral(f, g, hurst: float) -> float:
+    """<f, g>_H for two vectorized callables, the off-diagonal entry of
+    :func:`_long_memory_gram` on the pair."""
+    return float(_long_memory_gram(lambda t: np.stack([f(t), g(t)]), hurst)[0, 1])
+
+
+def _steady_projection(model: FouModel) -> tuple:
+    """Loadings Lambda and residual variance 1/gamma from one evaluation of h~."""
+    h_vals = steady_mean(model, _UNIT_NODES_FINE)
+    phi = model.basis.evaluate(_UNIT_NODES_FINE)
+    lam = phi @ (_UNIT_WEIGHTS_FINE * h_vals)
+    h_energy = float(np.dot(_UNIT_WEIGHTS_FINE, h_vals**2))
+    var = stationary_variance(model.alpha, model.sigma, model.hurst)
+    return lam, h_energy + var - float(np.dot(lam, lam))
 
 
 def loadings_limit(model: FouModel) -> np.ndarray:
     """Projection of the steady periodic mean on the basis:
     Lambda_i = int_0^1 phi_i(t) h~(t) dt."""
-    h_vals = steady_mean(model, _UNIT_NODES_FINE)
-    phi = model.basis.evaluate(_UNIT_NODES_FINE)
-    return phi @ (_UNIT_WEIGHTS_FINE * h_vals)
+    return _steady_projection(model)[0]
 
 
 def stationary_variance(alpha: float, sigma: float, hurst: float) -> float:
@@ -150,11 +170,7 @@ def precision_limit(model: FouModel) -> float:
     h~ energy and the stationary variance is strictly positive for
     sigma > 0.
     """
-    h_vals = steady_mean(model, _UNIT_NODES_FINE)
-    h_energy = float(np.dot(_UNIT_WEIGHTS_FINE, h_vals**2))
-    lam = loadings_limit(model)
-    var = stationary_variance(model.alpha, model.sigma, model.hurst)
-    return 1.0 / (h_energy + var - float(np.dot(lam, lam)))
+    return 1.0 / _steady_projection(model)[1]
 
 
 def normal_inverse_limit(model: FouModel) -> np.ndarray:
@@ -165,20 +181,13 @@ def normal_inverse_limit(model: FouModel) -> np.ndarray:
     is also what the empirical covariance of scaled estimation errors
     reproduces.
     """
-    lam = loadings_limit(model)
-    g = precision_limit(model)
-    p = lam.size
-    c = np.empty((p + 1, p + 1))
-    c[:p, :p] = np.eye(p) + g * np.outer(lam, lam)
-    c[:p, p] = g * lam
-    c[p, :p] = g * lam
-    c[p, p] = g
-    return c
+    lam, residual = _steady_projection(model)
+    return block_inverse(lam, 1.0 / residual)
 
 
 def noise_covariance_limit(model: FouModel) -> np.ndarray:
     """Sigma_0: Gram matrix of (phi_1, ..., phi_p, -h~) under the long-memory
-    inner product, assembled entrywise from :func:`singular_pair_integral`.
+    inner product, from one pass of :func:`_long_memory_gram`.
 
     This is the limit covariance of the scaled noise vector n^{-H} R_n only
     when every integrand is constant; in general only the period means
@@ -186,27 +195,11 @@ def noise_covariance_limit(model: FouModel) -> np.ndarray:
     :func:`finite_horizon_noise_cov` gives the exact covariance at a
     finite horizon.
     """
-    h = partial(steady_mean, model)
-    functions = list(model.basis.functions) + [h]
-    p = model.p
-    full = np.empty((p + 1, p + 1))
-    for i in range(p + 1):
-        for j in range(i, p + 1):
-            full[i, j] = singular_pair_integral(functions[i], functions[j], model.hurst)
-            full[j, i] = full[i, j]
-    sigma0 = full.copy()
-    sigma0[:p, p] *= -1.0
-    sigma0[p, :p] *= -1.0
-    return sigma0
 
+    def integrands(t):
+        return np.concatenate([model.basis.evaluate(t), -steady_mean(model, t)[None]])
 
-def asymptotic_covariance(model: FouModel) -> np.ndarray:
-    """sigma^2 * C * Sigma_0 * C, the limit reference reported next to the
-    CLT study.  It is the limit covariance of n^{1-H} (theta_hat - theta)
-    only when every integrand is constant (see the module docstring)."""
-    c = normal_inverse_limit(model)
-    sigma0 = noise_covariance_limit(model)
-    return model.sigma**2 * (c @ sigma0 @ c)
+    return _long_memory_gram(integrands, model.hurst)
 
 
 def quadratic_noise_variance(hurst: float, step: float, alpha: float, n_steps: int) -> float:
@@ -267,7 +260,7 @@ def finite_horizon_noise_cov(model: FouModel, n_periods: int, step: float) -> np
     m = round(1.0 / step)
     n_steps = n_periods * m
     period = np.vstack(
-        [model.basis.evaluate(np.arange(m) * step), -steady_euler_orbit(model, step)]
+        [model.basis.evaluate(period_grid(step)), -steady_euler_orbit(model, step)]
     )
     integrands = np.tile(period, n_periods).T
     column = step ** (2.0 * hurst) * fgn_autocovariance(hurst, np.arange(n_steps))
@@ -293,22 +286,29 @@ def finite_horizon_covariance(
 
 
 def limit_summary(model: FouModel) -> LimitSummary:
-    """Assemble all limit objects once, with validity flags."""
-    lam = loadings_limit(model)
-    g = precision_limit(model)
-    var = stationary_variance(model.alpha, model.sigma, model.hurst)
-    c = normal_inverse_limit(model)
+    """Assemble all limit objects once, with validity flags.
+
+    ``degenerate_limit`` is set when the smallest variance on the diagonal
+    of sigma^2 C Sigma_0 C is at most DEGENERATE_LIMIT_THRESHOLD times the
+    largest, so the limit reference is singular in that component (e.g.
+    the alpha entry when h~ lies in the span of the basis).
+    """
+    lam, residual = _steady_projection(model)
+    g = 1.0 / residual
+    c = block_inverse(lam, g)
     sigma0 = noise_covariance_limit(model)
     asym = model.sigma**2 * (c @ sigma0 @ c)
-    b_bar = float(sigma0[-1, -1])
+    variances = np.diag(asym)
     return LimitSummary(
         loadings=lam,
         precision=g,
-        stationary_var=var,
+        stationary_var=stationary_variance(model.alpha, model.sigma, model.hurst),
         c_matrix=c,
         noise_cov=sigma0,
         asym_cov=asym,
         alpha_h=model.hurst * (2.0 * model.hurst - 1.0),
         clt_valid=model.hurst < CLT_HURST_UPPER,
-        degenerate_limit=b_bar <= DEGENERATE_LIMIT_THRESHOLD,
+        degenerate_limit=bool(
+            variances.min() <= DEGENERATE_LIMIT_THRESHOLD * variances.max()
+        ),
     )

@@ -183,16 +183,18 @@ def _write_json(payload: dict, filename: Path) -> None:
         handle.write("\n")
 
 
-def _cmd_simulate(config: dict, args) -> int:
-    model = build_model(config["model"])
-    section = config["model"]
-    path = simulate_path(
+def _simulate(model: FouModel, section: dict):
+    return simulate_path(
         model,
         n_periods=int(section.get("n_periods", 10)),
         step=_model_step(section),
         seed=int(section.get("seed", 0)),
         stationary_start=bool(section.get("stationary_start", False)),
     )
+
+
+def _cmd_simulate(config: dict, args) -> int:
+    path = _simulate(build_model(config["model"]), config["model"])
     out = _out_dir(args) / "path.csv"
     write_sample_path_csv(path, out)
     print(f"simulate: wrote {out} ({path.x.size} rows)")
@@ -211,21 +213,19 @@ def _cmd_estimate(config: dict, args) -> int:
             stationary_start=bool(model_section.get("stationary_start", False)),
         )
     else:
-        path = simulate_path(
-            model,
-            n_periods=int(model_section.get("n_periods", 10)),
-            step=_model_step(model_section),
-            seed=int(model_section.get("seed", 0)),
-            stationary_start=bool(model_section.get("stationary_start", False)),
-        )
+        path = _simulate(model, model_section)
     alpha_corr = section.get("alpha_for_correction")
+    if alpha_corr is not None and not (
+        isinstance(alpha_corr, (int, float)) and 0.0 < alpha_corr * path.step < 1.0
+    ):
+        raise ConfigError(
+            f"estimate.alpha_for_correction={alpha_corr!r} breaks 0 < alpha*step < 1 "
+            f"(step {path.step})"
+        )
     out = _out_dir(args) / "estimate.json"
     try:
         result = estimate(
-            path,
-            mode=mode,
-            sigma=model.sigma,
-            alpha_for_correction=None if alpha_corr is None else float(alpha_corr),
+            path, mode=mode, sigma=model.sigma, alpha_for_correction=alpha_corr
         )
     except DegenerateDesign as exc:
         _write_json(
@@ -326,18 +326,11 @@ def _cmd_coupling(config: dict, args) -> int:
     horizon = int(section.get("n_periods", 12))
     gap0 = float(section.get("gap0", 1.0))
     master_seed = int(section.get("master_seed", 0))
-    reports = []
-    for alpha in alphas:
-        variant = dc_replace(model, alpha=float(alpha))
-        mc = McConfig(
-            model=variant,
-            n_list=(horizon,),
-            replicates=2,
-            step=_model_step(config["model"]),
-            mode="naive_pathwise",
-            master_seed=master_seed,
-        )
-        reports.append(run_coupling(mc, gap0=gap0))
+    step = _model_step(config["model"])
+    reports = [
+        run_coupling(dc_replace(model, alpha=float(alpha)), horizon, step, master_seed, gap0)
+        for alpha in alphas
+    ]
     out = _out_dir(args)
     write_coupling_csv(reports, out / "coupling_decay.csv")
     payload = {

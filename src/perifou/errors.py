@@ -18,11 +18,8 @@ class InvalidStep(PerifouError):
 
 
 class GridMismatch(PerifouError):
-    """Two sample paths do not share grid and driving increments."""
-
-
-class LengthMismatch(PerifouError):
-    """Integrand and increment vectors have incompatible lengths."""
+    """A sample path's grid, values or increments break the uniform-grid
+    contract, or two sample paths do not share grid and driving increments."""
 
 
 class PartialPeriod(PerifouError):

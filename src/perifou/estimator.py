@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
-from perifou.errors import DegenerateDesign, LengthMismatch, MissingDriver, PartialPeriod
+from perifou.errors import DegenerateDesign, MissingDriver
 from perifou.fgn import fgn_autocovariance
-from perifou.model import SamplePath
+from perifou.model import SamplePath, fold_periods, period_grid
 
 MODES = ("naive_pathwise", "oracle_divergence")
 
@@ -91,49 +91,24 @@ class EstimateResult:
         }
 
 
-def forward_stieltjes(f_values: np.ndarray, increments: np.ndarray) -> float:
-    """Left-endpoint Riemann-Stieltjes sum: sum_k f(t_k) (X_{k+1} - X_k).
-
-    ``f_values`` may carry one trailing entry (the right endpoint), which
-    is unused.
-    """
-    f_values = np.asarray(f_values, dtype=float)
-    increments = np.asarray(increments, dtype=float)
-    if f_values.size == increments.size + 1:
-        f_values = f_values[:-1]
-    elif f_values.size != increments.size:
-        raise LengthMismatch(
-            f"{f_values.size} integrand values for {increments.size} increments"
-        )
-    return float(np.dot(f_values, increments))
-
-
-def _grid_periods(path: SamplePath) -> int:
-    horizon = float(path.grid[-1])
-    n = round(horizon)
-    if n < 1 or abs(horizon - n) > 1e-9:
-        raise PartialPeriod(f"path spans {horizon} periods, expected a whole number")
-    return n
-
-
 def build_design(path: SamplePath, require_identifiable: bool = True) -> DesignStats:
     """Left-endpoint Riemann sums of the basis/path functionals.
 
-    The basis Gram block is computed from the samples rather than assumed
-    to be n * I_p, so its deviation from the identity is a genuine
-    discretization diagnostic.  A path whose residual variance after
-    projection on the basis is numerically zero (e.g. a constant path
-    against the constant basis) raises DegenerateDesign; pass
-    ``require_identifiable=False`` to inspect such designs, in which case
-    ``precision`` is infinite.
+    The basis is periodic, so each sum pairs one period of basis values
+    with the path folded over periods.  The basis Gram block is computed
+    from the samples rather than assumed to be n * I_p, so its deviation
+    from the identity is a genuine discretization diagnostic.  A path whose
+    residual variance after projection on the basis is numerically zero
+    (e.g. a constant path against the constant basis) raises
+    DegenerateDesign; pass ``require_identifiable=False`` to inspect such
+    designs, in which case ``precision`` is infinite.
     """
-    n = _grid_periods(path)
+    n = path.n_periods
     step = path.step
-    t_left = path.grid[:-1]
     x_left = path.x[:-1]
-    phi = path.model.basis.evaluate(t_left)
-    gram = (phi * step) @ phi.T
-    cross = step * (phi @ x_left)
+    phi = path.model.basis.evaluate(period_grid(path.step))
+    gram = (n * step) * (phi @ phi.T)
+    cross = step * (phi @ fold_periods(x_left, path.steps_per_period))
     energy = step * float(np.dot(x_left, x_left))
     loadings = cross / n
     residual = energy / n - float(np.dot(loadings, loadings))
@@ -183,15 +158,19 @@ def normal_matrix_inverse(design: DesignStats) -> np.ndarray:
         raise DegenerateDesign(
             f"residual variance {residual:.3e} <= {DEGENERACY_THRESHOLD:.0e}"
         )
-    p = design.loadings.size
-    g = design.precision
-    lam = design.loadings
+    return block_inverse(design.loadings, design.precision) / design.n_periods
+
+
+def block_inverse(lam: np.ndarray, g: float) -> np.ndarray:
+    """[[I_p + g L L^t, g L], [g L^t, g]], the inverse of
+    [[I_p, -L], [-L^t, 1/g + |L|^2]] by block (Schur) inversion."""
+    p = lam.size
     inv = np.empty((p + 1, p + 1))
     inv[:p, :p] = np.eye(p) + g * np.outer(lam, lam)
     inv[:p, p] = g * lam
     inv[p, :p] = g * lam
     inv[p, p] = g
-    return inv / design.n_periods
+    return inv
 
 
 def discrete_trace_correction(
@@ -267,17 +246,6 @@ def skorokhod_correction(alpha: float, hurst: float, horizon: float) -> float:
     return alpha_h * alpha ** (-a) * (horizon * lower_a - lower_a1 / alpha)
 
 
-def _response_vector(path: SamplePath, phi: np.ndarray) -> np.ndarray:
-    dx = np.diff(path.x)
-    x_left = path.x[:-1]
-    p = phi.shape[0]
-    response = np.empty(p + 1)
-    for i in range(p):
-        response[i] = forward_stieltjes(phi[i], dx)
-    response[p] = -forward_stieltjes(x_left, dx)
-    return response
-
-
 def estimate(
     path: SamplePath,
     mode: str = "naive_pathwise",
@@ -298,10 +266,12 @@ def estimate(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     model = path.model
+    m = path.steps_per_period
     design = build_design(path)
-    t_left = path.grid[:-1]
-    phi = model.basis.evaluate(t_left)
-    response = _response_vector(path, phi)
+    phi = model.basis.evaluate(period_grid(path.step))
+    x_left = path.x[:-1]
+    dx = np.diff(path.x)
+    response = np.append(phi @ fold_periods(dx, m), -float(np.dot(x_left, dx)))
     inverse = normal_matrix_inverse(design)
 
     correction = 0.0
@@ -320,7 +290,6 @@ def estimate(
             path.x.size - 1,
             stationary=path.stationary_start,
         )
-        response = response.copy()
         response[-1] += sigma**2 * correction
 
     theta_hat = inverse @ response
@@ -328,12 +297,9 @@ def estimate(
     noise_vector = None
     if path.driver_increments is not None:
         db = path.driver_increments
-        x_left = path.x[:-1]
-        noise_vector = np.empty(model.p + 1)
-        noise_vector[:-1] = phi @ db
-        noise_vector[-1] = -float(np.dot(x_left, db))
+        noise_vector = np.append(phi @ fold_periods(db, m), -float(np.dot(x_left, db)))
         if mode == "oracle_divergence":
-            noise_vector[-1] += (sigma if sigma is not None else model.sigma) * correction
+            noise_vector[-1] += sigma * correction
 
     return EstimateResult(
         theta_hat=theta_hat,

@@ -22,7 +22,14 @@ from perifou.asymptotics import finite_horizon_covariance, limit_summary
 from perifou.errors import DegenerateDesign
 from perifou.estimator import MODES, estimate
 from perifou.fgn import FgnSpec, generate_fgn_circulant, substream_seed
-from perifou.model import FouModel, coupling_gap, path_from_increments, simulate_path
+from perifou.model import (
+    FouModel,
+    coupling_gap,
+    fold_periods,
+    path_from_increments,
+    period_grid,
+    simulate_path,
+)
 
 # Default PASS thresholds for the normality study.
 CLT_FROBENIUS_TOL = 0.25
@@ -328,42 +335,33 @@ class CouplingReport:
     wall_clock: float = 0.0
 
 
-def run_coupling(config: McConfig, gap0: float = 1.0) -> CouplingReport:
+def run_coupling(
+    model: FouModel, horizon: int, step: float, master_seed: int, gap0: float = 1.0
+) -> CouplingReport:
     """Decay of |X_t - X~_t| when both recursions share one noise path.
 
-    Simulates a stationary-start path, replays the recursion from a start
+    Simulates a stationary-start path over ``horizon`` periods from the
+    sub-seed (master_seed, horizon, 0), replays the recursion from a start
     offset by ``gap0`` with the same increments, and fits the slope of
     log gap against time at whole periods.  PASS when the fitted slope is
     within COUPLING_SLOPE_TOL of -alpha (relatively).
     """
     start = time.perf_counter()
-    horizon = config.n_list[-1]
-    model = config.model
-    seed = substream_seed(config.master_seed, horizon, 0)
-    stationary = simulate_path(model, horizon, config.step, seed, stationary_start=True)
+    seed = substream_seed(master_seed, horizon, 0)
+    stationary = simulate_path(model, horizon, step, seed, stationary_start=True)
     shifted = path_from_increments(
-        model, stationary.driver_increments, float(stationary.x[0]) + gap0, config.step
+        model, stationary.driver_increments, float(stationary.x[0]) + gap0, step
     )
     gaps_full = coupling_gap(model, shifted, stationary)
-    m = round(1.0 / config.step)
+    m = round(1.0 / step)
     times = np.arange(1, horizon + 1, dtype=float)
     gaps = gaps_full[(np.arange(1, horizon + 1) * m)]
 
-    if gap0 == 0.0:
-        return CouplingReport(
-            alpha=model.alpha,
-            gap0=gap0,
-            times=times,
-            gaps=gaps,
-            slope=None,
-            exact_match=True,
-            passed=True,
-            wall_clock=time.perf_counter() - start,
-        )
+    exact_match = gap0 == 0.0
     usable = gaps > _GAP_FLOOR
     slope = None
-    passed = False
-    if usable.sum() >= 3:
+    passed = exact_match
+    if not exact_match and usable.sum() >= 3:
         slope = float(np.polyfit(times[usable], np.log(gaps[usable]), 1)[0])
         passed = abs(slope + model.alpha) <= COUPLING_SLOPE_TOL * model.alpha
     return CouplingReport(
@@ -372,7 +370,7 @@ def run_coupling(config: McConfig, gap0: float = 1.0) -> CouplingReport:
         times=times,
         gaps=gaps,
         slope=slope,
-        exact_match=False,
+        exact_match=exact_match,
         passed=passed,
         wall_clock=time.perf_counter() - start,
     )
@@ -387,17 +385,16 @@ def wiener_variance_study(
     of the basis; the study also checks that the variance shows no
     significant upward trend in n.
     """
-    m = round(1.0 / step)
+    phi = basis.evaluate(period_grid(step))
+    m = phi.shape[1]
     bound = basis.bound**2
     per_n = {}
     for n in n_list:
-        t_left = np.arange(n * m) * step
-        phi = basis.evaluate(t_left)
         draws = np.empty((replicates, basis.p))
         for r in range(replicates):
             seed = substream_seed(master_seed, n, r)
             db = generate_fgn_circulant(FgnSpec(hurst, step, n * m, seed))
-            draws[r] = phi @ db
+            draws[r] = phi @ fold_periods(db, m)
         scaled = n ** (-hurst) * draws
         variance = scaled.var(axis=0, ddof=1)
         se = variance * math.sqrt(2.0 / (replicates - 1))

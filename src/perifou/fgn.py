@@ -1,10 +1,10 @@
-"""Exact-covariance fractional Gaussian noise and fractional Brownian motion.
+"""Exact-covariance fractional Gaussian noise.
 
 The increments of fractional Brownian motion on a uniform grid with spacing
 ``step`` form a stationary Gaussian sequence with covariance
 ``step**(2H) * rho_H(|i - j|)``.  Samplers here reproduce that covariance
 exactly: an O(N log N) circulant embedding for production use and an
-O(N^2) Cholesky factorization as a small-size fallback and test oracle.
+O(N^2) Cholesky factorization as a small-size test oracle.
 All draws are deterministic functions of the seed.
 """
 
@@ -68,15 +68,6 @@ class FgnSpec:
             raise ValueError(f"count must be >= 1, got {self.count}")
 
 
-@dataclass(frozen=True)
-class FbmPath:
-    """Fractional Brownian motion values on a uniform grid, anchored at zero."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    hurst: float | None = None
-
-
 def fgn_autocovariance(hurst: float, lag):
     """Autocovariance rho_H(lag) of unit-step fGn increments.
 
@@ -123,8 +114,7 @@ def generate_fgn_circulant(spec: FgnSpec) -> np.ndarray:
     ``count`` entries is returned, scaled by ``step**hurst``.
 
     Raises NonnegativeEmbeddingFailure if an eigenvalue is materially
-    negative, in which case the caller may fall back to the Cholesky
-    sampler.
+    negative.
     """
     rng = np.random.default_rng(spec.seed)
     scale = spec.step**spec.hurst
@@ -164,41 +154,3 @@ def generate_fgn_cholesky(spec: FgnSpec, guard: int = CHOLESKY_COUNT_GUARD) -> n
     rng = np.random.default_rng(spec.seed)
     z = rng.standard_normal(spec.count)
     return spec.step**spec.hurst * (lower @ z)
-
-
-def fbm_from_fgn(increments: np.ndarray, step: float, hurst: float | None = None) -> FbmPath:
-    """Cumulative sum of increments, anchored at B_0 = 0."""
-    increments = np.asarray(increments, dtype=float)
-    if increments.size == 0:
-        raise ValueError("increments must be nonempty")
-    values = np.concatenate(([0.0], np.cumsum(increments)))
-    grid = np.arange(values.size) * step
-    return FbmPath(grid=grid, values=values, hurst=hurst)
-
-
-def generate_two_sided_driver(spec: FgnSpec, past_count: int) -> FbmPath:
-    """fBm on a two-sided grid, jointly correlated across past and future.
-
-    Draws one fGn vector of length ``past_count + count`` covering times
-    from ``-past_count*step`` to ``count*step`` and re-anchors the path so
-    the value at time zero vanishes.  The past segment truncates the
-    infinite history used by the stationary moving-average picture;
-    exponential forgetting makes the truncation error negligible once
-    ``past_count`` is a few multiples of 1/(alpha*step).
-    """
-    if past_count < 1:
-        raise ValueError(f"past_count must be >= 1, got {past_count}")
-    joint = FgnSpec(spec.hurst, spec.step, spec.count + past_count, spec.seed)
-    increments = generate_fgn_circulant(joint)
-    values = np.concatenate(([0.0], np.cumsum(increments)))
-    values = values - values[past_count]
-    grid = np.arange(-past_count, spec.count + 1) * spec.step
-    return FbmPath(grid=grid, values=values, hurst=spec.hurst)
-
-
-def write_fbm_csv(path: FbmPath, filename) -> None:
-    """Dump a path as CSV with header ``t,value`` at full double precision."""
-    with open(filename, "w", encoding="utf-8") as handle:
-        handle.write("t,value\n")
-        for t, v in zip(path.grid, path.values):
-            handle.write(f"{t:.17g},{v:.17g}\n")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from perifou.errors import GridMismatch, InvalidStep, NonnegativeEmbeddingFailure
-from perifou.fgn import FgnSpec, generate_fgn_cholesky, generate_fgn_circulant
+from perifou.errors import GridMismatch, InvalidStep, PartialPeriod
+from perifou.fgn import FgnSpec, generate_fgn_circulant
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -151,6 +151,12 @@ class FouModel:
 class SamplePath:
     """Uniform-grid realization of X over whole periods.
 
+    The grid is t_k = k/m for k = 0..n*m: it starts at 0, has step 1/m and
+    spans n whole periods, so every periodic integrand can be evaluated on
+    one period and summed with :func:`fold_periods`.  The constructor
+    enforces this (up to 1e-9 relative in t_k) together with one finite x
+    per grid point and, when given, one driver increment per step.
+
     ``driver_increments`` are the sigma-free fBm increments that drove the
     simulation (None for externally observed data).  ``stationary_start``
     records whether x[0] sits on the (burned-in) stationary orbit, which
@@ -163,13 +169,45 @@ class SamplePath:
     model: FouModel
     stationary_start: bool = False
 
+    def __post_init__(self):
+        grid = self.grid
+        if grid.size < 2:
+            raise PartialPeriod(f"path grid has {grid.size} points, needs a whole period")
+        if not np.all(np.isfinite(grid)):
+            raise GridMismatch("path grid has non-finite times")
+        m = _check_step(self.step)
+        expected = np.arange(grid.size) / m
+        if np.any(np.abs(grid - expected) > 1e-9 * np.maximum(expected, 1.0)):
+            raise GridMismatch(f"path grid is not t_k = k/{m} starting at t = 0")
+        if (grid.size - 1) % m:
+            raise PartialPeriod(f"path spans {(grid.size - 1) / m} periods, not a whole number")
+        if self.x.shape != grid.shape or not np.all(np.isfinite(self.x)):
+            raise GridMismatch(f"path needs one finite x per grid point ({grid.size})")
+        driver = self.driver_increments
+        if driver is not None and driver.shape != (grid.size - 1,):
+            raise GridMismatch(f"driver has {driver.size} increments for {grid.size - 1} steps")
+
     @property
     def step(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
     @property
+    def steps_per_period(self) -> int:
+        return round(1.0 / self.step)
+
+    @property
     def n_periods(self) -> int:
-        return int(round(float(self.grid[-1])))
+        return (self.grid.size - 1) // self.steps_per_period
+
+
+def fold_periods(values: np.ndarray, m: int) -> np.ndarray:
+    """Sum over whole periods along the last axis: values of shape (..., n*m)
+    become (..., m).
+
+    For a 1-periodic integrand f sampled on the grid,
+    sum_k f(t_k) y_k = f(period_grid(step)) . fold_periods(y, m).
+    """
+    return values.reshape(values.shape[:-1] + (-1, m)).sum(axis=-2)
 
 
 def mean_function(model: FouModel, t):
@@ -193,11 +231,9 @@ def _check_step(step: float) -> int:
     return m
 
 
-def _draw_increments(spec: FgnSpec) -> np.ndarray:
-    try:
-        return generate_fgn_circulant(spec)
-    except NonnegativeEmbeddingFailure:
-        return generate_fgn_cholesky(spec)
+def period_grid(step: float) -> np.ndarray:
+    """Left grid points 0, step, ..., 1 - step of one period."""
+    return np.arange(_check_step(step)) * step
 
 
 def _euler(model: FouModel, increments: np.ndarray, x0: float, step: float) -> np.ndarray:
@@ -205,13 +241,15 @@ def _euler(model: FouModel, increments: np.ndarray, x0: float, step: float) -> n
 
     The grid phase starts at 0 mod 1, which covers burn-in segments as well
     because they span whole periods.  Evaluated as a linear recursion in C.
+    The recursion is stable only for alpha * step < 1.
     """
-    m = round(1.0 / step)
-    n_steps = increments.size
-    period_values = mean_function(model, np.arange(m) * step)
-    forcing = np.tile(period_values, n_steps // m + 1)[:n_steps]
-    drive = forcing * step + model.sigma * increments
     a = 1.0 - model.alpha * step
+    if not a > 0.0:
+        raise InvalidStep(f"Euler recursion needs alpha*step < 1, got {model.alpha * step}")
+    n_steps = increments.size
+    period_values = mean_function(model, period_grid(step))
+    forcing = np.tile(period_values, n_steps // period_values.size + 1)[:n_steps]
+    drive = forcing * step + model.sigma * increments
     out = lfilter([1.0], [1.0, -a], drive, zi=np.array([a * x0]))[0]
     return np.concatenate(([x0], out))
 
@@ -240,7 +278,7 @@ def simulate_path(
     n_keep = n_periods * m
     n_burn = burn_periods * m
     spec = FgnSpec(model.hurst, step, n_keep + n_burn, seed)
-    increments = _draw_increments(spec)
+    increments = generate_fgn_circulant(spec)
     x_full = _euler(model, increments, model.xi0, step)
     grid = np.arange(n_keep + 1) * step
     return SamplePath(
@@ -259,10 +297,7 @@ def path_from_increments(
 
     Used for coupling studies where two starts share one noise realization.
     """
-    m = _check_step(step)
     increments = np.asarray(increments, dtype=float)
-    if increments.size % m != 0:
-        raise InvalidStep("increments must cover whole periods")
     x = _euler(model, increments, x0, step)
     grid = np.arange(increments.size + 1) * step
     return SamplePath(grid=grid, x=x, driver_increments=increments, model=model)
@@ -298,7 +333,7 @@ def steady_euler_orbit(model: FouModel, step: float) -> np.ndarray:
     """
     m = _check_step(step)
     a = 1.0 - model.alpha * step
-    forcing = mean_function(model, np.arange(m) * step) * step
+    forcing = mean_function(model, period_grid(step)) * step
     x0 = lfilter([1.0], [1.0, -a], forcing)[-1] / (1.0 - a**m)
     return _euler(model, np.zeros(m), x0, step)[:-1]
 
@@ -371,7 +406,8 @@ def read_sample_path_csv(
 ) -> SamplePath:
     """Read a path written by :func:`write_sample_path_csv`.
 
-    Floats round-trip exactly, so estimating from the file reproduces the
+    The rows must satisfy the :class:`SamplePath` grid contract.  Floats
+    round-trip exactly, so estimating from the file reproduces the
     in-memory pipeline bit for bit.  ``stationary_start`` must restate how
     the path was generated; the file format does not carry it.
     """
@@ -389,19 +425,10 @@ def read_sample_path_csv(
             x_vals.append(float(parts[1]))
             if len(header) == 3 and len(parts) == 3 and parts[2] != "":
                 db_vals.append(float(parts[2]))
-    grid = np.asarray(t_vals)
-    x = np.asarray(x_vals)
-    driver = None
-    if len(header) == 3:
-        if len(db_vals) != grid.size - 1:
-            raise ValueError(
-                f"driver column has {len(db_vals)} entries for {grid.size} grid points"
-            )
-        driver = np.asarray(db_vals)
     return SamplePath(
-        grid=grid,
-        x=x,
-        driver_increments=driver,
+        grid=np.asarray(t_vals),
+        x=np.asarray(x_vals),
+        driver_increments=np.asarray(db_vals) if len(header) == 3 else None,
         model=model,
         stationary_start=stationary_start,
     )

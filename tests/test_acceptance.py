@@ -352,15 +352,9 @@ def test_criterion_09_coupling_decay():
     details = []
     ok = True
     for alpha in (0.5, 1.0, 2.0):
-        config = McConfig(
-            model=replace(model, alpha=alpha),
-            n_list=(12,),
-            replicates=2,
-            step=1 / 128,
-            mode="naive_pathwise",
-            master_seed=3,
+        report = run_coupling(
+            replace(model, alpha=alpha), horizon=12, step=1 / 128, master_seed=3, gap0=1.0
         )
-        report = run_coupling(config, gap0=1.0)
         rel = abs(report.slope + alpha) / alpha
         ok = ok and rel <= 0.10
         details.append(f"alpha {alpha:g}: slope {report.slope:.4f} (dev {rel:.2%})")

@@ -26,6 +26,7 @@ from perifou import (
     singular_pair_integral,
     stationary_variance,
     steady_euler_orbit,
+    steady_mean,
     substream_seed,
 )
 
@@ -114,6 +115,18 @@ def test_pair_integral_gram_matrices_are_psd():
             for j in range(i, 3):
                 gram[i, j] = gram[j, i] = singular_pair_integral(family[i], family[j], 0.65)
         assert np.linalg.eigvalsh(gram).min() >= -1e-10
+
+
+def test_noise_covariance_is_the_pairwise_gram_of_basis_and_steady_mean():
+    basis = BasisSet.from_specs(
+        [{"kind": "const"}, {"kind": "sin", "k": 1}, {"kind": "cos", "k": 2}]
+    )
+    model = FouModel(hurst=0.65, alpha=1.3, mu=(1.0, 2.0, -0.5), sigma=0.5, basis=basis)
+    sigma0 = noise_covariance_limit(model)
+    assert np.array_equal(sigma0, sigma0.T)
+    functions = list(basis.functions) + [lambda t: -steady_mean(model, t)]
+    pairwise = [[singular_pair_integral(f, g, model.hurst) for g in functions] for f in functions]
+    np.testing.assert_allclose(sigma0, pairwise, rtol=1e-13, atol=1e-15)
 
 
 def test_pair_integral_rejects_bad_hurst():
@@ -253,8 +266,19 @@ def test_acceptance_model_covariance_symmetric_psd():
     summary = limit_summary(acceptance_model())
     assert np.max(np.abs(summary.asym_cov - summary.asym_cov.T)) <= 1e-12
     assert np.linalg.eigvalsh(summary.asym_cov).min() >= -1e-10
-    assert not summary.degenerate_limit
+    # h~ lies in the sin/cos span, so the alpha variance is a genuine zero
+    variances = np.diag(summary.asym_cov)
+    assert abs(variances[-1]) <= 1e-12 * variances.max()
+    assert summary.degenerate_limit
     assert summary.clt_valid
+
+
+def test_sine_basis_limit_is_not_degenerate():
+    # the steady mean's cosine part lies outside a sine-only span
+    model = FouModel(hurst=0.65, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
+    summary = limit_summary(model)
+    np.testing.assert_allclose(np.diag(summary.asym_cov), [0.161, 0.118], atol=1e-3)
+    assert not summary.degenerate_limit
 
 
 def test_c_matrix_block_structure():
@@ -276,9 +300,12 @@ def test_clt_validity_flag_tracks_hurst():
 
 
 def test_report_carries_c_inverse_diagnostic():
-    report = limit_summary(acceptance_model()).to_report()
+    summary = limit_summary(acceptance_model())
+    report = summary.to_report()
     assert report["sigma0_minus_c_inverse_frobenius"] > 0.0
-    assert report["flags"] == {"clt_valid": True, "degenerate_limit": False}
+    variances = np.diag(summary.asym_cov)
+    assert abs(variances[-1]) <= 1e-12 * variances.max()
+    assert report["flags"] == {"clt_valid": True, "degenerate_limit": True}
     assert len(report["C"]) == 3
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import perifou
 from perifou.cli import main
 
 
@@ -209,3 +210,24 @@ def test_estimate_degenerate_path_reported(config_file, tmp_path):
     report = json.loads((out / "estimate.json").read_text())
     assert report["degenerate"] is True
     assert report["theta_hat"] is None
+
+
+@pytest.mark.parametrize(
+    "command,override",
+    [
+        ("simulate", "model.alpha=1000"),
+        ("estimate", "estimate.alpha_for_correction=1000"),
+        ("estimate", "estimate.alpha_for_correction=0"),
+        ("estimate", "estimate.alpha_for_correction=NaN"),
+    ],
+)
+def test_unstable_alpha_step_exits_2(config_file, tmp_path, capsys, command, override):
+    cfg = config_file(base_config())
+    out = str(tmp_path / "o")
+    assert main([command, "--config", cfg, "--out", out, "--set", override]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in perifou.__all__ if not hasattr(perifou, name)]
+    assert not missing

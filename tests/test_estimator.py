@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from perifou import (
@@ -13,13 +15,11 @@ from perifou import (
     DegenerateDesign,
     DesignStats,
     FouModel,
-    LengthMismatch,
     MissingDriver,
     build_design,
     discrete_trace_correction,
     estimate,
     fgn_autocovariance,
-    forward_stieltjes,
     normal_matrix,
     normal_matrix_inverse,
     simulate_path,
@@ -48,34 +48,43 @@ def make_path(model, x, step):
 
 # ------------------------------------------------------------- sums
 
-
-def test_forward_stieltjes_telescopes_for_unit_integrand():
-    x = np.random.default_rng(0).standard_normal(100).cumsum()
-    dx = np.diff(x)
-    assert forward_stieltjes(np.ones(dx.size), dx) == pytest.approx(x[-1] - x[0], abs=1e-14)
+_SPECS = [{"kind": "const"}] + [
+    {"kind": kind, "k": k} for k in (1, 2, 3) for kind in ("sin", "cos")
+]
 
 
-def test_forward_stieltjes_smooth_riemann_limit():
-    # integral of X dX for X_t = t^2 on [0, 1] is 1/2, left sums are O(step)
-    for m in (200, 400):
-        t = np.arange(m + 1) / m
-        x = t**2
-        value = forward_stieltjes(x, np.diff(x))
-        assert abs(value - 0.5) <= 3.0 / m
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    subset=st.lists(st.integers(0, len(_SPECS) - 1), min_size=1, max_size=7, unique=True),
+    n=st.integers(1, 8),
+    m=st.sampled_from([4, 16, 64]),
+    stationary=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_folded_sums_match_full_grid_sums(subset, n, m, stationary, seed):
+    basis = BasisSet.from_specs([_SPECS[i] for i in sorted(subset)])
+    mu = tuple(np.linspace(0.5, 1.5, basis.p))
+    model = FouModel(hurst=0.65, alpha=1.0, mu=mu, sigma=0.5, basis=basis)
+    step = 1 / m
+    path = simulate_path(model, n, step, seed, stationary_start=stationary)
+    try:
+        result = estimate(path, mode="naive_pathwise")
+    except DegenerateDesign:
+        assume(False)  # aliased coarse grids can make the design singular
+    phi = basis.evaluate(path.grid[:-1])
+    x_left, dx, db = path.x[:-1], np.diff(path.x), path.driver_increments
 
+    def close(folded, full, terms):
+        # relative to the sum of absolute terms, the scale of the rounding
+        return np.all(np.abs(folded - full) <= 1e-12 * terms)
 
-def test_forward_stieltjes_zero_increments():
-    assert forward_stieltjes(np.arange(5.0), np.zeros(5)) == 0.0
-
-
-def test_forward_stieltjes_accepts_trailing_endpoint_and_rejects_mismatch():
-    dx = np.ones(4)
-    assert forward_stieltjes(np.ones(5), dx) == 4.0
-    with pytest.raises(LengthMismatch):
-        forward_stieltjes(np.ones(7), dx)
-
-
-# ------------------------------------------------------------- design
+    bound = basis.bound
+    assert close(result.design.gram, step * phi @ phi.T, n * bound**2)
+    assert close(result.design.cross, step * phi @ x_left, step * bound * np.abs(x_left).sum())
+    assert close(result.response[:-1], phi @ dx, bound * np.abs(dx).sum())
+    assert close(result.noise_vector[:-1], phi @ db, bound * np.abs(db).sum())
+    assert result.response[-1] == -float(np.dot(x_left, dx))
+    assert result.noise_vector[-1] == -float(np.dot(x_left, db))
 
 
 def test_design_zero_path_is_degenerate():

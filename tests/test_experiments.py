@@ -226,25 +226,18 @@ def test_report_dict_excludes_wall_clock():
 
 def coupling_config(alpha, horizon=10, step=1 / 128):
     model = FouModel(hurst=0.7, alpha=alpha, mu=(1.0,), sigma=0.5, basis=sine_basis())
-    return McConfig(
-        model=model,
-        n_list=(horizon,),
-        replicates=2,
-        step=step,
-        mode="naive_pathwise",
-        master_seed=9,
-    )
+    return {"model": model, "horizon": horizon, "step": step, "master_seed": 9}
 
 
 def test_coupling_identical_starts_reported_exact():
-    report = run_coupling(coupling_config(1.0), gap0=0.0)
+    report = run_coupling(**coupling_config(1.0), gap0=0.0)
     assert report.exact_match
     assert report.passed
     assert np.max(report.gaps) == 0.0
 
 
 def test_coupling_slope_matches_mean_reversion():
-    report = run_coupling(coupling_config(1.0), gap0=1.0)
+    report = run_coupling(**coupling_config(1.0), gap0=1.0)
     assert report.slope is not None
     assert abs(report.slope + 1.0) <= 0.1
     assert report.passed
@@ -253,13 +246,13 @@ def test_coupling_slope_matches_mean_reversion():
 
 
 def test_coupling_slope_scales_with_alpha():
-    slow = run_coupling(coupling_config(0.5, horizon=14), gap0=1.0)
-    fast = run_coupling(coupling_config(1.0, horizon=14), gap0=1.0)
+    slow = run_coupling(**coupling_config(0.5, horizon=14), gap0=1.0)
+    fast = run_coupling(**coupling_config(1.0, horizon=14), gap0=1.0)
     assert abs(fast.slope / slow.slope - 2.0) <= 0.3
 
 
 def test_coupling_csv(tmp_path):
-    reports = [run_coupling(coupling_config(a), gap0=1.0) for a in (0.5, 1.0)]
+    reports = [run_coupling(**coupling_config(a), gap0=1.0) for a in (0.5, 1.0)]
     target = tmp_path / "decay.csv"
     write_coupling_csv(reports, target)
     lines = target.read_text().strip().splitlines()

@@ -8,14 +8,11 @@ import pytest
 
 from perifou import (
     FactorizationFailure,
-    FbmPath,
     FgnSpec,
-    fbm_from_fgn,
     fgn_autocovariance,
     fgn_covariance,
     generate_fgn_cholesky,
     generate_fgn_circulant,
-    generate_two_sided_driver,
     substream_seed,
 )
 
@@ -122,56 +119,6 @@ def test_circulant_and_cholesky_agree_in_law():
         assert abs(a.mean() - b.mean()) <= 5 * se
 
 
-def test_fbm_from_fgn_cumulative_sum():
-    path = fbm_from_fgn(np.array([1.0, 1.0, 1.0]), step=1.0)
-    np.testing.assert_array_equal(path.values, [0.0, 1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(path.grid, [0.0, 1.0, 2.0, 3.0])
-
-
-def test_fbm_starts_at_zero_and_sums_exactly():
-    increments = np.random.default_rng(3).standard_normal(257)
-    path = fbm_from_fgn(increments, step=1 / 16)
-    assert path.values[0] == 0.0
-    # telescoping: the terminal value is the running sum, bit for bit
-    assert path.values[-1] == sum(increments.tolist())
-
-
-def test_fbm_rejects_empty_increments():
-    with pytest.raises(ValueError):
-        fbm_from_fgn(np.array([]), step=1.0)
-
-
-def test_two_sided_driver_rejects_zero_past():
-    spec = FgnSpec(hurst=0.7, step=1.0, count=4, seed=0)
-    with pytest.raises(ValueError):
-        generate_two_sided_driver(spec, past_count=0)
-
-
-def test_two_sided_driver_anchored_at_time_zero():
-    spec = FgnSpec(hurst=0.7, step=0.5, count=6, seed=44)
-    path = generate_two_sided_driver(spec, past_count=3)
-    at_zero = np.flatnonzero(path.grid == 0.0)
-    assert at_zero.size == 1
-    assert path.values[at_zero[0]] == 0.0
-    assert path.grid[0] == -1.5
-    assert path.grid[-1] == 3.0
-
-
-def test_two_sided_driver_joint_covariance():
-    # increments across past and future follow one joint fGn law
-    hurst, past, future, reps = 0.7, 8, 8, 4000
-    total = past + future
-    draws = np.empty((reps, total))
-    for r in range(reps):
-        spec = FgnSpec(hurst, 1.0, future, substream_seed(99, 3, r))
-        path = generate_two_sided_driver(spec, past_count=past)
-        draws[r] = np.diff(path.values)
-    emp = draws.T @ draws / reps
-    cov = fgn_covariance(hurst, total)
-    # entrywise Monte Carlo tolerance: Var(x_i x_j) <= 2 for unit-variance pairs
-    assert np.max(np.abs(emp - cov)) <= 5 * math.sqrt(2.0 / reps)
-
-
 def test_circulant_rejects_negative_embedding(monkeypatch):
     # fGn embeddings are nonnegative definite, so force the failure branch
     import perifou.fgn as fgn_module
@@ -189,21 +136,3 @@ def test_substream_seed_is_deterministic_and_spread():
     others = {substream_seed(123, n, r) for n in (10, 20) for r in range(100)}
     assert len(others) == 200
     assert substream_seed(123, 10, 4) != substream_seed(124, 10, 4)
-
-
-def test_fbm_csv_dump(tmp_path):
-    from perifou.fgn import write_fbm_csv
-
-    path = fbm_from_fgn(np.random.default_rng(8).standard_normal(16), step=1 / 4, hurst=0.7)
-    target = tmp_path / "fbm.csv"
-    write_fbm_csv(path, target)
-    lines = target.read_text().strip().splitlines()
-    assert lines[0] == "t,value"
-    assert len(lines) == path.values.size + 1
-    reread = np.array([float(line.split(",")[1]) for line in lines[1:]])
-    np.testing.assert_array_equal(reread, path.values)
-
-
-def test_fbm_path_carries_hurst():
-    path = FbmPath(grid=np.array([0.0, 1.0]), values=np.array([0.0, 0.3]), hurst=0.6)
-    assert path.hurst == 0.6

@@ -1,5 +1,6 @@
 """Model construction, simulation, and deterministic mean functions."""
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from perifou import (
     FouModel,
     GridMismatch,
     InvalidStep,
+    PartialPeriod,
+    SamplePath,
     coupling_gap,
     mean_function,
     path_from_increments,
@@ -18,6 +21,7 @@ from perifou import (
     steady_mean,
     zero_start_mean,
 )
+from perifou.cli import main
 from perifou.model import read_sample_path_csv, write_sample_path_csv
 
 SQRT2 = math.sqrt(2.0)
@@ -29,6 +33,18 @@ def sine_basis():
 
 def sincos_basis():
     return BasisSet.from_specs([{"kind": "sin", "k": 1}, {"kind": "cos", "k": 1}])
+
+
+def _model_section():
+    return {
+        "hurst": 0.7,
+        "alpha": 1.0,
+        "mu": [1.0],
+        "sigma": 0.5,
+        "basis": [{"kind": "sin", "k": 1}],
+        "step_denominator": 4,
+        "n_periods": 2,
+    }
 
 
 # ---------------------------------------------------------------- basis
@@ -175,21 +191,20 @@ def test_noise_response_is_linear_in_sigma():
     assert gap <= 1e-12
 
 
-def test_simulation_falls_back_to_cholesky_on_embedding_failure(monkeypatch):
+def test_simulation_propagates_embedding_failure(monkeypatch, tmp_path):
     import perifou.model as model_module
     from perifou.errors import NonnegativeEmbeddingFailure
-    from perifou.fgn import generate_fgn_cholesky
 
     def refuse(spec):
         raise NonnegativeEmbeddingFailure("forced")
 
     monkeypatch.setattr(model_module, "generate_fgn_circulant", refuse)
     model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
-    path = simulate_path(model, 2, 1 / 32, seed=6)
-    from perifou.fgn import FgnSpec
-
-    expected = generate_fgn_cholesky(FgnSpec(0.7, 1 / 32, 64, 6))
-    np.testing.assert_array_equal(path.driver_increments, expected)
+    with pytest.raises(NonnegativeEmbeddingFailure):
+        simulate_path(model, 2, 1 / 32, seed=6)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": _model_section()}))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_path_from_increments_replays_simulation():
@@ -315,3 +330,49 @@ def test_sample_path_csv_without_driver(tmp_path):
     back = read_sample_path_csv(target, model)
     assert back.driver_increments is None
     assert np.array_equal(back.x, path.x)
+
+
+def _broken_grid(case):
+    """A two-period, four-step path with one defect of the grid contract."""
+    grid = np.arange(9) / 4
+    x = np.linspace(0.0, 1.0, 9)
+    driver = np.full(8, 0.1)
+    if case == "shifted_period":
+        grid = grid + 1.0
+    elif case == "nan_time":
+        grid[3] = np.nan
+    elif case == "non_uniform":
+        grid[3] += 0.01
+    elif case == "partial_period":
+        grid, x, driver = grid[:-1], x[:-1], driver[:-1]
+    elif case == "driver_length":
+        driver = driver[:-1]
+    return grid, x, driver
+
+
+@pytest.mark.parametrize(
+    "case,error",
+    [
+        ("shifted_period", GridMismatch),
+        ("nan_time", GridMismatch),
+        ("non_uniform", GridMismatch),
+        ("partial_period", PartialPeriod),
+        ("driver_length", GridMismatch),
+    ],
+)
+def test_grid_contract_rejects_broken_paths(case, error, tmp_path):
+    model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
+    grid, x, driver = _broken_grid(case)
+    with pytest.raises(error):
+        SamplePath(grid=grid, x=x, driver_increments=driver, model=model)
+    target = tmp_path / "path.csv"
+    rows = [f"{t:.17g},{v:.17g},{d:.17g}" for t, v, d in zip(grid, x, driver)]
+    rows += [f"{t:.17g},{v:.17g}," for t, v in zip(grid[driver.size :], x[driver.size :])]
+    target.write_text("t,x,db\n" + "\n".join(rows) + "\n")
+    with pytest.raises(error):
+        read_sample_path_csv(target, model)
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"model": _model_section(), "estimate": {"path_csv": str(target)}})
+    )
+    assert main(["estimate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
