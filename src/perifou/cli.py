@@ -2,27 +2,27 @@
 limit matrices, and run Monte Carlo studies.
 
 One JSON configuration file is shared by all subcommands, with a mandatory
-``model`` section and optional per-subcommand sections.  Unknown keys are
-rejected rather than ignored, because a silently misspelled ``hurst`` or
-``alpha`` would invalidate a whole study.  ``--set section.key=value``
-overrides behave exactly as if the file had been edited.
+``model`` section and optional per-subcommand sections.  ``_SCHEMA`` gives
+every key its JSON type and default; unknown, missing and mistyped keys are
+rejected rather than ignored or coerced, because a misspelled ``hurst`` or
+a seed of 1.9 run as 1 would invalidate a whole study.  ``--set
+section.key=value`` overrides behave exactly as if the file had been edited.
 
-Exit status: 0 on success, 1 when a study reports FAIL, 2 on configuration
-or I/O errors.
+Exit status: 0 on success, 1 when a study reports FAIL, 2 on configuration,
+input or I/O errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
-from perifou.asymptotics import limit_summary
-from perifou.errors import ConfigError, DegenerateDesign, MissingDriver, PerifouError
-from perifou.estimator import MODES, estimate
+from perifou.asymptotics import CLT_HURST_UPPER, limit_summary
+from perifou.errors import ConfigError, DegenerateDesign, PerifouError
+from perifou.estimator import estimate
 from perifou.experiments import (
     McConfig,
     report_to_dict,
@@ -41,69 +41,99 @@ from perifou.model import (
     write_sample_path_csv,
 )
 
-_MODEL_KEYS = {
-    "hurst",
-    "alpha",
-    "mu",
-    "sigma",
-    "basis",
-    "xi0",
-    "step_denominator",
-    "n_periods",
-    "seed",
-    "stationary_start",
+_REQUIRED = object()
+
+# Every key as (type, default).  float takes any finite JSON number, int and
+# bool only their own JSON type; [t] is a nonempty array of t and a dict is
+# a nested object.  A key whose default is None also takes null.
+_MC_KEYS = {
+    "replicates": (int, _REQUIRED),
+    "mode": (str, "oracle_divergence"),
+    "master_seed": (int, _REQUIRED),
+    "workers": (int, 1),
 }
-_MODEL_REQUIRED = {"hurst", "alpha", "mu", "sigma", "basis"}
-_ESTIMATE_KEYS = {"mode", "path_csv", "alpha_for_correction"}
-_CONSISTENCY_KEYS = {"n_list", "replicates", "mode", "master_seed", "workers"}
-_CLT_KEYS = {"n", "replicates", "mode", "master_seed", "workers"}
-_COUPLING_KEYS = {"alphas", "n_periods", "gap0", "master_seed"}
-_TOP_KEYS = {"model", "estimate", "consistency", "clt", "coupling"}
-_BASIS_KEYS = {"kind", "k"}
+_SCHEMA = {
+    "model": (
+        {
+            "hurst": (float, _REQUIRED),
+            "alpha": (float, _REQUIRED),
+            "mu": ([float], _REQUIRED),
+            "sigma": (float, _REQUIRED),
+            "basis": ([{"kind": (str, _REQUIRED), "k": (int, 0)}], _REQUIRED),
+            "xi0": (float, 0.0),
+            "step_denominator": (int, 256),
+            "n_periods": (int, 10),
+            "seed": (int, 0),
+            "stationary_start": (bool, False),
+        },
+        _REQUIRED,
+    ),
+    "estimate": (
+        {
+            "mode": (str, "oracle_divergence"),
+            "path_csv": (str, None),
+            "alpha_for_correction": (float, None),
+        },
+        {},
+    ),
+    "consistency": ({"n_list": ([int], _REQUIRED), **_MC_KEYS}, None),
+    "clt": ({"n": (int, _REQUIRED), **_MC_KEYS}, None),
+    "coupling": (
+        {
+            "alphas": ([float], None),
+            "n_periods": (int, 12),
+            "gap0": (float, 1.0),
+            "master_seed": (int, 0),
+        },
+        {},
+    ),
+}
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-
-
-def _require(section: dict, keys: set, where: str) -> None:
-    missing = keys - set(section)
-    if missing:
-        raise ConfigError(f"missing key(s) in {where}: {sorted(missing)}")
+def _typed(value, kind, where: str):
+    """``value`` checked against the schema entry ``kind``, with numbers of
+    float keys converted to float and defaults filled in."""
+    if isinstance(kind, dict):
+        if type(value) is not dict:
+            raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+        unknown = sorted(set(value) - set(kind))
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {where or 'config'}: {unknown}")
+        typed = {}
+        for key, (sub, default) in kind.items():
+            name = f"{where}.{key}".lstrip(".")
+            if key not in value and default is _REQUIRED:
+                raise ConfigError(f"missing key {name}")
+            item = value.get(key, default)
+            typed[key] = None if item is None and default is None else _typed(item, sub, name)
+        return typed
+    if isinstance(kind, list):
+        if type(value) is not list or not value:
+            raise ConfigError(f"{where} must be a nonempty list, got {value!r}")
+        return [_typed(item, kind[0], f"{where}[{i}]") for i, item in enumerate(value)]
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind is not float and type(value) is kind:
+        return value
+    raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
 
 
 def load_config(path, overrides=()) -> dict:
-    """Read, override and structurally validate a configuration file."""
+    """Read a configuration file, apply overrides, and check it against
+    ``_SCHEMA``.  Sections come back typed with defaults filled in; an
+    absent ``consistency`` or ``clt`` section is None."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
-    config = copy.deepcopy(config)
     for item in overrides:
         _apply_override(config, item)
-    _check_keys(config, _TOP_KEYS, "config")
-    if "model" not in config:
-        raise ConfigError("config needs a 'model' section")
-    _check_keys(config["model"], _MODEL_KEYS, "model")
-    _require(config["model"], _MODEL_REQUIRED, "model")
-    for name, keys in (
-        ("estimate", _ESTIMATE_KEYS),
-        ("consistency", _CONSISTENCY_KEYS),
-        ("clt", _CLT_KEYS),
-        ("coupling", _COUPLING_KEYS),
-    ):
-        if name in config:
-            if not isinstance(config[name], dict):
-                raise ConfigError(f"section {name} must be an object")
-            _check_keys(config[name], keys, name)
-    return config
+    return _typed(config, _SCHEMA, "")
 
 
 def _apply_override(config: dict, item: str) -> None:
@@ -124,51 +154,20 @@ def _apply_override(config: dict, item: str) -> None:
 
 
 def build_model(section: dict) -> FouModel:
-    """Construct and validate the model from its config section."""
-    basis_specs = section["basis"]
-    if not isinstance(basis_specs, list) or not basis_specs:
-        raise ConfigError("model.basis must be a nonempty list")
-    for entry in basis_specs:
-        if not isinstance(entry, dict):
-            raise ConfigError("model.basis entries must be objects")
-        _check_keys(entry, _BASIS_KEYS, "model.basis entry")
-        if "kind" not in entry:
-            raise ConfigError("model.basis entries need a 'kind'")
-    try:
-        basis = BasisSet.from_specs(basis_specs)
-        basis.validate()
-        model = FouModel(
-            hurst=float(section["hurst"]),
-            alpha=float(section["alpha"]),
-            mu=tuple(float(v) for v in section["mu"]),
-            sigma=float(section["sigma"]),
-            basis=basis,
-            xi0=float(section.get("xi0", 0.0)),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return model
-
-
-def _model_step(section: dict) -> float:
-    denom = int(section.get("step_denominator", 256))
-    if denom < 1:
-        raise ConfigError(f"step_denominator must be >= 1, got {denom}")
-    return 1.0 / denom
-
-
-def _require_clt_range(model: FouModel, where: str) -> None:
-    if not model.hurst < 0.75:
-        raise ConfigError(
-            f"{where} requires hurst in (1/2, 3/4), got {model.hurst}"
-        )
-
-
-def _mode_from(section: dict, default: str = "oracle_divergence") -> str:
-    mode = section.get("mode", default)
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    return mode
+    """Construct and validate the model from its config section, whose grid
+    must have at least one step per period."""
+    if section["step_denominator"] < 1:
+        raise ConfigError(f"model.step_denominator must be >= 1, got {section['step_denominator']}")
+    basis = BasisSet.from_specs(section["basis"])
+    basis.validate()
+    return FouModel(
+        hurst=section["hurst"],
+        alpha=section["alpha"],
+        mu=section["mu"],
+        sigma=section["sigma"],
+        basis=basis,
+        xi0=section["xi0"],
+    )
 
 
 def _out_dir(args) -> Path:
@@ -186,10 +185,10 @@ def _write_json(payload: dict, filename: Path) -> None:
 def _simulate(model: FouModel, section: dict):
     return simulate_path(
         model,
-        n_periods=int(section.get("n_periods", 10)),
-        step=_model_step(section),
-        seed=int(section.get("seed", 0)),
-        stationary_start=bool(section.get("stationary_start", False)),
+        n_periods=section["n_periods"],
+        step=1.0 / section["step_denominator"],
+        seed=section["seed"],
+        stationary_start=section["stationary_start"],
     )
 
 
@@ -203,29 +202,19 @@ def _cmd_simulate(config: dict, args) -> int:
 
 def _cmd_estimate(config: dict, args) -> int:
     model = build_model(config["model"])
-    section = config.get("estimate", {})
-    mode = _mode_from(section)
+    section = config["estimate"]
+    mode = section["mode"]
     model_section = config["model"]
-    if section.get("path_csv"):
+    if section["path_csv"]:
         path = read_sample_path_csv(
-            section["path_csv"],
-            model,
-            stationary_start=bool(model_section.get("stationary_start", False)),
+            section["path_csv"], model, stationary_start=model_section["stationary_start"]
         )
     else:
         path = _simulate(model, model_section)
-    alpha_corr = section.get("alpha_for_correction")
-    if alpha_corr is not None and not (
-        isinstance(alpha_corr, (int, float)) and 0.0 < alpha_corr * path.step < 1.0
-    ):
-        raise ConfigError(
-            f"estimate.alpha_for_correction={alpha_corr!r} breaks 0 < alpha*step < 1 "
-            f"(step {path.step})"
-        )
     out = _out_dir(args) / "estimate.json"
     try:
         result = estimate(
-            path, mode=mode, sigma=model.sigma, alpha_for_correction=alpha_corr
+            path, mode=mode, sigma=model.sigma, alpha_for_correction=section["alpha_for_correction"]
         )
     except DegenerateDesign as exc:
         _write_json(
@@ -234,8 +223,6 @@ def _cmd_estimate(config: dict, args) -> int:
         )
         print(f"estimate: degenerate design ({exc})")
         return 0
-    except MissingDriver as exc:
-        raise ConfigError(str(exc)) from exc
     report = result.to_report()
     report["step"] = path.step
     _write_json(report, out)
@@ -263,29 +250,20 @@ def _cmd_limits(config: dict, args) -> int:
 
 def _mc_config(config: dict, args, section_name: str) -> McConfig:
     model = build_model(config["model"])
-    _require_clt_range(model, section_name)
-    section = config.get(section_name)
+    if not model.hurst < CLT_HURST_UPPER:
+        raise ConfigError(f"{section_name} requires hurst < {CLT_HURST_UPPER}, got {model.hurst}")
+    section = config[section_name]
     if section is None:
         raise ConfigError(f"config needs a '{section_name}' section")
-    if section_name == "clt":
-        _require(section, {"n", "replicates", "master_seed"}, section_name)
-        n_list = (int(section["n"]),)
-    else:
-        _require(section, {"n_list", "replicates", "master_seed"}, section_name)
-        n_list = tuple(int(n) for n in section["n_list"])
-    workers = args.workers if args.workers else int(section.get("workers", 1))
-    try:
-        return McConfig(
-            model=model,
-            n_list=n_list,
-            replicates=int(section["replicates"]),
-            step=_model_step(config["model"]),
-            mode=_mode_from(section),
-            master_seed=int(section["master_seed"]),
-            workers=workers,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return McConfig(
+        model=model,
+        n_list=section["n_list"] if section_name == "consistency" else (section["n"],),
+        replicates=section["replicates"],
+        step=1.0 / config["model"]["step_denominator"],
+        mode=section["mode"],
+        master_seed=section["master_seed"],
+        workers=args.workers or section["workers"],
+    )
 
 
 def _cmd_mc_consistency(config: dict, args) -> int:
@@ -321,15 +299,14 @@ def _cmd_mc_clt(config: dict, args) -> int:
 
 def _cmd_coupling(config: dict, args) -> int:
     model = build_model(config["model"])
-    section = config.get("coupling", {})
-    alphas = section.get("alphas", [model.alpha])
-    horizon = int(section.get("n_periods", 12))
-    gap0 = float(section.get("gap0", 1.0))
-    master_seed = int(section.get("master_seed", 0))
-    step = _model_step(config["model"])
+    section = config["coupling"]
+    horizon = section["n_periods"]
+    gap0 = section["gap0"]
+    master_seed = section["master_seed"]
+    step = 1.0 / config["model"]["step_denominator"]
     reports = [
-        run_coupling(dc_replace(model, alpha=float(alpha)), horizon, step, master_seed, gap0)
-        for alpha in alphas
+        run_coupling(dc_replace(model, alpha=alpha), horizon, step, master_seed, gap0)
+        for alpha in section["alphas"] or [model.alpha]
     ]
     out = _out_dir(args)
     write_coupling_csv(reports, out / "coupling_decay.csv")
@@ -400,14 +377,8 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, args.overrides)
         return _COMMANDS[args.command](config, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 2
-    except PerifouError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PerifouError, OSError) as exc:
+        print(f"perifou {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

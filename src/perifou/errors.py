@@ -37,3 +37,7 @@ class MissingDriver(PerifouError):
 
 class ConfigError(PerifouError):
     """Malformed or inadmissible configuration."""
+
+
+class InvalidInput(PerifouError, ValueError):
+    """A value outside its admissible range, or an unreadable path file."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
-from perifou.errors import DegenerateDesign, MissingDriver
+from perifou.errors import DegenerateDesign, InvalidInput, MissingDriver
 from perifou.fgn import fgn_autocovariance
 from perifou.model import SamplePath, fold_periods, period_grid
 
@@ -257,14 +257,15 @@ def estimate(
     In ``oracle_divergence`` mode the quadratic response entry is shifted
     by sigma^2 times the Skorokhod trace term, evaluated at
     ``alpha_for_correction`` when given (verification runs with known
-    truth) and otherwise at the naive alpha_hat from a first pass.  The
+    truth) and otherwise at the naive alpha_hat from a first pass; either
+    must satisfy 0 < alpha*step < 1, or InvalidInput is raised.  The
     noise vector R with P = Q theta + sigma R is returned whenever driver
     increments are available, assembled under the same integral convention
     as the mode, which makes theta_hat - theta = sigma Q^{-1} R an exact
     identity of the discretized system.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise InvalidInput(f"mode must be one of {MODES}, got {mode!r}")
     model = path.model
     m = path.steps_per_period
     design = build_design(path)
@@ -280,9 +281,12 @@ def estimate(
             raise MissingDriver("oracle_divergence mode needs driver increments")
         if sigma is None:
             sigma = model.sigma
+        source = "alpha_for_correction"
         if alpha_for_correction is None:
-            naive_alpha = float((inverse @ response)[-1])
-            alpha_for_correction = max(naive_alpha, _PLUG_IN_FLOOR)
+            source = "plug-in alpha_hat (set estimate.alpha_for_correction to override)"
+            alpha_for_correction = max(float((inverse @ response)[-1]), _PLUG_IN_FLOOR)
+        if not 0.0 < alpha_for_correction * path.step < 1.0:
+            raise InvalidInput(f"{source} {alpha_for_correction!r} breaks 0 < alpha*step < 1")
         correction = discrete_trace_correction(
             alpha_for_correction,
             model.hurst,

@@ -19,7 +19,7 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import kurtosis, skew
 
 from perifou.asymptotics import finite_horizon_covariance, limit_summary
-from perifou.errors import DegenerateDesign
+from perifou.errors import DegenerateDesign, InvalidInput
 from perifou.estimator import MODES, estimate
 from perifou.fgn import FgnSpec, generate_fgn_circulant, substream_seed
 from perifou.model import (
@@ -57,15 +57,15 @@ class McConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if self.replicates < 2:
-            raise ValueError(f"replicates must be >= 2, got {self.replicates}")
+            raise InvalidInput(f"replicates must be >= 2, got {self.replicates}")
         if not self.n_list:
-            raise ValueError("n_list must be nonempty")
+            raise InvalidInput("n_list must be nonempty")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
-            raise ValueError(f"n_list must be strictly increasing, got {self.n_list}")
+            raise InvalidInput(f"n_list must be strictly increasing, got {self.n_list}")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise InvalidInput(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+            raise InvalidInput(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from perifou.errors import FactorizationFailure, NonnegativeEmbeddingFailure
+from perifou.errors import FactorizationFailure, InvalidInput, NonnegativeEmbeddingFailure
 
 # fGn circulant embeddings are nonnegative definite for every H in (0, 1);
 # the tolerance only absorbs FFT rounding.
@@ -61,11 +61,13 @@ class FgnSpec:
 
     def __post_init__(self):
         if not 0.0 < self.hurst < 1.0:
-            raise ValueError(f"hurst must lie in (0, 1), got {self.hurst}")
+            raise InvalidInput(f"hurst must lie in (0, 1), got {self.hurst}")
         if self.step <= 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
+            raise InvalidInput(f"step must be positive, got {self.step}")
         if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+            raise InvalidInput(f"count must be >= 1, got {self.count}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
 
 
 def fgn_autocovariance(hurst: float, lag):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from perifou.errors import GridMismatch, InvalidStep, PartialPeriod
+from perifou.errors import GridMismatch, InvalidInput, InvalidStep, PartialPeriod
 from perifou.fgn import FgnSpec, generate_fgn_circulant
 
 _SQRT2 = math.sqrt(2.0)
@@ -40,11 +40,11 @@ class BasisFunction:
 
     def __post_init__(self):
         if self.kind not in ("const", "sin", "cos"):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
+            raise InvalidInput(f"unknown basis kind {self.kind!r}")
         if self.kind == "const" and self.k != 0:
-            raise ValueError("constant basis function takes no frequency")
+            raise InvalidInput("constant basis function takes no frequency")
         if self.kind in ("sin", "cos") and self.k < 1:
-            raise ValueError(f"{self.kind} basis function needs k >= 1")
+            raise InvalidInput(f"{self.kind} basis function needs k >= 1")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -74,9 +74,9 @@ class BasisSet:
     @classmethod
     def from_specs(cls, specs) -> "BasisSet":
         """Build from dicts like {"kind": "sin", "k": 2} or {"kind": "const"}."""
-        funcs = tuple(BasisFunction(s["kind"], int(s.get("k", 0))) for s in specs)
+        funcs = tuple(BasisFunction(s["kind"], s.get("k", 0)) for s in specs)
         if len(set(funcs)) != len(funcs):
-            raise ValueError("duplicate basis functions break orthonormality")
+            raise InvalidInput("duplicate basis functions break orthonormality")
         bound = max((1.0 if f.kind == "const" else _SQRT2) for f in funcs)
         return cls(functions=funcs, bound=bound)
 
@@ -99,15 +99,15 @@ class BasisSet:
         for f in self.functions:
             gap = np.max(np.abs(f(probe + 1.0) - f(probe)))
             if gap > periodicity_tol:
-                raise ValueError(f"basis function {f} is not 1-periodic (gap {gap:.2e})")
+                raise InvalidInput(f"basis function {f} is not 1-periodic (gap {gap:.2e})")
         values = self.evaluate(_UNIT_NODES)
         gram = (values * _UNIT_WEIGHTS) @ values.T
         err = np.max(np.abs(gram - np.eye(self.p)))
         if err > tol:
-            raise ValueError(f"basis is not orthonormal in L^2[0,1] (error {err:.2e})")
+            raise InvalidInput(f"basis is not orthonormal in L^2[0,1] (error {err:.2e})")
         sup = max(float(np.max(np.abs(f(probe)))) for f in self.functions)
         if sup > self.bound + 1e-12:
-            raise ValueError(f"basis bound {self.bound} is exceeded ({sup})")
+            raise InvalidInput(f"basis bound {self.bound} is exceeded ({sup})")
 
 
 @dataclass(frozen=True)
@@ -128,13 +128,13 @@ class FouModel:
     def __post_init__(self):
         object.__setattr__(self, "mu", tuple(float(v) for v in self.mu))
         if not 0.5 < self.hurst < 1.0:
-            raise ValueError(f"hurst must lie in (1/2, 1), got {self.hurst}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+            raise InvalidInput(f"hurst must lie in (1/2, 1), got {self.hurst}")
+        if not self.alpha > 0.0:
+            raise InvalidInput(f"alpha must be positive, got {self.alpha}")
+        if not self.sigma >= 0.0:
+            raise InvalidInput(f"sigma must be nonnegative, got {self.sigma}")
         if len(self.mu) != self.basis.p:
-            raise ValueError(
+            raise InvalidInput(
                 f"mu has {len(self.mu)} entries for {self.basis.p} basis functions"
             )
 
@@ -270,7 +270,7 @@ def simulate_path(
     noise, so the long-range dependence of the driver is preserved.
     """
     if n_periods < 1:
-        raise ValueError(f"n_periods must be >= 1, got {n_periods}")
+        raise InvalidInput(f"n_periods must be >= 1, got {n_periods}")
     m = _check_step(step)
     burn_periods = 0
     if stationary_start:
@@ -409,22 +409,28 @@ def read_sample_path_csv(
     The rows must satisfy the :class:`SamplePath` grid contract.  Floats
     round-trip exactly, so estimating from the file reproduces the
     in-memory pipeline bit for bit.  ``stationary_start`` must restate how
-    the path was generated; the file format does not carry it.
+    the path was generated; the file format does not carry it.  A header,
+    row or cell that does not parse raises InvalidInput naming the line.
     """
-    with open(filename, "r", encoding="utf-8") as handle:
-        header = handle.readline().strip().split(",")
-        if header not in (["t", "x"], ["t", "x", "db"]):
-            raise ValueError(f"unexpected path CSV header {header}")
-        t_vals, x_vals, db_vals = [], [], []
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            t_vals.append(float(parts[0]))
-            x_vals.append(float(parts[1]))
-            if len(header) == 3 and len(parts) == 3 and parts[2] != "":
-                db_vals.append(float(parts[2]))
+    t_vals, x_vals, db_vals = [], [], []
+    lineno = 1
+    try:
+        with open(filename, "r", encoding="utf-8") as handle:
+            header = handle.readline().strip().split(",")
+            if header not in (["t", "x"], ["t", "x", "db"]):
+                raise InvalidInput(f"header {header} is neither t,x nor t,x,db")
+            for lineno, line in enumerate(handle, start=2):
+                parts = line.strip().split(",")
+                if parts == [""]:
+                    continue
+                if len(parts) != len(header):
+                    raise InvalidInput(f"{len(parts)} fields under a {len(header)}-column header")
+                t_vals.append(float(parts[0]))
+                x_vals.append(float(parts[1]))
+                if len(parts) == 3 and parts[2] != "":
+                    db_vals.append(float(parts[2]))
+    except ValueError as exc:  # float(), UTF-8 decoding, and InvalidInput above
+        raise InvalidInput(f"path CSV {filename}, line {lineno}: {exc}") from None
     return SamplePath(
         grid=np.asarray(t_vals),
         x=np.asarray(x_vals),

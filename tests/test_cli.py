@@ -1,11 +1,17 @@
 """Command-line driver: config handling, artifacts, round trips."""
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perifou
-from perifou.cli import main
+from perifou.cli import _REQUIRED, _SCHEMA, load_config, main
+from perifou.errors import ConfigError
 
 
 def base_config():
@@ -157,6 +163,12 @@ def test_malformed_json(config_file, tmp_path):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_config_not_utf8_exits_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_mc_consistency_passes_and_writes_artifacts(config_file, tmp_path):
     cfg = config_file(base_config())
     out = tmp_path / "mc"
@@ -226,6 +238,138 @@ def test_unstable_alpha_step_exits_2(config_file, tmp_path, capsys, command, ove
     out = str(tmp_path / "o")
     assert main([command, "--config", cfg, "--out", out, "--set", override]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# Path files that do not parse: a cell, the header, a row with one field.
+_BAD_PATH_FILES = {
+    "bad_cell": "t,x,db\n0,abc,0.1\n",
+    "bad_header": "a,b\n0,1\n",
+    "one_field": "t,x,db\n0\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command,override",
+    [
+        ("simulate", "model.n_periods=abc"),
+        ("simulate", "model.seed=abc"),
+        ("simulate", "model.step_denominator=abc"),
+        ("simulate", "model.step_denominator=0"),
+        ("simulate", "model.n_periods=0"),
+        ("coupling", "coupling.alphas=[0]"),
+        ("coupling", "coupling.alphas=5"),
+        ("coupling", "coupling.gap0=abc"),
+        ("mc-clt", "clt.n=abc"),
+        ("mc-clt", "clt.workers=abc"),
+        ("mc-consistency", "consistency.n_list=5"),
+        ("simulate", "model.seed=-1"),
+        ("simulate", "model.seed=1.9"),
+        ("simulate", 'model.basis=[{"kind": "sin", "k": 1.7}, {"kind": "cos", "k": 1}]'),
+        ("simulate", 'model.stationary_start="no"'),
+        ("estimate", "estimate.alpha_for_correction=true"),
+        ("estimate", "estimate.path_csv=5"),
+        ("estimate", "bad_cell"),
+        ("estimate", "bad_header"),
+        ("estimate", "one_field"),
+        pytest.param("limits", "model.alpha=1" + "0" * 400, id="limits-alpha-beyond-double"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(config_file, tmp_path, capsys, command, override):
+    if override in _BAD_PATH_FILES:
+        target = tmp_path / f"{override}.csv"
+        target.write_text(_BAD_PATH_FILES[override])
+        override = f"estimate.path_csv={target}"
+    cfg = config_file(base_config())
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def _alternating_path_csv(target):
+    """m = 4, n = 2, x_k = (-1)^k, db = 0.1: the naive alpha_hat is 8, so
+    the plug-in alpha_hat * step is 2."""
+    rows = [f"{k / 4!r},{(-1) ** k},{0.1 if k < 8 else ''}" for k in range(9)]
+    target.write_text("t,x,db\n" + "\n".join(rows) + "\n")
+
+
+def test_plug_in_alpha_beyond_step_exits_2(config_file, tmp_path, capsys):
+    target = tmp_path / "path.csv"
+    _alternating_path_csv(target)
+    cfg = config_file(base_config())
+    out = str(tmp_path / "o")
+    argv = ["estimate", "--config", cfg, "--out", out, "--set", f"estimate.path_csv={target}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "plug-in" in err and "estimate.alpha_for_correction" in err
+    assert main(argv + ["--set", "estimate.alpha_for_correction=1"]) == 0
+
+
+def test_load_config_fills_defaults_and_converts_floats(config_file):
+    config = base_config()
+    del config["coupling"], config["clt"]
+    config["model"]["alpha"] = 1
+    config["coupling"] = {"alphas": [1, 2]}
+    typed = load_config(config_file(config))
+    assert typed["model"]["alpha"] == 1.0 and type(typed["model"]["alpha"]) is float
+    coupling = {"alphas": [1.0, 2.0], "n_periods": 12, "gap0": 1.0, "master_seed": 0}
+    assert typed["coupling"] == coupling
+    assert typed["estimate"]["path_csv"] is None
+    assert typed["clt"] is None
+
+
+def _schema_entries():
+    """(path into base_config(), type, default) for every section, key and
+    basis-entry key of the schema."""
+    entries = []
+    for section, (keys, default) in _SCHEMA.items():
+        entries.append(((section,), keys, default))
+        for key, (kind, key_default) in keys.items():
+            entries.append(((section, key), kind, key_default))
+    basis_keys = _SCHEMA["model"][0]["basis"][0][0]
+    for key, (kind, default) in basis_keys.items():
+        entries.append((("model", "basis", 0, key), kind, default))
+    return entries
+
+
+def _wrong_values(kind, default):
+    """Values of a JSON type that ``kind`` does not take."""
+    numbers = st.one_of(st.integers(-5, 5), st.floats(-5, 5))
+    pool = [st.just(math.nan), st.just(math.inf)]
+    if not isinstance(kind, dict):
+        pool.append(st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+    if kind is not str:
+        pool.append(st.text(max_size=5))
+    if kind is not bool:
+        pool.append(st.booleans())
+    if not isinstance(kind, list):
+        pool.append(st.lists(st.integers(), max_size=2))
+    else:
+        pool.append(st.lists(st.text(max_size=3), max_size=2))  # empty, or wrong elements
+    if kind is int:
+        pool.append(st.floats(-5, 5))
+    elif kind is not float:
+        pool.append(numbers)
+    if default is not None:
+        pool.append(st.none())
+    return st.one_of(pool)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_schema_rejects_every_wrong_json_type(data):
+    where, kind, default = data.draw(st.sampled_from(_schema_entries()))
+    value = data.draw(_wrong_values(kind, default))
+    config = base_config()
+    node = config
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "config.json"
+        target.write_text(json.dumps(config))
+        with pytest.raises(ConfigError):
+            load_config(target)
 
 
 def test_every_exported_name_resolves():

@@ -11,6 +11,7 @@ from perifou import (
     BasisSet,
     FouModel,
     GridMismatch,
+    InvalidInput,
     InvalidStep,
     PartialPeriod,
     SamplePath,
@@ -376,3 +377,20 @@ def test_grid_contract_rejects_broken_paths(case, error, tmp_path):
         json.dumps({"model": _model_section(), "estimate": {"path_csv": str(target)}})
     )
     assert main(["estimate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("t,x,db\n0,abc,0.1\n", 2),
+        ("a,b\n0,1\n", 1),
+        ("t,x,db\n0,0,0.1\n0.25\n", 3),
+        ("t,x\n0,1,2\n", 2),
+    ],
+)
+def test_path_csv_parse_errors_name_file_and_line(text, line, tmp_path):
+    model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
+    target = tmp_path / "bad.csv"
+    target.write_text(text)
+    with pytest.raises(InvalidInput, match=rf"bad\.csv, line {line}:"):
+        read_sample_path_csv(target, model)
