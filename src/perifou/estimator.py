@@ -109,7 +109,11 @@ def build_design(path: SamplePath, require_identifiable: bool = True) -> DesignS
     phi = path.model.basis.evaluate(period_grid(path.step))
     gram = (n * step) * (phi @ phi.T)
     cross = step * (phi @ fold_periods(x_left, path.steps_per_period))
-    energy = step * float(np.dot(x_left, x_left))
+    # Over the N = n*m grid points np.dot is a BLAS ddot, which OpenBLAS
+    # spreads over every core; in a process pool those threads contend with
+    # the other workers, so the N-length reductions of this module use
+    # einsum's single-threaded loop.
+    energy = step * float(np.einsum("i,i", x_left, x_left))
     loadings = cross / n
     residual = energy / n - float(np.dot(loadings, loadings))
     if residual <= DEGENERACY_THRESHOLD:
@@ -218,7 +222,7 @@ def discrete_trace_correction(
     if lags.size == 0:
         return 0.0
     terms = a ** (lags - 1.0) * fgn_autocovariance(hurst, lags) * weight
-    return float(np.dot(n_steps - lags, terms))
+    return float(np.einsum("i,i", n_steps - lags, terms))  # not np.dot: see build_design
 
 
 def skorokhod_correction(alpha: float, hurst: float, horizon: float) -> float:
@@ -272,7 +276,8 @@ def estimate(
     phi = model.basis.evaluate(period_grid(path.step))
     x_left = path.x[:-1]
     dx = np.diff(path.x)
-    response = np.append(phi @ fold_periods(dx, m), -float(np.dot(x_left, dx)))
+    # einsum, not np.dot: see build_design
+    response = np.append(phi @ fold_periods(dx, m), -float(np.einsum("i,i", x_left, dx)))
     inverse = normal_matrix_inverse(design)
 
     correction = 0.0
@@ -301,7 +306,7 @@ def estimate(
     noise_vector = None
     if path.driver_increments is not None:
         db = path.driver_increments
-        noise_vector = np.append(phi @ fold_periods(db, m), -float(np.dot(x_left, db)))
+        noise_vector = np.append(phi @ fold_periods(db, m), -float(np.einsum("i,i", x_left, db)))
         if mode == "oracle_divergence":
             noise_vector[-1] += sigma * correction
 

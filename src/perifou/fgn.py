@@ -4,8 +4,11 @@ The increments of fractional Brownian motion on a uniform grid with spacing
 ``step`` form a stationary Gaussian sequence with covariance
 ``step**(2H) * rho_H(|i - j|)``.  Samplers here reproduce that covariance
 exactly: an O(N log N) circulant embedding for production use and an
-O(N^2) Cholesky factorization as a small-size test oracle.
-All draws are deterministic functions of the seed.
+O(N^2) Cholesky factorization as a small-size test oracle.  The circulant
+spectrum is symmetric, so the sampler folds each pair of frequencies
+k, M-k into a Hermitian half spectrum and needs one real inverse FFT per
+draw; it returns what the real part of a complex FFT of the full spectrum
+would, to rounding.  All draws are deterministic functions of the seed.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from perifou.errors import FactorizationFailure, InvalidInput, NonnegativeEmbeddingFailure
@@ -95,25 +99,50 @@ def fgn_covariance(hurst: float, count: int, step: float = 1.0) -> np.ndarray:
     return step ** (2.0 * hurst) * scipy.linalg.toeplitz(rho)
 
 
-@lru_cache(maxsize=32)
 def _embedding_eigenvalues(hurst: float, count: int) -> np.ndarray:
-    """Eigenvalues of the smallest power-of-two circulant embedding."""
+    """Eigenvalues lambda_0..lambda_{M/2} of the smallest power-of-two
+    circulant embedding, of size M >= 2*(count-1).
+
+    The first row is symmetric, so lambda_k = lambda_{M-k} and the real FFT
+    of the row gives the whole spectrum.
+    """
     size = 1 << max(1, 2 * (count - 1) - 1).bit_length()
-    half = size // 2
-    rho = fgn_autocovariance(hurst, np.arange(half + 1))
-    first_row = np.concatenate([rho, rho[-2:0:-1]])
-    eig = np.fft.fft(first_row).real
-    eig.setflags(write=False)
-    return eig
+    rho = fgn_autocovariance(hurst, np.arange(size // 2 + 1))
+    return scipy.fft.rfft(np.concatenate([rho, rho[-2:0:-1]])).real
+
+
+@lru_cache(maxsize=32)
+def _half_spectrum_weights(hurst: float, count: int) -> np.ndarray:
+    """Weights w_k = M * sqrt(lambda_k / M) of the folded half spectrum,
+    halved for 0 < k < M/2, after checking that no eigenvalue is
+    materially negative."""
+    eig = _embedding_eigenvalues(hurst, count)
+    floor = -EIGENVALUE_TOLERANCE * eig.max()
+    if eig.min() < floor:
+        raise NonnegativeEmbeddingFailure(
+            f"circulant eigenvalue {eig.min():.3e} below tolerance {floor:.3e} "
+            f"(hurst={hurst}, count={count})"
+        )
+    half = eig.size - 1
+    weights = np.sqrt(np.maximum(eig, 0.0) * (2 * half))
+    weights[1:half] *= 0.5
+    weights.setflags(write=False)
+    return weights
 
 
 def generate_fgn_circulant(spec: FgnSpec) -> np.ndarray:
     """Draw fGn by circulant embedding of the Toeplitz covariance.
 
     The covariance is embedded in a circulant of power-of-two size
-    >= 2*(count-1), diagonalized by the FFT; a complex Gaussian spectrum is
-    synthesized and transformed back, and the real part of the first
-    ``count`` entries is returned, scaled by ``step**hurst``.
+    M >= 2*(count-1) with eigenvalues lambda_k.  With a_k = sqrt(lambda_k/M)
+    and two blocks z1, z2 of M standard normals, the draw is the real part
+    of the first ``count`` entries of FFT(a * (z1 + i z2)), scaled by
+    ``step**hurst``.  Since lambda_k = lambda_{M-k}, the terms at k and M-k
+    fold into one Hermitian half spectrum
+        Y_0 = a_0 z1_0,  Y_{M/2} = a_{M/2} z1_{M/2},
+        Y_k = a_k/2 * ((z1_k + z1_{M-k}) - i (z2_k - z2_{M-k})),  0 < k < M/2,
+    and the draw is M * irfft(Y) over the same first ``count`` entries: one
+    real inverse transform of size M in place of a complex one.
 
     Raises NonnegativeEmbeddingFailure if an eigenvalue is materially
     negative.
@@ -122,18 +151,17 @@ def generate_fgn_circulant(spec: FgnSpec) -> np.ndarray:
     scale = spec.step**spec.hurst
     if spec.count == 1:
         return scale * rng.standard_normal(1)
-    eig = _embedding_eigenvalues(spec.hurst, spec.count)
-    floor = -EIGENVALUE_TOLERANCE * eig.max()
-    if eig.min() < floor:
-        raise NonnegativeEmbeddingFailure(
-            f"circulant eigenvalue {eig.min():.3e} below tolerance {floor:.3e} "
-            f"(hurst={spec.hurst}, count={spec.count})"
-        )
-    size = eig.size
-    amplitude = np.sqrt(np.maximum(eig, 0.0) / size)
-    spectrum = amplitude * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    draw = np.fft.fft(spectrum)[: spec.count].real
-    return scale * draw
+    weights = _half_spectrum_weights(spec.hurst, spec.count)
+    half = weights.size - 1
+    size = 2 * half
+    z = rng.standard_normal(2 * size)  # the same stream as two calls of size M
+    z1, z2 = z[:size], z[size:]
+    spectrum = np.zeros(half + 1, dtype=complex)
+    spectrum.real = z1[: half + 1]
+    spectrum.real[1:half] += z1[:half:-1]
+    spectrum.imag[1:half] = z2[:half:-1] - z2[1:half]
+    spectrum *= weights
+    return scale * scipy.fft.irfft(spectrum, n=size)[: spec.count]
 
 
 def generate_fgn_cholesky(spec: FgnSpec, guard: int = CHOLESKY_COUNT_GUARD) -> np.ndarray:

@@ -83,8 +83,8 @@ def test_folded_sums_match_full_grid_sums(subset, n, m, stationary, seed):
     assert close(result.design.cross, step * phi @ x_left, step * bound * np.abs(x_left).sum())
     assert close(result.response[:-1], phi @ dx, bound * np.abs(dx).sum())
     assert close(result.noise_vector[:-1], phi @ db, bound * np.abs(db).sum())
-    assert result.response[-1] == -float(np.dot(x_left, dx))
-    assert result.noise_vector[-1] == -float(np.dot(x_left, db))
+    assert result.response[-1] == -float(np.einsum("i,i", x_left, dx))
+    assert result.noise_vector[-1] == -float(np.einsum("i,i", x_left, db))
 
 
 def test_design_zero_path_is_degenerate():

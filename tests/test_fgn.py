@@ -124,10 +124,69 @@ def test_circulant_rejects_negative_embedding(monkeypatch):
     import perifou.fgn as fgn_module
     from perifou import NonnegativeEmbeddingFailure
 
-    bad = np.array([4.0, 1.0, -1.0, 1.0])
+    spec = FgnSpec(hurst=0.7, step=1.0, count=3, seed=0)
+    generate_fgn_circulant(spec)  # the checked weights for (0.7, 3) are now cached
+    bad = np.array([4.0, 1.0, -1.0])  # lambda_0..lambda_{M/2} of a size-4 embedding
     monkeypatch.setattr(fgn_module, "_embedding_eigenvalues", lambda h, c: bad)
+    monkeypatch.setattr(
+        fgn_module, "_half_spectrum_weights", fgn_module._half_spectrum_weights.__wrapped__
+    )
     with pytest.raises(NonnegativeEmbeddingFailure):
-        generate_fgn_circulant(FgnSpec(hurst=0.7, step=1.0, count=3, seed=0))
+        generate_fgn_circulant(spec)
+
+
+def _embedding_size(count):
+    return 1 << max(1, 2 * (count - 1) - 1).bit_length()
+
+
+def _complex_fft_draw(spec):
+    """The circulant draw as the real part of one complex FFT of the full
+    spectrum, the construction the folded sampler must reproduce."""
+    size = _embedding_size(spec.count)
+    rho = fgn_autocovariance(spec.hurst, np.arange(size // 2 + 1))
+    eig = np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real
+    rng = np.random.default_rng(spec.seed)
+    spectrum = np.sqrt(np.maximum(eig, 0.0) / size) * (
+        rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    )
+    return spec.step**spec.hurst * np.fft.fft(spectrum)[: spec.count].real
+
+
+@pytest.mark.parametrize("hurst", [0.51, 0.7, 0.9])
+@pytest.mark.parametrize("count", [2, 3, 4, 5, 17, 3840, 56064])
+def test_circulant_matches_complex_fft_construction(hurst, count):
+    for seed in (0, 1, 2024, 2**40 + 3):
+        spec = FgnSpec(hurst, 1 / 256, count, seed)
+        reference = _complex_fft_draw(spec)
+        draw = generate_fgn_circulant(spec)
+        assert draw.shape == (count,)
+        assert np.max(np.abs(draw - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+class _UnitNormals:
+    """Stands in for the generator: its normals, over all calls, are the
+    unit vector e_column of length ``total``."""
+
+    def __init__(self, column, total):
+        self.normals = np.zeros(total)
+        self.normals[column] = 1.0
+        self.used = 0
+
+    def standard_normal(self, size):
+        out = self.normals[self.used : self.used + size].copy()
+        self.used += size
+        return out
+
+
+@pytest.mark.parametrize("hurst", [0.51, 0.7, 0.9])
+@pytest.mark.parametrize("count", [2, 3, 4, 5, 17, 33, 64])
+def test_circulant_linear_map_reproduces_toeplitz_covariance(monkeypatch, hurst, count):
+    # the draw is linear in the 2M normals: column j of A is the draw from e_j
+    total = 2 * _embedding_size(count)
+    monkeypatch.setattr(np.random, "default_rng", lambda column: _UnitNormals(column, total))
+    columns = [generate_fgn_circulant(FgnSpec(hurst, 1.0, count, j)) for j in range(total)]
+    a = np.column_stack(columns)
+    assert np.max(np.abs(a @ a.T - fgn_covariance(hurst, count))) <= 1e-12
 
 
 def test_substream_seed_is_deterministic_and_spread():
