@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import matmul_toeplitz
-from scipy.signal import lfilter
 from scipy.special import roots_jacobi
 
 from perifou.estimator import block_inverse
@@ -42,6 +41,7 @@ from perifou.model import (
     _UNIT_NODES,
     _UNIT_WEIGHTS,
     FouModel,
+    first_order_recursion,
     period_grid,
     steady_euler_orbit,
     steady_mean,
@@ -227,13 +227,13 @@ def quadratic_noise_variance(hurst: float, step: float, alpha: float, n_steps: i
     c_bb_next = weight * fgn_autocovariance(
         hurst, np.abs(np.arange(1 - last, last + memory + 2))
     )
-    c_zb = lfilter([1.0], [1.0, -a], c_bb_next[::-1])[::-1][: 2 * last + 1]
+    c_zb = first_order_recursion(c_bb_next[::-1], a)[::-1][: 2 * last + 1]
     c_bb = weight * fgn_autocovariance(hurst, np.arange(last + 1))
     var_z = (c_bb[0] + 2.0 * a * c_zb[last]) / (1.0 - a * a)
     c_zz = np.empty(last + 1)
     c_zz[0] = var_z
     if last:
-        c_zz[1:] = lfilter([1.0], [1.0, -a], c_zb[last:-1], zi=[a * var_z])[0]
+        c_zz[1:] = first_order_recursion(c_zb[last:-1], a, var_z)
     lags = np.arange(last + 1)
     multiplicity = np.where(lags == 0, 1.0, 2.0) * (last + 1 - lags)
     terms = c_zz * c_bb + c_zb[last:] * c_zb[last::-1]

@@ -31,10 +31,6 @@ class DegenerateDesign(PerifouError):
     mean-reversion rate is unidentifiable from these data."""
 
 
-class MissingDriver(PerifouError):
-    """Estimation mode requires driver increments the path does not carry."""
-
-
 class ConfigError(PerifouError):
     """Malformed or inadmissible configuration."""
 

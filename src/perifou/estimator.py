@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammainc
 
-from perifou.errors import DegenerateDesign, InvalidInput, MissingDriver
+from perifou.errors import DegenerateDesign, InvalidInput
 from perifou.fgn import fgn_autocovariance
 from perifou.model import SamplePath, fold_periods, period_grid
 
@@ -177,6 +178,7 @@ def block_inverse(lam: np.ndarray, g: float) -> np.ndarray:
     return inv
 
 
+@lru_cache(maxsize=128)
 def discrete_trace_correction(
     alpha: float, hurst: float, step: float, n_steps: int, stationary: bool = True
 ) -> float:
@@ -190,6 +192,8 @@ def discrete_trace_correction(
     matching the divergence-integral convention on the grid exactly; the
     continuous-time :func:`skorokhod_correction` overshoots it by the
     same-cell kernel mass T*step^{2H-1}/2, which vanishes only slowly.
+    Cached, because every oracle replicate of a study asks for the same
+    value.
     """
     if not 0.5 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
@@ -262,11 +266,13 @@ def estimate(
     by sigma^2 times the Skorokhod trace term, evaluated at
     ``alpha_for_correction`` when given (verification runs with known
     truth) and otherwise at the naive alpha_hat from a first pass; either
-    must satisfy 0 < alpha*step < 1, or InvalidInput is raised.  The
+    must satisfy 0 < alpha*step < 1, or InvalidInput is raised.  theta_hat
+    needs no driver, so either mode runs on an observed path alone.  The
     noise vector R with P = Q theta + sigma R is returned whenever driver
-    increments are available, assembled under the same integral convention
-    as the mode, which makes theta_hat - theta = sigma Q^{-1} R an exact
-    identity of the discretized system.
+    increments are available (None otherwise), assembled under the same
+    integral convention as the mode, which makes
+    theta_hat - theta = sigma Q^{-1} R an exact identity of the
+    discretized system.
     """
     if mode not in MODES:
         raise InvalidInput(f"mode must be one of {MODES}, got {mode!r}")
@@ -282,8 +288,6 @@ def estimate(
 
     correction = 0.0
     if mode == "oracle_divergence":
-        if path.driver_increments is None:
-            raise MissingDriver("oracle_divergence mode needs driver increments")
         if sigma is None:
             sigma = model.sigma
         source = "alpha_for_correction"

@@ -16,7 +16,6 @@ from functools import partial
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.stats import kurtosis, skew
 
 from perifou.asymptotics import finite_horizon_covariance, limit_summary
 from perifou.errors import DegenerateDesign, InvalidInput
@@ -132,9 +131,14 @@ def _map_jobs(config: McConfig, jobs) -> list:
     )
     if config.workers == 1:
         return [job_fn(job) for job in jobs]
-    chunk = max(1, len(jobs) // (config.workers * 8))
+    # The first job runs before the fork, so the workers inherit what it
+    # loads (scipy.signal, the sampler's cached weights) instead of each
+    # loading it again.
+    first = job_fn(jobs[0])
+    rest = jobs[1:]
+    chunk = max(1, len(rest) // (config.workers * 8))
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(job_fn, jobs, chunksize=chunk))
+        return [first] + list(pool.map(job_fn, rest, chunksize=chunk))
 
 
 def aggregate_rows(theta: np.ndarray, rows) -> dict:
@@ -231,6 +235,15 @@ def _ecdf_distance(z: np.ndarray) -> float:
     return float(max(upper, lower))
 
 
+def _skewness_and_excess_kurtosis(samples: np.ndarray):
+    """Per-column population skewness m3 / m2^{3/2} and excess kurtosis
+    m4 / m2^2 - 3 from central moments m_k, the defaults of
+    scipy.stats.skew and scipy.stats.kurtosis."""
+    centred = samples - samples.mean(axis=0)
+    m2 = (centred**2).mean(axis=0)
+    return (centred**3).mean(axis=0) / m2**1.5, (centred**4).mean(axis=0) / m2**2 - 3.0
+
+
 def run_clt(config: McConfig) -> ExperimentReport:
     """Scaled-error study at a single horizon n.
 
@@ -242,7 +255,9 @@ def run_clt(config: McConfig) -> ExperimentReport:
     period means survive the n^{-H} scaling, so for mean-zero basis
     functions that reference is not what the study measures.  Also reports
     moment and ECDF diagnostics per component and the empirical variance of
-    the scaled noise vector n^{-H} R_n (bounded in L^2).
+    the scaled noise vector n^{-H} R_n (bounded in L^2).  Raises
+    DegenerateDesign when fewer than two replicates have an identifiable
+    design.
     """
     if len(config.n_list) != 1:
         raise ValueError("run_clt expects a single horizon in n_list")
@@ -251,10 +266,15 @@ def run_clt(config: McConfig) -> ExperimentReport:
     jobs = [(n, r) for r in range(config.replicates)]
     rows = _map_jobs(config, jobs)
     rows.sort(key=lambda row: (row.n, row.replicate))
+    kept = [row for row in rows if not row.degenerate]
+    if len(kept) < 2:
+        raise DegenerateDesign(
+            f"only {len(kept)} of {config.replicates} replicates have an identifiable "
+            "design; the scaled-error covariance needs at least 2"
+        )
     theta = config.model.theta
     aggregates = aggregate_rows(theta, rows)
 
-    kept = [row for row in rows if not row.degenerate]
     estimates = np.array([row.theta_hat for row in kept])
     hurst = config.model.hurst
     scaled = n ** (1.0 - hurst) * (estimates - theta)
@@ -276,8 +296,9 @@ def run_clt(config: McConfig) -> ExperimentReport:
     if not summary.degenerate_limit:
         full_frob = float(np.linalg.norm(scaled_cov - reference) / np.linalg.norm(reference))
 
-    skewness = [float(v) for v in skew(scaled, axis=0)]
-    excess = [float(v) for v in kurtosis(scaled, axis=0)]
+    skew_values, excess_values = _skewness_and_excess_kurtosis(scaled)
+    skewness = [float(v) for v in skew_values]
+    excess = [float(v) for v in excess_values]
     sds = scaled.std(axis=0, ddof=1)
     means = scaled.mean(axis=0)
     ecdf = [

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from perifou.errors import GridMismatch, InvalidInput, InvalidStep, PartialPeriod
 from perifou.fgn import FgnSpec, generate_fgn_circulant
@@ -236,6 +235,20 @@ def period_grid(step: float) -> np.ndarray:
     return np.arange(_check_step(step)) * step
 
 
+def first_order_recursion(drive: np.ndarray, a: float, y0: float = 0.0) -> np.ndarray:
+    """y_k = a * y_{k-1} + drive_k for k = 0..len(drive)-1, with y_{-1} = y0.
+
+    Evaluated in C by ``scipy.signal.lfilter``, the package's only use of
+    that module.  It is imported here rather than at module level because
+    loading it (with the ``scipy.stats`` it pulls in) costs most of the
+    package's import time, and commands that run no recursion should not
+    pay it.
+    """
+    from scipy.signal import lfilter
+
+    return lfilter([1.0], [1.0, -a], drive, zi=[a * y0])[0]
+
+
 def _euler(model: FouModel, increments: np.ndarray, x0: float, step: float) -> np.ndarray:
     """Run x_{k+1} = x_k + (L(t_k) - alpha x_k) step + sigma dB_k.
 
@@ -250,8 +263,7 @@ def _euler(model: FouModel, increments: np.ndarray, x0: float, step: float) -> n
     period_values = mean_function(model, period_grid(step))
     forcing = np.tile(period_values, n_steps // period_values.size + 1)[:n_steps]
     drive = forcing * step + model.sigma * increments
-    out = lfilter([1.0], [1.0, -a], drive, zi=np.array([a * x0]))[0]
-    return np.concatenate(([x0], out))
+    return np.concatenate(([x0], first_order_recursion(drive, a, x0)))
 
 
 def simulate_path(
@@ -334,7 +346,7 @@ def steady_euler_orbit(model: FouModel, step: float) -> np.ndarray:
     m = _check_step(step)
     a = 1.0 - model.alpha * step
     forcing = mean_function(model, period_grid(step)) * step
-    x0 = lfilter([1.0], [1.0, -a], forcing)[-1] / (1.0 - a**m)
+    x0 = first_order_recursion(forcing, a)[-1] / (1.0 - a**m)
     return _euler(model, np.zeros(m), x0, step)[:-1]
 
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -187,6 +190,19 @@ def test_mc_clt_writes_artifacts(config_file, tmp_path):
     assert code in (0, 1)
     for artifact in ("clt_replicates.csv", "clt_report.json", "clt_qq.csv"):
         assert (out / artifact).exists()
+
+
+def test_mc_clt_with_too_few_identifiable_replicates_exits_2(config_file, tmp_path, capsys):
+    """sigma = 0 makes every stationary sin/cos design degenerate."""
+    config = base_config()
+    config["model"]["sigma"] = 0.0
+    config["clt"].update(n=5, replicates=4)
+    out = tmp_path / "clt"
+    assert main(["mc-clt", "--config", config_file(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "DegenerateDesign" in err and "only 0 of 4" in err
+    assert not out.exists()
 
 
 def test_coupling_command(config_file, tmp_path):
@@ -375,3 +391,18 @@ def test_schema_rejects_every_wrong_json_type(data):
 def test_every_exported_name_resolves():
     missing = [name for name in perifou.__all__ if not hasattr(perifou, name)]
     assert not missing
+
+
+def test_cli_import_loads_neither_scipy_signal_nor_stats():
+    """Loading those modules costs most of a fresh process's start-up, and
+    the commands that run no recursion never use them."""
+    code = (
+        "import sys, perifou.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))"
+    )
+    src = str(Path(perifou.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert proc.stdout.strip() == "[]"

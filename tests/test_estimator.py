@@ -15,7 +15,6 @@ from perifou import (
     DegenerateDesign,
     DesignStats,
     FouModel,
-    MissingDriver,
     build_design,
     discrete_trace_correction,
     estimate,
@@ -327,14 +326,21 @@ def test_zero_path_is_degenerate():
         estimate(path)
 
 
-def test_oracle_mode_requires_driver():
+def test_oracle_mode_runs_without_driver():
+    """theta_hat needs no driver: an x-only path gives the same estimate,
+    with the plug-in and with a given alpha, and no noise vector."""
     model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
     path = simulate_path(model, 3, 1 / 64, seed=2)
     stripped = SamplePath(
         grid=path.grid, x=path.x, driver_increments=None, model=model
     )
-    with pytest.raises(MissingDriver):
-        estimate(stripped, mode="oracle_divergence", sigma=0.5)
+    for alpha in (None, 1.0):
+        kwargs = dict(mode="oracle_divergence", sigma=0.5, alpha_for_correction=alpha)
+        with_driver = estimate(path, **kwargs)
+        without = estimate(stripped, **kwargs)
+        assert np.array_equal(without.theta_hat, with_driver.theta_hat)
+        assert without.correction == with_driver.correction
+        assert without.noise_vector is None
 
 
 def test_estimate_rejects_unknown_mode():

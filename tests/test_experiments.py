@@ -17,6 +17,7 @@ from perifou import (
 )
 from perifou.experiments import (
     ReplicateResult,
+    _skewness_and_excess_kurtosis,
     aggregate_rows,
     read_replicates_csv,
     report_to_dict,
@@ -277,3 +278,19 @@ def test_wiener_variance_study_bounded_and_trend_free():
     v10 = result["per_n"][10]["variance"]
     v40 = result["per_n"][40]["variance"]
     assert all(b < a for a, b in zip(v10, v40))
+
+
+def test_moments_match_scipy_stats():
+    from scipy.stats import kurtosis, skew
+
+    rng = np.random.default_rng(20240806)
+    samples = (
+        rng.standard_normal((500, 3)),
+        rng.exponential(size=(200, 2)),
+        3.0 + 0.01 * rng.gamma(0.5, size=(40, 4)),
+    )
+    for sample in samples:
+        skew_values, excess_values = _skewness_and_excess_kurtosis(sample)
+        np.testing.assert_allclose(skew_values, skew(sample, axis=0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(excess_values, kurtosis(sample, axis=0), rtol=1e-12, atol=0)
+    assert np.all(_skewness_and_excess_kurtosis(samples[1])[0] > 1.0)

@@ -23,7 +23,7 @@ from perifou import (
     zero_start_mean,
 )
 from perifou.cli import main
-from perifou.model import read_sample_path_csv, write_sample_path_csv
+from perifou.model import first_order_recursion, read_sample_path_csv, write_sample_path_csv
 
 SQRT2 = math.sqrt(2.0)
 
@@ -394,3 +394,16 @@ def test_path_csv_parse_errors_name_file_and_line(text, line, tmp_path):
     target.write_text(text)
     with pytest.raises(InvalidInput, match=rf"bad\.csv, line {line}:"):
         read_sample_path_csv(target, model)
+
+
+@pytest.mark.parametrize("count", [1, 2, 257, 3840])
+@pytest.mark.parametrize("a", [0.5, 1.0 - 1.0 / 256.0])
+@pytest.mark.parametrize("y0", [0.0, 0.3])
+def test_first_order_recursion_matches_python_loop(count, a, y0):
+    drive = np.random.default_rng(count).standard_normal(count)
+    expected = []
+    y = y0
+    for value in drive:
+        y = a * y + value
+        expected.append(y)
+    assert np.array_equal(first_order_recursion(drive, a, y0), np.array(expected))
