@@ -5,6 +5,11 @@ least-squares drift estimation with a Skorokhod-integral correction,
 the associated asymptotic limit matrices, and seeded Monte Carlo
 studies that check consistency and the slow central limit theorem
 numerically.
+
+The package namespace holds the quick-start API, the study entry points
+and the exception classes; everything else is imported from the module
+that defines it (``perifou.fgn``, ``perifou.model``, ``perifou.estimator``,
+``perifou.asymptotics``, ``perifou.experiments``, ``perifou.cli``).
 """
 
 from perifou.errors import (
@@ -18,53 +23,10 @@ from perifou.errors import (
     PartialPeriod,
     PerifouError,
 )
-from perifou.fgn import (
-    FgnSpec,
-    fgn_autocovariance,
-    fgn_covariance,
-    generate_fgn_cholesky,
-    generate_fgn_circulant,
-    substream_seed,
-)
-from perifou.model import (
-    BasisFunction,
-    BasisSet,
-    FouModel,
-    SamplePath,
-    coupling_gap,
-    mean_function,
-    path_from_increments,
-    simulate_path,
-    steady_euler_orbit,
-    steady_mean,
-    zero_start_mean,
-)
-from perifou.estimator import (
-    DesignStats,
-    EstimateResult,
-    build_design,
-    discrete_trace_correction,
-    estimate,
-    normal_matrix,
-    normal_matrix_inverse,
-    skorokhod_correction,
-)
-from perifou.asymptotics import (
-    LimitSummary,
-    finite_horizon_covariance,
-    finite_horizon_noise_cov,
-    limit_summary,
-    loadings_limit,
-    noise_covariance_limit,
-    normal_inverse_limit,
-    precision_limit,
-    quadratic_noise_variance,
-    singular_pair_integral,
-    stationary_variance,
-)
+from perifou.model import BasisSet, FouModel, simulate_path
+from perifou.estimator import estimate
+from perifou.asymptotics import limit_summary
 from perifou.experiments import (
-    CouplingReport,
-    ExperimentReport,
     McConfig,
     run_clt,
     run_consistency,
@@ -75,56 +37,23 @@ from perifou.experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisFunction",
     "BasisSet",
     "ConfigError",
-    "CouplingReport",
     "DegenerateDesign",
-    "DesignStats",
-    "EstimateResult",
-    "ExperimentReport",
     "FactorizationFailure",
-    "FgnSpec",
     "FouModel",
     "GridMismatch",
     "InvalidInput",
     "InvalidStep",
-    "LimitSummary",
     "McConfig",
     "NonnegativeEmbeddingFailure",
     "PartialPeriod",
     "PerifouError",
-    "SamplePath",
-    "build_design",
-    "coupling_gap",
-    "discrete_trace_correction",
     "estimate",
-    "fgn_autocovariance",
-    "fgn_covariance",
-    "finite_horizon_covariance",
-    "finite_horizon_noise_cov",
-    "generate_fgn_cholesky",
-    "generate_fgn_circulant",
     "limit_summary",
-    "loadings_limit",
-    "mean_function",
-    "noise_covariance_limit",
-    "normal_inverse_limit",
-    "normal_matrix",
-    "normal_matrix_inverse",
-    "path_from_increments",
-    "precision_limit",
-    "quadratic_noise_variance",
     "run_clt",
     "run_consistency",
     "run_coupling",
     "simulate_path",
-    "singular_pair_integral",
-    "skorokhod_correction",
-    "stationary_variance",
-    "steady_euler_orbit",
-    "steady_mean",
-    "substream_seed",
     "wiener_variance_study",
-    "zero_start_mean",
 ]

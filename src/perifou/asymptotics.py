@@ -96,7 +96,7 @@ class LimitSummary:
         }
 
 
-def _long_memory_gram(evaluate, hurst: float, n_jacobi: int = 48) -> np.ndarray:
+def _long_memory_gram(evaluate, hurst: float) -> np.ndarray:
     """Gram matrix of integrands f_1..f_K under the long-memory inner product
     <f, g>_H = H(2H-1) * int_0^1 int_0^1 f(s) g(t) |t-s|^{2H-2} ds dt.
 
@@ -117,7 +117,7 @@ def _long_memory_gram(evaluate, hurst: float, n_jacobi: int = 48) -> np.ndarray:
     if not 0.5 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
     a = 2.0 * hurst - 2.0
-    xj, wj = roots_jacobi(n_jacobi, 0.0, a)
+    xj, wj = roots_jacobi(48, 0.0, a)
     u = 0.5 * (xj + 1.0)
     length = (1.0 - u)[:, None]
     s = length * _UNIT_NODES[None, :]
@@ -130,12 +130,6 @@ def _long_memory_gram(evaluate, hurst: float, n_jacobi: int = 48) -> np.ndarray:
     return cross + cross.T
 
 
-def singular_pair_integral(f, g, hurst: float) -> float:
-    """<f, g>_H for two vectorized callables, the off-diagonal entry of
-    :func:`_long_memory_gram` on the pair."""
-    return float(_long_memory_gram(lambda t: np.stack([f(t), g(t)]), hurst)[0, 1])
-
-
 def _steady_projection(model: FouModel) -> tuple:
     """Loadings Lambda and residual variance 1/gamma from one evaluation of h~."""
     h_vals = steady_mean(model, _UNIT_NODES_FINE)
@@ -146,12 +140,6 @@ def _steady_projection(model: FouModel) -> tuple:
     return lam, h_energy + var - float(np.dot(lam, lam))
 
 
-def loadings_limit(model: FouModel) -> np.ndarray:
-    """Projection of the steady periodic mean on the basis:
-    Lambda_i = int_0^1 phi_i(t) h~(t) dt."""
-    return _steady_projection(model)[0]
-
-
 def stationary_variance(alpha: float, sigma: float, hurst: float) -> float:
     """Variance of the stationary zero-mean process:
     sigma^2 * alpha^{-2H} * H * Gamma(2H)."""
@@ -160,29 +148,6 @@ def stationary_variance(alpha: float, sigma: float, hurst: float) -> float:
     if sigma < 0.0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     return sigma**2 * alpha ** (-2.0 * hurst) * hurst * math.gamma(2.0 * hurst)
-
-
-def precision_limit(model: FouModel) -> float:
-    """Limit of the reciprocal residual variance:
-    gamma = 1 / (int_0^1 h~^2 dt + stationary variance - |Lambda|^2).
-
-    Finite and positive: the Bessel inequality bounds |Lambda|^2 by the
-    h~ energy and the stationary variance is strictly positive for
-    sigma > 0.
-    """
-    return 1.0 / _steady_projection(model)[1]
-
-
-def normal_inverse_limit(model: FouModel) -> np.ndarray:
-    """Limit C of n Q_n^{-1}: [[I_p + g L L^t, g L], [g L^t, g]].
-
-    The off-diagonal blocks are positive (Schur inversion of the limiting
-    [[I, -L], [-L^t, .]] normal matrix cancels the two minus signs), which
-    is also what the empirical covariance of scaled estimation errors
-    reproduces.
-    """
-    lam, residual = _steady_projection(model)
-    return block_inverse(lam, 1.0 / residual)
 
 
 def noise_covariance_limit(model: FouModel) -> np.ndarray:
@@ -279,7 +244,7 @@ def finite_horizon_covariance(
 
     Exact for the stationary Euler chain up to one approximation: the
     random n Q_n^{-1} is replaced by its limit ``c_matrix``
-    (:func:`normal_inverse_limit`).  This is the reference of the CLT study.
+    (``limit_summary(model).c_matrix``).  This is the reference of the CLT study.
     """
     noise = finite_horizon_noise_cov(model, n_periods, step)
     return model.sigma**2 * (c_matrix @ noise @ c_matrix)

@@ -136,17 +136,6 @@ def build_design(path: SamplePath, require_identifiable: bool = True) -> DesignS
     )
 
 
-def normal_matrix(design: DesignStats) -> np.ndarray:
-    """Assemble Q = [[G, -a], [-a^t, b]]."""
-    p = design.cross.size
-    q = np.empty((p + 1, p + 1))
-    q[:p, :p] = design.gram
-    q[:p, p] = -design.cross
-    q[p, :p] = -design.cross
-    q[p, p] = design.energy
-    return q
-
-
 def normal_matrix_inverse(design: DesignStats) -> np.ndarray:
     """Closed-form inverse of the normal matrix.
 
@@ -190,8 +179,9 @@ def discrete_trace_correction(
     whole past for stationary starts, lags m <= k for fixed starts.
     Subtracting this makes the discretized quadratic response mean-zero,
     matching the divergence-integral convention on the grid exactly; the
-    continuous-time :func:`skorokhod_correction` overshoots it by the
-    same-cell kernel mass T*step^{2H-1}/2, which vanishes only slowly.
+    continuous-time trace term (``skorokhod_correction`` in the tests'
+    ``oracles.py``) overshoots it by the same-cell kernel mass
+    T*step^{2H-1}/2, which vanishes only slowly.
     Cached, because every oracle replicate of a study asks for the same
     value.
     """
@@ -227,31 +217,6 @@ def discrete_trace_correction(
         return 0.0
     terms = a ** (lags - 1.0) * fgn_autocovariance(hurst, lags) * weight
     return float(np.einsum("i,i", n_steps - lags, terms))  # not np.dot: see build_design
-
-
-def skorokhod_correction(alpha: float, hurst: float, horizon: float) -> float:
-    """Trace term converting the pathwise integral of X against the driver
-    into the zero-mean divergence integral.
-
-    Equals H(2H-1) * int_0^T int_0^t e^{-alpha u} u^{2H-2} du dt.  The inner
-    integral is alpha^{1-2H} * gamma_lower(2H-1, alpha t); integrating by
-    parts gives the closed form below.  The caller multiplies by sigma (for
-    the noise vector) or sigma^2 (for the response vector).
-    """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not 0.5 < hurst < 1.0:
-        raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
-    if horizon < 0.0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    if horizon == 0.0:
-        return 0.0
-    a = 2.0 * hurst - 1.0
-    z = alpha * horizon
-    lower_a = math.gamma(a) * gammainc(a, z)
-    lower_a1 = math.gamma(a + 1.0) * gammainc(a + 1.0, z)
-    alpha_h = hurst * a
-    return alpha_h * alpha ** (-a) * (horizon * lower_a - lower_a1 / alpha)
 
 
 def estimate(

@@ -257,7 +257,8 @@ def run_clt(config: McConfig) -> ExperimentReport:
     moment and ECDF diagnostics per component and the empirical variance of
     the scaled noise vector n^{-H} R_n (bounded in L^2).  Raises
     DegenerateDesign when fewer than two replicates have an identifiable
-    design.
+    design, and InvalidInput when sigma is 0: every replicate is then the
+    same path, so the scaled errors have no spread to compare.
     """
     if len(config.n_list) != 1:
         raise ValueError("run_clt expects a single horizon in n_list")
@@ -271,6 +272,11 @@ def run_clt(config: McConfig) -> ExperimentReport:
         raise DegenerateDesign(
             f"only {len(kept)} of {config.replicates} replicates have an identifiable "
             "design; the scaled-error covariance needs at least 2"
+        )
+    if config.model.sigma == 0.0:
+        raise InvalidInput(
+            "model.sigma = 0 makes every replicate the same path; "
+            "the scaled-error study needs sigma > 0"
         )
     theta = config.model.theta
     aggregates = aggregate_rows(theta, rows)
@@ -353,7 +359,6 @@ class CouplingReport:
     slope: float | None
     exact_match: bool
     passed: bool
-    wall_clock: float = 0.0
 
 
 def run_coupling(
@@ -367,13 +372,12 @@ def run_coupling(
     log gap against time at whole periods.  PASS when the fitted slope is
     within COUPLING_SLOPE_TOL of -alpha (relatively).
     """
-    start = time.perf_counter()
     seed = substream_seed(master_seed, horizon, 0)
     stationary = simulate_path(model, horizon, step, seed, stationary_start=True)
     shifted = path_from_increments(
         model, stationary.driver_increments, float(stationary.x[0]) + gap0, step
     )
-    gaps_full = coupling_gap(model, shifted, stationary)
+    gaps_full = coupling_gap(shifted, stationary)
     m = round(1.0 / step)
     times = np.arange(1, horizon + 1, dtype=float)
     gaps = gaps_full[(np.arange(1, horizon + 1) * m)]
@@ -393,7 +397,6 @@ def run_coupling(
         slope=slope,
         exact_match=exact_match,
         passed=passed,
-        wall_clock=time.perf_counter() - start,
     )
 
 
@@ -459,32 +462,6 @@ def write_replicates_csv(report: ExperimentReport, filename) -> None:
             handle.write(
                 f"{row.n},{row.replicate},{row.seed}," + ",".join(fields) + f",{flag}\n"
             )
-
-
-def read_replicates_csv(filename) -> list:
-    """Parse a per-replicate table back into ReplicateResult rows."""
-    rows = []
-    with open(filename, "r", encoding="utf-8") as handle:
-        header = handle.readline().strip().split(",")
-        p = sum(1 for name in header if name.startswith("mu_hat_"))
-        for line in handle:
-            parts = line.strip().split(",")
-            if len(parts) < p + 5:
-                continue
-            degenerate = parts[-1] == "1"
-            theta = None
-            if not degenerate:
-                theta = tuple(float(v) for v in parts[3 : 3 + p + 1])
-            rows.append(
-                ReplicateResult(
-                    n=int(parts[0]),
-                    replicate=int(parts[1]),
-                    seed=int(parts[2]),
-                    theta_hat=theta,
-                    degenerate=degenerate,
-                )
-            )
-    return rows
 
 
 def report_to_dict(report: ExperimentReport) -> dict:

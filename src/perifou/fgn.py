@@ -164,15 +164,15 @@ def generate_fgn_circulant(spec: FgnSpec) -> np.ndarray:
     return scale * scipy.fft.irfft(spectrum, n=size)[: spec.count]
 
 
-def generate_fgn_cholesky(spec: FgnSpec, guard: int = CHOLESKY_COUNT_GUARD) -> np.ndarray:
+def generate_fgn_cholesky(spec: FgnSpec) -> np.ndarray:
     """Draw fGn through a dense lower-triangular covariance factorization.
 
     Exact like the circulant sampler but O(count^2); rejected above
-    ``guard`` increments.
+    CHOLESKY_COUNT_GUARD increments.
     """
-    if spec.count > guard:
+    if spec.count > CHOLESKY_COUNT_GUARD:
         raise FactorizationFailure(
-            f"count={spec.count} exceeds O(n^2) factorization guard {guard}"
+            f"count={spec.count} exceeds O(n^2) factorization guard {CHOLESKY_COUNT_GUARD}"
         )
     cov = fgn_covariance(spec.hurst, spec.count)
     try:

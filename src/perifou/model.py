@@ -79,14 +79,6 @@ class BasisSet:
         bound = max((1.0 if f.kind == "const" else _SQRT2) for f in funcs)
         return cls(functions=funcs, bound=bound)
 
-    @classmethod
-    def from_callables(cls, functions, bound: float | None = None) -> "BasisSet":
-        functions = tuple(functions)
-        if bound is None:
-            grid = np.arange(4096) / 4096.0
-            bound = max(float(np.max(np.abs(f(grid)))) for f in functions)
-        return cls(functions=functions, bound=bound)
-
     def evaluate(self, t) -> np.ndarray:
         """Stack phi_i(t) into an array of shape (p,) + shape(t)."""
         t = np.asarray(t, dtype=float)
@@ -350,40 +342,7 @@ def steady_euler_orbit(model: FouModel, step: float) -> np.ndarray:
     return _euler(model, np.zeros(m), x0, step)[:-1]
 
 
-def zero_start_mean(model: FouModel, t):
-    """Deterministic mean response from rest:
-    h(t) = exp(-alpha t) * integral_0^t exp(alpha s) L(s) ds for t >= 0.
-
-    Whole periods contribute a geometric series of one fixed unit-interval
-    integral; the trailing partial period is quadrature on [0, t - floor(t)].
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("zero_start_mean is defined for t >= 0")
-    flat = t.ravel()
-    alpha = model.alpha
-    whole = np.floor(flat)
-    frac = flat - whole
-
-    # A = integral_0^1 e^{-alpha (1 - v)} L(v) dv
-    decay = np.exp(-alpha * (1.0 - _UNIT_NODES))
-    unit_integral = float(
-        np.sum(_UNIT_WEIGHTS * decay * mean_function(model, _UNIT_NODES))
-    )
-    series = unit_integral * np.exp(-alpha * frac) * -np.expm1(-alpha * whole) / -np.expm1(-alpha)
-
-    # partial period: integral_0^frac e^{-alpha u} L(t - u) du
-    u = frac[None, :] * _UNIT_NODES[:, None]
-    w = frac[None, :] * _UNIT_WEIGHTS[:, None]
-    partial = np.sum(w * np.exp(-alpha * u) * mean_function(model, flat[None, :] - u), axis=0)
-
-    result = (series + partial).reshape(t.shape)
-    if t.ndim == 0:
-        return float(result)
-    return result
-
-
-def coupling_gap(model: FouModel, path_from_xi0: SamplePath, path_stationary: SamplePath) -> np.ndarray:
+def coupling_gap(path_from_xi0: SamplePath, path_stationary: SamplePath) -> np.ndarray:
     """|X_t - X~_t| per grid point for two recursions sharing the driver."""
     a, b = path_from_xi0, path_stationary
     if a.grid.shape != b.grid.shape or not np.array_equal(a.grid, b.grid):

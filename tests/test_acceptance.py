@@ -23,28 +23,28 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import normal_matrix, singular_pair_integral
 from perifou import (
     BasisSet,
     DegenerateDesign,
-    DesignStats,
-    FgnSpec,
     FouModel,
     McConfig,
     estimate,
-    fgn_autocovariance,
-    fgn_covariance,
-    generate_fgn_circulant,
-    normal_matrix,
-    normal_matrix_inverse,
     run_clt,
     run_consistency,
     run_coupling,
     simulate_path,
-    singular_pair_integral,
-    substream_seed,
     wiener_variance_study,
 )
+from perifou.estimator import DesignStats, normal_matrix_inverse
 from perifou.experiments import report_to_dict, write_qq_csv, write_replicates_csv
+from perifou.fgn import (
+    FgnSpec,
+    fgn_autocovariance,
+    fgn_covariance,
+    generate_fgn_circulant,
+    substream_seed,
+)
 
 WORKERS = min(4, os.cpu_count() or 1)
 

@@ -7,28 +7,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from perifou import (
-    BasisSet,
-    FouModel,
-    build_design,
-    estimate,
-    fgn_autocovariance,
-    fgn_covariance,
+from oracles import singular_pair_integral
+from perifou import BasisSet, FouModel, estimate, limit_summary, simulate_path
+from perifou.asymptotics import (
     finite_horizon_covariance,
     finite_horizon_noise_cov,
-    limit_summary,
-    loadings_limit,
     noise_covariance_limit,
-    normal_inverse_limit,
-    precision_limit,
     quadratic_noise_variance,
-    simulate_path,
-    singular_pair_integral,
     stationary_variance,
-    steady_euler_orbit,
-    steady_mean,
-    substream_seed,
 )
+from perifou.estimator import build_design
+from perifou.fgn import fgn_autocovariance, fgn_covariance, substream_seed
+from perifou.model import steady_euler_orbit, steady_mean
 
 SQRT2 = math.sqrt(2.0)
 
@@ -139,19 +129,19 @@ def test_pair_integral_rejects_bad_hurst():
 
 def test_loadings_constant_basis():
     model = FouModel(hurst=0.6, alpha=0.8, mu=(1.3,), sigma=1.0, basis=const_basis())
-    np.testing.assert_allclose(loadings_limit(model), [1.3 / 0.8], atol=1e-10)
+    np.testing.assert_allclose(limit_summary(model).loadings, [1.3 / 0.8], atol=1e-10)
 
 
 def test_loadings_zero_for_zero_amplitudes():
     model = FouModel(hurst=0.6, alpha=1.0, mu=(0.0,), sigma=1.0, basis=sine_basis())
-    np.testing.assert_array_equal(loadings_limit(model), [0.0])
+    np.testing.assert_array_equal(limit_summary(model).loadings, [0.0])
 
 
 def test_loadings_sine_closed_form():
     # mu * alpha / (alpha^2 + 4 pi^2); at mu = alpha = 1 this is
     # 1/(1 + 4 pi^2) = 0.0247045230...
     model = FouModel(hurst=0.6, alpha=1.0, mu=(1.0,), sigma=1.0, basis=sine_basis())
-    value = loadings_limit(model)[0]
+    value = limit_summary(model).loadings[0]
     assert value == pytest.approx(1.0 / (1.0 + 4.0 * math.pi**2), abs=1e-10)
     assert value == pytest.approx(0.024704523031857640, abs=1e-12)
 
@@ -180,8 +170,8 @@ def test_stationary_variance_alpha_power_law():
 def test_precision_zero_mean_model():
     model = FouModel(hurst=0.6, alpha=1.0, mu=(0.0,), sigma=1.0, basis=sine_basis())
     expected = 1.0 / (0.6 * math.gamma(1.2))
-    assert precision_limit(model) == pytest.approx(expected, rel=1e-10)
-    assert precision_limit(model) == pytest.approx(1.8152073684305605, rel=1e-10)
+    assert limit_summary(model).precision == pytest.approx(expected, rel=1e-10)
+    assert limit_summary(model).precision == pytest.approx(1.8152073684305605, rel=1e-10)
 
 
 def test_precision_constant_basis_independent_of_amplitude():
@@ -189,7 +179,7 @@ def test_precision_constant_basis_independent_of_amplitude():
     values = []
     for mu in (0.5, 2.0, 7.0):
         model = FouModel(hurst=0.6, alpha=0.8, mu=(mu,), sigma=1.0, basis=const_basis())
-        values.append(precision_limit(model))
+        values.append(limit_summary(model).precision)
     target = 1.0 / stationary_variance(0.8, 1.0, 0.6)
     np.testing.assert_allclose(values, target, rtol=1e-10)
 
@@ -207,7 +197,7 @@ def test_precision_positive_for_random_models():
             sigma=float(rng.uniform(0.1, 2.0)),
             basis=basis,
         )
-        assert precision_limit(model) > 0.0
+        assert limit_summary(model).precision > 0.0
 
 
 def test_bessel_inequality():
@@ -226,7 +216,7 @@ def test_bessel_inequality():
             sigma=1.0,
             basis=basis,
         )
-        lam = loadings_limit(model)
+        lam = limit_summary(model).loadings
         h_energy = float(np.dot(weights01, steady_mean(model, nodes01) ** 2))
         assert float(lam @ lam) <= h_energy + 1e-10
 
@@ -283,9 +273,8 @@ def test_sine_basis_limit_is_not_degenerate():
 
 def test_c_matrix_block_structure():
     model = acceptance_model()
-    lam = loadings_limit(model)
-    g = precision_limit(model)
-    c = normal_inverse_limit(model)
+    summary = limit_summary(model)
+    lam, g, c = summary.loadings, summary.precision, summary.c_matrix
     np.testing.assert_allclose(c[:2, :2], np.eye(2) + g * np.outer(lam, lam), atol=1e-12)
     np.testing.assert_allclose(c[:2, 2], g * lam, atol=1e-12)
     assert c[2, 2] == pytest.approx(g, rel=1e-12)
@@ -377,7 +366,7 @@ def test_grid_loadings_approach_continuous_limit_with_step():
     # ... and the grid loadings carry only an O(step) discretization bias
     # relative to the analytic Lambda
     model = acceptance_model()
-    lam = loadings_limit(model)
+    lam = limit_summary(model).loadings
     gaps = []
     for step in (1 / 128, 1 / 256):
         gaps.append(np.max(np.abs(_steady_orbit_loadings(model, step) - lam)))

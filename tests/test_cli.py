@@ -205,6 +205,28 @@ def test_mc_clt_with_too_few_identifiable_replicates_exits_2(config_file, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mc_clt_with_zero_sigma_exits_2_before_writing(tmp_path, capsys):
+    """With sigma = 0 and an identifiable design every replicate is the same
+    path, so the scaled errors have no spread and every gap would be NaN."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"
+    out = tmp_path / "clt"
+    overrides = [
+        "model.sigma=0",
+        'model.basis=[{"kind":"sin","k":1}]',
+        "model.mu=[1.0]",
+        "clt.n=5",
+        "clt.replicates=4",
+        "model.step_denominator=32",
+    ]
+    argv = ["mc-clt", "--config", str(config), "--out", str(out)]
+    assert main(argv + [arg for item in overrides for arg in ("--set", item)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "model.sigma" in err
+    assert not out.exists()
+
+
 def test_coupling_command(config_file, tmp_path):
     cfg = config_file(base_config())
     out = tmp_path / "cpl"

@@ -10,21 +10,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
-from perifou import (
-    BasisSet,
-    DegenerateDesign,
+from oracles import normal_matrix, skorokhod_correction
+from perifou import BasisSet, DegenerateDesign, FouModel, estimate, simulate_path
+from perifou.estimator import (
     DesignStats,
-    FouModel,
     build_design,
     discrete_trace_correction,
-    estimate,
-    fgn_autocovariance,
-    normal_matrix,
     normal_matrix_inverse,
-    simulate_path,
-    skorokhod_correction,
-    substream_seed,
 )
+from perifou.fgn import fgn_autocovariance, substream_seed
 from perifou.model import SamplePath
 
 

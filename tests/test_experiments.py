@@ -15,11 +15,11 @@ from perifou import (
     run_coupling,
     wiener_variance_study,
 )
+from oracles import read_replicates_csv
 from perifou.experiments import (
     ReplicateResult,
     _skewness_and_excess_kurtosis,
     aggregate_rows,
-    read_replicates_csv,
     report_to_dict,
     write_coupling_csv,
     write_qq_csv,

@@ -6,8 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from perifou import (
-    FactorizationFailure,
+from perifou import FactorizationFailure
+from perifou.fgn import (
     FgnSpec,
     fgn_autocovariance,
     fgn_covariance,

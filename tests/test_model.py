@@ -6,24 +6,28 @@ import math
 import numpy as np
 import pytest
 
+from oracles import zero_start_mean
 from perifou import (
-    BasisFunction,
     BasisSet,
     FouModel,
     GridMismatch,
     InvalidInput,
     InvalidStep,
     PartialPeriod,
-    SamplePath,
-    coupling_gap,
-    mean_function,
-    path_from_increments,
     simulate_path,
-    steady_mean,
-    zero_start_mean,
 )
 from perifou.cli import main
-from perifou.model import first_order_recursion, read_sample_path_csv, write_sample_path_csv
+from perifou.model import (
+    BasisFunction,
+    SamplePath,
+    coupling_gap,
+    first_order_recursion,
+    mean_function,
+    path_from_increments,
+    read_sample_path_csv,
+    steady_mean,
+    write_sample_path_csv,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -66,13 +70,13 @@ def test_basis_duplicates_rejected():
 
 
 def test_basis_orthonormality_check_catches_unscaled_sine():
-    bad = BasisSet.from_callables([lambda t: np.sin(2 * np.pi * np.asarray(t, float))])
+    bad = BasisSet(functions=(lambda t: np.sin(2 * np.pi * np.asarray(t, float)),), bound=1.0)
     with pytest.raises(ValueError, match="orthonormal"):
         bad.validate()
 
 
 def test_basis_periodicity_check():
-    bad = BasisSet.from_callables([lambda t: np.asarray(t, float)])
+    bad = BasisSet(functions=(lambda t: np.asarray(t, float),), bound=1.0)
     with pytest.raises(ValueError, match="periodic"):
         bad.validate()
 
@@ -278,7 +282,7 @@ def test_coupling_gap_zero_for_identical_starts():
     model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
     path = simulate_path(model, 3, 1 / 64, seed=2)
     twin = path_from_increments(model, path.driver_increments, float(path.x[0]), 1 / 64)
-    gap = coupling_gap(model, twin, path)
+    gap = coupling_gap(twin, path)
     assert np.max(gap) == 0.0
 
 
@@ -287,7 +291,7 @@ def test_coupling_gap_decays_exponentially():
     step = 1 / 128
     path = simulate_path(model, 8, step, seed=3, stationary_start=True)
     shifted = path_from_increments(model, path.driver_increments, float(path.x[0]) + 1.0, step)
-    gap = coupling_gap(model, shifted, path)
+    gap = coupling_gap(shifted, path)
     bound = np.exp(-model.alpha * path.grid) * (1.0 + 10 * step)
     assert np.all(gap <= bound + 1e-15)
     assert np.all(np.diff(gap) <= 1e-15)
@@ -298,10 +302,10 @@ def test_coupling_gap_requires_shared_grid_and_driver():
     a = simulate_path(model, 2, 1 / 64, seed=1)
     b = simulate_path(model, 2, 1 / 64, seed=2)
     with pytest.raises(GridMismatch):
-        coupling_gap(model, a, b)
+        coupling_gap(a, b)
     c = simulate_path(model, 3, 1 / 64, seed=1)
     with pytest.raises(GridMismatch):
-        coupling_gap(model, a, c)
+        coupling_gap(a, c)
 
 
 # ---------------------------------------------------------------- files
