@@ -35,6 +35,7 @@ import numpy as np
 from scipy.linalg import matmul_toeplitz
 from scipy.special import roots_jacobi
 
+from perifou.errors import InvalidInput
 from perifou.estimator import block_inverse
 from perifou.fgn import fgn_autocovariance
 from perifou.model import (
@@ -52,6 +53,12 @@ from perifou.model import (
 CLT_HURST_UPPER = 0.75
 
 DEGENERATE_LIMIT_THRESHOLD = 1e-12
+
+# Highest sin/cos frequency k at which Sigma_0's 48 x 64-node Gauss-Jacobi x
+# Gauss-Legendre quadrature holds: against a 200 x 400-node evaluation of the
+# same integrals (H in {0.55, 0.65, 0.74}) its relative error is <= 1.1e-9 for
+# k <= 15, 1.4-2.0e-7 at k = 16 and 0.15-0.31 at k = 20.
+MAX_LIMIT_FREQUENCY = 15
 
 # The geometric memory a^j of the Euler noise is cut where it drops below this.
 _EULER_MEMORY_FORGETTING = 1e-17
@@ -158,8 +165,15 @@ def noise_covariance_limit(model: FouModel) -> np.ndarray:
     when every integrand is constant; in general only the period means
     survive the n^{-H} scaling (see the module docstring), and
     :func:`finite_horizon_noise_cov` gives the exact covariance at a
-    finite horizon.
+    finite horizon.  Raises InvalidInput for a basis frequency above
+    MAX_LIMIT_FREQUENCY, where the quadrature no longer resolves it.
     """
+    top = max(f.k for f in model.basis.functions)
+    if top > MAX_LIMIT_FREQUENCY:
+        raise InvalidInput(
+            f"model.basis frequency k = {top} exceeds {MAX_LIMIT_FREQUENCY}, "
+            "the largest the limit quadrature resolves"
+        )
 
     def integrands(t):
         return np.concatenate([model.basis.evaluate(t), -steady_mean(model, t)[None]])

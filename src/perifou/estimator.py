@@ -92,7 +92,7 @@ class EstimateResult:
         }
 
 
-def build_design(path: SamplePath, require_identifiable: bool = True) -> DesignStats:
+def build_design(path: SamplePath) -> DesignStats:
     """Left-endpoint Riemann sums of the basis/path functionals.
 
     The basis is periodic, so each sum pairs one period of basis values
@@ -100,9 +100,8 @@ def build_design(path: SamplePath, require_identifiable: bool = True) -> DesignS
     from the samples rather than assumed to be n * I_p, so its deviation
     from the identity is a genuine discretization diagnostic.  A path whose
     residual variance after projection on the basis is numerically zero
-    (e.g. a constant path against the constant basis) raises
-    DegenerateDesign; pass ``require_identifiable=False`` to inspect such
-    designs, in which case ``precision`` is infinite.
+    (e.g. a constant path against the constant basis) gets an infinite
+    ``precision``; :func:`normal_matrix_inverse` rejects it.
     """
     n = path.n_periods
     step = path.step
@@ -117,21 +116,12 @@ def build_design(path: SamplePath, require_identifiable: bool = True) -> DesignS
     energy = step * float(np.einsum("i,i", x_left, x_left))
     loadings = cross / n
     residual = energy / n - float(np.dot(loadings, loadings))
-    if residual <= DEGENERACY_THRESHOLD:
-        if require_identifiable:
-            raise DegenerateDesign(
-                f"residual variance {residual:.3e} <= {DEGENERACY_THRESHOLD:.0e}; "
-                "mean reversion is unidentifiable"
-            )
-        precision = math.inf
-    else:
-        precision = 1.0 / residual
     return DesignStats(
         gram=gram,
         cross=cross,
         energy=energy,
         loadings=loadings,
-        precision=precision,
+        precision=1.0 / residual if residual > DEGENERACY_THRESHOLD else math.inf,
         n_periods=n,
     )
 
@@ -143,14 +133,16 @@ def normal_matrix_inverse(design: DesignStats) -> np.ndarray:
     precision g, by block (Schur) inversion of [[I, -L], [-L^t, b/n]];
     valid because the basis Gram block equals n * I_p up to discretization
     error.  Note the positive off-diagonal blocks: the two minus signs of
-    Q cancel there.
+    Q cancel there.  Raises DegenerateDesign when the residual variance is
+    at most DEGENERACY_THRESHOLD.
     """
     residual = design.energy / design.n_periods - float(
         np.dot(design.loadings, design.loadings)
     )
     if residual <= DEGENERACY_THRESHOLD:
         raise DegenerateDesign(
-            f"residual variance {residual:.3e} <= {DEGENERACY_THRESHOLD:.0e}"
+            f"residual variance {residual:.3e} <= {DEGENERACY_THRESHOLD:.0e}; "
+            "mean reversion is unidentifiable"
         )
     return block_inverse(design.loadings, design.precision) / design.n_periods
 

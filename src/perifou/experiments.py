@@ -38,7 +38,8 @@ CLT_KURTOSIS_TOL = 0.5
 # Relative slack allowed between the fitted log-gap slope and -alpha.
 COUPLING_SLOPE_TOL = 0.10
 
-_GAP_FLOOR = 1e-9
+# Gaps at or below this are rounding noise; the slope fit needs 3 above it.
+COUPLING_GAP_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -258,11 +259,14 @@ def run_clt(config: McConfig) -> ExperimentReport:
     the scaled noise vector n^{-H} R_n (bounded in L^2).  Raises
     DegenerateDesign when fewer than two replicates have an identifiable
     design, and InvalidInput when sigma is 0: every replicate is then the
-    same path, so the scaled errors have no spread to compare.
+    same path, so the scaled errors have no spread to compare.  A basis
+    frequency the limit objects cannot resolve raises InvalidInput before
+    any replicate runs.
     """
     if len(config.n_list) != 1:
         raise ValueError("run_clt expects a single horizon in n_list")
     start = time.perf_counter()
+    summary = limit_summary(config.model)
     n = config.n_list[0]
     jobs = [(n, r) for r in range(config.replicates)]
     rows = _map_jobs(config, jobs)
@@ -286,7 +290,6 @@ def run_clt(config: McConfig) -> ExperimentReport:
     scaled = n ** (1.0 - hurst) * (estimates - theta)
     scaled_cov = np.cov(scaled, rowvar=False, ddof=1)
 
-    summary = limit_summary(config.model)
     reference = summary.asym_cov
     finite = finite_horizon_covariance(config.model, n, config.step, summary.c_matrix)
     p = config.model.p
@@ -383,7 +386,7 @@ def run_coupling(
     gaps = gaps_full[(np.arange(1, horizon + 1) * m)]
 
     exact_match = gap0 == 0.0
-    usable = gaps > _GAP_FLOOR
+    usable = gaps > COUPLING_GAP_FLOOR
     slope = None
     passed = exact_match
     if not exact_match and usable.sum() >= 3:

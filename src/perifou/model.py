@@ -57,48 +57,35 @@ class BasisFunction:
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Finite family of 1-periodic basis functions, orthonormal in L^2[0,1].
-
-    ``functions`` holds vectorized callables; ``bound`` is a uniform bound
-    on their absolute values.
-    """
+    """Distinct :class:`BasisFunction` terms, which are 1-periodic and
+    orthonormal in L^2[0,1] by construction."""
 
     functions: tuple
-    bound: float
+
+    def __post_init__(self):
+        if not all(isinstance(f, BasisFunction) for f in self.functions):
+            raise InvalidInput("basis terms must be const, sin or cos BasisFunctions")
+        if len(set(self.functions)) != len(self.functions):
+            raise InvalidInput("duplicate basis functions break orthonormality")
 
     @property
     def p(self) -> int:
         return len(self.functions)
 
+    @property
+    def bound(self) -> float:
+        """Uniform bound on |phi_i|: 1 for the constant alone, sqrt2 otherwise."""
+        return max(1.0 if f.kind == "const" else _SQRT2 for f in self.functions)
+
     @classmethod
     def from_specs(cls, specs) -> "BasisSet":
         """Build from dicts like {"kind": "sin", "k": 2} or {"kind": "const"}."""
-        funcs = tuple(BasisFunction(s["kind"], s.get("k", 0)) for s in specs)
-        if len(set(funcs)) != len(funcs):
-            raise InvalidInput("duplicate basis functions break orthonormality")
-        bound = max((1.0 if f.kind == "const" else _SQRT2) for f in funcs)
-        return cls(functions=funcs, bound=bound)
+        return cls(tuple(BasisFunction(s["kind"], s.get("k", 0)) for s in specs))
 
     def evaluate(self, t) -> np.ndarray:
         """Stack phi_i(t) into an array of shape (p,) + shape(t)."""
         t = np.asarray(t, dtype=float)
         return np.stack([f(t) for f in self.functions])
-
-    def validate(self, tol: float = 1e-8, periodicity_tol: float = 1e-12) -> None:
-        """Check 1-periodicity and L^2[0,1] orthonormality by quadrature."""
-        probe = np.linspace(0.0, 1.0, 37)
-        for f in self.functions:
-            gap = np.max(np.abs(f(probe + 1.0) - f(probe)))
-            if gap > periodicity_tol:
-                raise InvalidInput(f"basis function {f} is not 1-periodic (gap {gap:.2e})")
-        values = self.evaluate(_UNIT_NODES)
-        gram = (values * _UNIT_WEIGHTS) @ values.T
-        err = np.max(np.abs(gram - np.eye(self.p)))
-        if err > tol:
-            raise InvalidInput(f"basis is not orthonormal in L^2[0,1] (error {err:.2e})")
-        sup = max(float(np.max(np.abs(f(probe)))) for f in self.functions)
-        if sup > self.bound + 1e-12:
-            raise InvalidInput(f"basis bound {self.bound} is exceeded ({sup})")
 
 
 @dataclass(frozen=True)

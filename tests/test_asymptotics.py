@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from oracles import singular_pair_integral
 from perifou import BasisSet, FouModel, estimate, limit_summary, simulate_path
@@ -16,6 +17,7 @@ from perifou.asymptotics import (
     quadratic_noise_variance,
     stationary_variance,
 )
+from perifou.errors import InvalidInput
 from perifou.estimator import build_design
 from perifou.fgn import fgn_autocovariance, fgn_covariance, substream_seed
 from perifou.model import steady_euler_orbit, steady_mean
@@ -117,6 +119,39 @@ def test_noise_covariance_is_the_pairwise_gram_of_basis_and_steady_mean():
     functions = list(basis.functions) + [lambda t: -steady_mean(model, t)]
     pairwise = [[singular_pair_integral(f, g, model.hurst) for g in functions] for f in functions]
     np.testing.assert_allclose(sigma0, pairwise, rtol=1e-13, atol=1e-15)
+
+
+def _fine_long_memory_gram(model, jacobi_nodes=200, legendre_nodes=400):
+    """Sigma_0 by the same Gauss-Jacobi x Gauss-Legendre scheme as the
+    package, on a 200 x 400 grid in place of 48 x 64."""
+    hurst = model.hurst
+    a = 2 * hurst - 2
+    xj, wj = scipy.special.roots_jacobi(jacobi_nodes, 0.0, a)
+    u = 0.5 * (xj + 1)
+    xl, wl = np.polynomial.legendre.leggauss(legendre_nodes)
+    length = (1 - u)[:, None]
+    s = length * (0.5 * (xl + 1))[None, :]
+    weights = hurst * (2 * hurst - 1) * 2.0 ** (-a - 1) * wj[:, None] * length * (0.5 * wl)
+
+    def integrands(t):
+        values = np.concatenate([model.basis.evaluate(t), -steady_mean(model, t)[None]])
+        return values.reshape(-1, s.size)
+
+    cross = (integrands(s) * weights.ravel()) @ integrands(s + u[:, None]).T
+    return cross + cross.T
+
+
+@pytest.mark.parametrize("hurst", [0.55, 0.65, 0.74])
+def test_noise_covariance_resolves_frequency_15_and_refuses_16(hurst):
+    def model(k):
+        basis = BasisSet.from_specs([{"kind": "sin", "k": k}, {"kind": "cos", "k": k}])
+        return FouModel(hurst=hurst, alpha=1.0, mu=(1.0, 2.0), sigma=0.5, basis=basis)
+
+    fine = _fine_long_memory_gram(model(15))
+    gap = np.abs(noise_covariance_limit(model(15)) - fine).max()
+    assert gap <= 1e-8 * np.abs(fine).max()
+    with pytest.raises(InvalidInput, match="model.basis.*15"):
+        noise_covariance_limit(model(16))
 
 
 def test_pair_integral_rejects_bad_hurst():
@@ -343,7 +378,7 @@ def _steady_orbit_loadings(model, step):
 
     quiet = replace(model, sigma=0.0)
     path = simulate_path(quiet, 1, step, seed=0, stationary_start=True)
-    return build_design(path, require_identifiable=False).loadings
+    return build_design(path).loadings
 
 
 def test_empirical_loadings_converge_to_limit():

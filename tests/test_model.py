@@ -67,27 +67,27 @@ def test_basis_function_validation():
 def test_basis_duplicates_rejected():
     with pytest.raises(ValueError):
         BasisSet.from_specs([{"kind": "sin", "k": 1}, {"kind": "sin", "k": 1}])
+    with pytest.raises(ValueError, match="duplicate"):
+        BasisSet((BasisFunction("cos", 3), BasisFunction("const"), BasisFunction("cos", 3)))
 
 
-def test_basis_orthonormality_check_catches_unscaled_sine():
-    bad = BasisSet(functions=(lambda t: np.sin(2 * np.pi * np.asarray(t, float)),), bound=1.0)
-    with pytest.raises(ValueError, match="orthonormal"):
-        bad.validate()
+def test_basis_rejects_unscaled_sine_callable():
+    with pytest.raises(ValueError, match="BasisFunction"):
+        BasisSet((lambda t: np.sin(2 * np.pi * np.asarray(t, float)),))
 
 
-def test_basis_periodicity_check():
-    bad = BasisSet(functions=(lambda t: np.asarray(t, float),), bound=1.0)
-    with pytest.raises(ValueError, match="periodic"):
-        bad.validate()
+def test_basis_rejects_nonperiodic_callable():
+    with pytest.raises(ValueError, match="BasisFunction"):
+        BasisSet((BasisFunction("sin", 1), lambda t: np.asarray(t, float)))
 
 
 def test_standard_basis_validates():
     basis = BasisSet.from_specs(
         [{"kind": "const"}, {"kind": "sin", "k": 1}, {"kind": "cos", "k": 2}]
     )
-    basis.validate()
     assert basis.p == 3
     assert basis.bound == pytest.approx(SQRT2)
+    assert BasisSet.from_specs([{"kind": "const"}]).bound == 1.0
 
 
 # ---------------------------------------------------------------- model
