@@ -20,7 +20,10 @@ every integrand is constant.
 The Monte Carlo CLT study is therefore judged against
 :func:`finite_horizon_covariance`: sigma^2 C Cov(n^{-H} R_n) C with the
 covariance of the noise vector R_n computed exactly, without sampling,
-for the stationary Euler chain at the study's own horizon and step.
+for the stationary Euler chain at the study's own horizon and step.  Its
+integrands repeat every period, so the N x N fGn covariance of the n*m
+grid points enters only folded onto one period: an m x m Toeplitz kernel
+whose lag function sums the fGn covariance over the n periods.
 
 Everything here is deterministic; the weak |t-s|^{2H-2} singularity of the
 limit integrals is absorbed exactly with Gauss-Jacobi weights.
@@ -32,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import matmul_toeplitz
 from scipy.special import roots_jacobi
 
 from perifou.errors import InvalidInput
@@ -138,13 +140,25 @@ def _long_memory_gram(evaluate, hurst: float) -> np.ndarray:
 
 
 def _steady_projection(model: FouModel) -> tuple:
-    """Loadings Lambda and residual variance 1/gamma from one evaluation of h~."""
+    """Loadings Lambda and residual variance 1/gamma from one evaluation of h~.
+
+    Raises InvalidInput when the residual is at most
+    DEGENERATE_LIMIT_THRESHOLD times h_energy + var, as it is when sigma = 0
+    and h~ lies in the basis span: gamma would be the reciprocal of
+    rounding noise."""
     h_vals = steady_mean(model, _UNIT_NODES_FINE)
     phi = model.basis.evaluate(_UNIT_NODES_FINE)
     lam = phi @ (_UNIT_WEIGHTS_FINE * h_vals)
     h_energy = float(np.dot(_UNIT_WEIGHTS_FINE, h_vals**2))
     var = stationary_variance(model.alpha, model.sigma, model.hurst)
-    return lam, h_energy + var - float(np.dot(lam, lam))
+    residual = h_energy + var - float(np.dot(lam, lam))
+    if residual <= DEGENERATE_LIMIT_THRESHOLD * (h_energy + var):
+        raise InvalidInput(
+            f"limit residual variance {residual:.3e} is rounding noise next to "
+            f"{h_energy + var:.3e}: with model.sigma = {model.sigma} the steady mean "
+            "lies in the span of model.basis, so gamma and C do not exist"
+        )
+    return lam, residual
 
 
 def stationary_variance(alpha: float, sigma: float, hurst: float) -> float:
@@ -230,9 +244,18 @@ def finite_horizon_noise_cov(model: FouModel, n_periods: int, step: float) -> np
         R_n = (sum_k phi_i(t_k) dB_k, -sum_k h_k dB_k - sigma (S - E S)),
         S = sum_k Z_k dB_k.
 
-    The linear part gives the Toeplitz quadratic forms step^{2H} f^T T g
-    over (phi_1, ..., phi_p, -h); the centred quadratic part has no
-    covariance with it (odd Gaussian moments vanish) and adds
+    The linear part gives the quadratic forms f^T T g over the integrands
+    (phi_1, ..., phi_p, -h), with T[k, l] = c_BB(k - l) the fGn covariance
+    of the N = n m grid points.  Each integrand is one period F repeated n
+    times, so summing T over its n x n blocks of periods folds the form
+    onto one period: f^T T g = F K G^T with the m x m Toeplitz kernel
+    K[i, j] = kappa(|i - j|),
+
+        kappa(e) = sum_{|q|<n} (n - |q|) c_BB(|q m + e|),   |e| < m,
+
+    gathered from the N lags of c_BB; kappa is even, and nothing of length
+    N is built but those lags.  The centred quadratic part has no
+    covariance with the linear part (odd Gaussian moments vanish) and adds
     sigma^2 Var(S) to the alpha entry.
     """
     hurst = model.hurst
@@ -241,12 +264,12 @@ def finite_horizon_noise_cov(model: FouModel, n_periods: int, step: float) -> np
     period = np.vstack(
         [model.basis.evaluate(period_grid(step)), -steady_euler_orbit(model, step)]
     )
-    integrands = np.tile(period, n_periods).T
-    column = step ** (2.0 * hurst) * fgn_autocovariance(hurst, np.arange(n_steps))
-    cov = integrands.T @ matmul_toeplitz((column, column), integrands)
-    cov[-1, -1] += model.sigma**2 * quadratic_noise_variance(
-        hurst, step, model.alpha, n_steps
-    )
+    c_bb = step ** (2.0 * hurst) * fgn_autocovariance(hurst, np.arange(n_steps))
+    q = np.arange(1 - n_periods, n_periods)
+    lags = np.arange(m)
+    kappa = (n_periods - np.abs(q)) @ c_bb[np.abs(q[:, None] * m + lags)]
+    cov = period @ kappa[np.abs(lags[:, None] - lags)] @ period.T
+    cov[-1, -1] += model.sigma**2 * quadratic_noise_variance(hurst, step, model.alpha, n_steps)
     return n_periods ** (-2.0 * hurst) * cov
 
 

@@ -366,12 +366,13 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config entry (dotted path, repeatable)",
         )
-        cmd.add_argument(
-            "--workers",
-            type=int,
-            default=0,
-            help="worker processes for Monte Carlo studies (0: use config value)",
-        )
+        if name.startswith("mc-"):
+            cmd.add_argument(
+                "--workers",
+                type=int,
+                default=0,
+                help="worker processes for the study (0: use config value)",
+            )
     return parser
 
 

@@ -35,6 +35,10 @@ MODES = ("naive_pathwise", "oracle_divergence")
 # Below this residual variance the data carry no information about alpha.
 DEGENERACY_THRESHOLD = 1e-12
 
+# Largest entry of gram/n - I a basis may show on its grid; valid bases sit
+# at rounding level (<= 1.4e-15), an aliased frequency at order one.
+ALIASING_TOLERANCE = 1e-9
+
 # Floor for the plug-in mean-reversion rate in the two-pass correction;
 # the naive alpha_hat can dip below zero when the trace term dominates.
 _PLUG_IN_FLOOR = 1e-6
@@ -133,9 +137,18 @@ def normal_matrix_inverse(design: DesignStats) -> np.ndarray:
     precision g, by block (Schur) inversion of [[I, -L], [-L^t, b/n]];
     valid because the basis Gram block equals n * I_p up to discretization
     error.  Note the positive off-diagonal blocks: the two minus signs of
-    Q cancel there.  Raises DegenerateDesign when the residual variance is
-    at most DEGENERACY_THRESHOLD.
+    Q cancel there.  Raises InvalidInput when the Gram block departs from
+    n * I_p by more than ALIASING_TOLERANCE (a frequency the grid cannot
+    carry, e.g. sin 2 pi 8 t on t = j/16), and DegenerateDesign when the
+    residual variance is at most DEGENERACY_THRESHOLD.
     """
+    aliasing = np.abs(design.gram / design.n_periods - np.eye(design.gram.shape[0])).max()
+    if aliasing > ALIASING_TOLERANCE:
+        raise InvalidInput(
+            f"model.basis is not orthonormal on the grid of model.step_denominator: "
+            f"max |gram/n - I| = {aliasing:.3g} > {ALIASING_TOLERANCE:.0e}; "
+            "a basis frequency aliases on this grid"
+        )
     residual = design.energy / design.n_periods - float(
         np.dot(design.loadings, design.loadings)
     )

@@ -259,28 +259,32 @@ def run_clt(config: McConfig) -> ExperimentReport:
     the scaled noise vector n^{-H} R_n (bounded in L^2).  Raises
     DegenerateDesign when fewer than two replicates have an identifiable
     design, and InvalidInput when sigma is 0: every replicate is then the
-    same path, so the scaled errors have no spread to compare.  A basis
-    frequency the limit objects cannot resolve raises InvalidInput before
-    any replicate runs.
+    same path, so the scaled errors have no spread to compare, and one
+    replicate run in this process tells the two cases apart before the
+    limit objects or any pool.  A basis frequency the limit objects cannot
+    resolve raises InvalidInput before any replicate runs at sigma > 0.
     """
     if len(config.n_list) != 1:
         raise ValueError("run_clt expects a single horizon in n_list")
     start = time.perf_counter()
-    summary = limit_summary(config.model)
     n = config.n_list[0]
-    jobs = [(n, r) for r in range(config.replicates)]
-    rows = _map_jobs(config, jobs)
+    if config.model.sigma == 0.0:
+        first = _run_replicate(config.model, config.step, config.mode, config.master_seed, (n, 0))
+        if not first.degenerate:
+            raise InvalidInput(
+                "model.sigma = 0 makes every replicate the same path; "
+                "the scaled-error study needs sigma > 0"
+            )
+        rows = [first]  # stands for all R replicates: none is identifiable
+    else:
+        summary = limit_summary(config.model)
+        rows = _map_jobs(config, [(n, r) for r in range(config.replicates)])
     rows.sort(key=lambda row: (row.n, row.replicate))
     kept = [row for row in rows if not row.degenerate]
     if len(kept) < 2:
         raise DegenerateDesign(
             f"only {len(kept)} of {config.replicates} replicates have an identifiable "
             "design; the scaled-error covariance needs at least 2"
-        )
-    if config.model.sigma == 0.0:
-        raise InvalidInput(
-            "model.sigma = 0 makes every replicate the same path; "
-            "the scaled-error study needs sigma > 0"
         )
     theta = config.model.theta
     aggregates = aggregate_rows(theta, rows)

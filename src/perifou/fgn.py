@@ -13,12 +13,11 @@ would, to rounding.  All draws are deterministic functions of the seed.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
 from perifou.errors import FactorizationFailure, InvalidInput, NonnegativeEmbeddingFailure
 
@@ -30,6 +29,11 @@ EIGENVALUE_TOLERANCE = 1e-10
 CHOLESKY_COUNT_GUARD = 1 << 13
 
 _MASK64 = (1 << 64) - 1
+
+# Each thread's draw buffers (normals, half spectrum and inverse transform)
+# for its last embedding size.  Allocated afresh, these 4 MB at M = 2^17 made
+# glibc trim its heap after a draw and fault ~1500 pages back in at the next.
+_DRAW_BUFFERS = threading.local()
 
 
 def _splitmix64(x: int) -> int:
@@ -95,8 +99,9 @@ def fgn_autocovariance(hurst: float, lag):
 
 def fgn_covariance(hurst: float, count: int, step: float = 1.0) -> np.ndarray:
     """Toeplitz covariance matrix of ``count`` fGn increments."""
-    rho = fgn_autocovariance(hurst, np.arange(count))
-    return step ** (2.0 * hurst) * scipy.linalg.toeplitz(rho)
+    lags = np.arange(count)
+    rho = fgn_autocovariance(hurst, lags)
+    return step ** (2.0 * hurst) * rho[np.abs(lags[:, None] - lags)]
 
 
 def _embedding_eigenvalues(hurst: float, count: int) -> np.ndarray:
@@ -108,7 +113,7 @@ def _embedding_eigenvalues(hurst: float, count: int) -> np.ndarray:
     """
     size = 1 << max(1, 2 * (count - 1) - 1).bit_length()
     rho = fgn_autocovariance(hurst, np.arange(size // 2 + 1))
-    return scipy.fft.rfft(np.concatenate([rho, rho[-2:0:-1]])).real
+    return np.fft.rfft(np.concatenate([rho, rho[-2:0:-1]])).real
 
 
 @lru_cache(maxsize=32)
@@ -154,14 +159,20 @@ def generate_fgn_circulant(spec: FgnSpec) -> np.ndarray:
     weights = _half_spectrum_weights(spec.hurst, spec.count)
     half = weights.size - 1
     size = 2 * half
-    z = rng.standard_normal(2 * size)  # the same stream as two calls of size M
+    z, spectrum, draw = getattr(_DRAW_BUFFERS, "last", (np.empty(0), None, None))
+    if z.size != 2 * size:
+        # imag[0] and imag[half] of the spectrum are never written and stay 0
+        spectrum = np.zeros(half + 1, dtype=complex)
+        z, draw = np.empty(2 * size), np.empty(size)
+        _DRAW_BUFFERS.last = z, spectrum, draw
+    rng.standard_normal(out=z)  # the same stream as two calls of size M
     z1, z2 = z[:size], z[size:]
-    spectrum = np.zeros(half + 1, dtype=complex)
     spectrum.real = z1[: half + 1]
     spectrum.real[1:half] += z1[:half:-1]
-    spectrum.imag[1:half] = z2[:half:-1] - z2[1:half]
+    np.subtract(z2[:half:-1], z2[1:half], out=spectrum.imag[1:half])
     spectrum *= weights
-    return scale * scipy.fft.irfft(spectrum, n=size)[: spec.count]
+    np.fft.irfft(spectrum, n=size, out=draw)
+    return scale * draw[: spec.count]
 
 
 def generate_fgn_cholesky(spec: FgnSpec) -> np.ndarray:

@@ -20,7 +20,7 @@ from perifou.asymptotics import (
 from perifou.errors import InvalidInput
 from perifou.estimator import build_design
 from perifou.fgn import fgn_autocovariance, fgn_covariance, substream_seed
-from perifou.model import steady_euler_orbit, steady_mean
+from perifou.model import period_grid, steady_euler_orbit, steady_mean
 
 SQRT2 = math.sqrt(2.0)
 
@@ -464,6 +464,42 @@ def test_finite_horizon_constant_basis_reduces_to_limit():
         np.testing.assert_allclose(noise[0], sigma0[0], atol=1e-8)
         extra.append(noise[1, 1] - sigma0[1, 1])
     assert 0.0 < extra[1] < extra[0]
+
+
+def _tiled_noise_cov(model, n, step):
+    """Cov(n^{-H} R_n) with one period of integrands tiled over all n*m grid
+    points and multiplied by the full fGn Toeplitz matrix."""
+    hurst = model.hurst
+    n_steps = n * round(1.0 / step)
+    period = np.vstack(
+        [model.basis.evaluate(period_grid(step)), -steady_euler_orbit(model, step)]
+    )
+    integrands = np.tile(period, n).T
+    column = step ** (2.0 * hurst) * fgn_autocovariance(hurst, np.arange(n_steps))
+    cov = integrands.T @ scipy.linalg.matmul_toeplitz((column, column), integrands)
+    cov[-1, -1] += model.sigma**2 * quadratic_noise_variance(hurst, step, model.alpha, n_steps)
+    return n ** (-2.0 * hurst) * cov
+
+
+_FOLD_SPECS = [{"kind": "const"}] + [
+    {"kind": kind, "k": k} for k in (1, 2, 3) for kind in ("sin", "cos")
+]
+
+
+@pytest.mark.parametrize("hurst", [0.55, 0.65, 0.74])
+@pytest.mark.parametrize("p", [1, 2, 7])
+def test_folded_kernel_matches_tiled_toeplitz_form(p, hurst):
+    specs = _FOLD_SPECS[1:3] if p == 2 else _FOLD_SPECS[:p]
+    basis = BasisSet.from_specs(specs)
+    model = FouModel(
+        hurst=hurst, alpha=1.0, mu=tuple(np.linspace(0.5, 1.5, p)), sigma=0.5, basis=basis
+    )
+    for n in (1, 7, 50, 200):
+        for m in (16, 256):
+            folded = finite_horizon_noise_cov(model, n, 1 / m)
+            tiled = _tiled_noise_cov(model, n, 1 / m)
+            gap = np.max(np.abs(folded - tiled)) / np.max(np.abs(tiled))
+            assert gap <= 1e-12, f"n={n}, m={m}: relative gap {gap:.2e}"
 
 
 @pytest.mark.parametrize("n", [8, 32])

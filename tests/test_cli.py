@@ -227,6 +227,73 @@ def test_mc_clt_with_zero_sigma_exits_2_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides,error",
+    [
+        ([], "DegenerateDesign"),
+        (['model.basis=[{"kind":"sin","k":1}]', "model.mu=[1.0]"], "model.sigma"),
+    ],
+)
+def test_mc_clt_at_zero_sigma_refuses_after_one_replicate(
+    config_file, tmp_path, capsys, monkeypatch, overrides, error
+):
+    """Every replicate is the same path at sigma = 0, so one run in the parent
+    decides the refusal: no pool starts and no second replicate runs."""
+    calls = []
+    run_replicate = experiments._run_replicate
+
+    def counted(*args):
+        calls.append(args[-1])
+        return run_replicate(*args)
+
+    def no_pool(*args):
+        raise AssertionError("the study started")
+
+    monkeypatch.setattr(experiments, "_run_replicate", counted)
+    monkeypatch.setattr(experiments, "_map_jobs", no_pool)
+    cfg = config_file(base_config())
+    out = tmp_path / "clt"
+    settings = ["model.sigma=0", "clt.workers=4", *overrides]
+    argv = ["mc-clt", "--config", cfg, "--out", str(out)]
+    assert main(argv + [arg for item in settings for arg in ("--set", item)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert error in err
+    assert len(calls) <= 1
+    assert not out.exists()
+
+
+def test_aliased_basis_estimate_exits_2_without_writing(tmp_path, capsys):
+    """sin 2 pi 8 t vanishes on t = j/16, so the grid cannot carry mu_1."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"
+    out = tmp_path / "est"
+    overrides = [
+        'model.basis=[{"kind":"sin","k":8},{"kind":"cos","k":1}]',
+        "model.step_denominator=16",
+        "estimate.alpha_for_correction=1",
+    ]
+    argv = ["estimate", "--config", str(config), "--out", str(out)]
+    assert main(argv + [arg for item in overrides for arg in ("--set", item)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "model.basis" in err and "model.step_denominator" in err
+    assert not (out / "estimate.json").exists()
+
+
+def test_limits_at_zero_sigma_with_steady_mean_in_span_exits_2(tmp_path, capsys):
+    """The limit residual variance is then rounding noise, and gamma and C
+    would be its reciprocal (about -4.5e15 before this was refused)."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"
+    out = tmp_path / "lim"
+    overrides = ["model.sigma=0", 'model.basis=[{"kind":"const"}]', "model.mu=[1.0]"]
+    argv = ["limits", "--config", str(config), "--out", str(out)]
+    assert main(argv + [arg for item in overrides for arg in ("--set", item)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "model.sigma" in err and "model.basis" in err
+    assert not out.exists()
+
+
 def _pair_at(k):
     return json.dumps([{"kind": "sin", "k": k}, {"kind": "cos", "k": k}])
 
@@ -295,6 +362,13 @@ def test_workers_flag_overrides_config(config_file, tmp_path):
     a = (out1 / "consistency_replicates.csv").read_bytes()
     b = (out2 / "consistency_replicates.csv").read_bytes()
     assert a == b
+
+
+def test_workers_flag_only_on_study_commands(config_file, tmp_path):
+    cfg = config_file(base_config())
+    with pytest.raises(SystemExit) as exc:
+        main(["limits", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_estimate_degenerate_path_reported(config_file, tmp_path):
@@ -463,16 +537,33 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
-def test_cli_import_loads_neither_scipy_signal_nor_stats():
-    """Loading those modules costs most of a fresh process's start-up, and
-    the commands that run no recursion never use them."""
-    code = (
-        "import sys, perifou.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))"
-    )
+def _modules_loaded_by(code: str, prefixes) -> str:
+    """The sorted modules under ``prefixes`` that a fresh interpreter holds
+    after running ``code``."""
+    code += f"\nprint(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))"
     src = str(Path(perifou.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_neither_scipy_signal_nor_stats():
+    """Loading those modules costs most of a fresh process's start-up, and
+    the commands that run no recursion never use them."""
+    loaded = _modules_loaded_by("import sys, perifou.cli", ("scipy.signal", "scipy.stats"))
+    assert loaded == "[]"
+
+
+def test_cli_import_and_csv_estimate_load_neither_scipy_linalg_nor_fft(config_file, tmp_path):
+    """No module of the package imports scipy.linalg or scipy.fft.  A CSV
+    estimate runs no recursion and no limit quadrature, so nothing else
+    loads them either (scipy.special.roots_jacobi, which ``limits`` calls,
+    loads scipy.linalg lazily)."""
+    config = base_config()
+    assert main(["simulate", "--config", config_file(config), "--out", str(tmp_path)]) == 0
+    config["estimate"]["path_csv"] = str(tmp_path / "path.csv")
+    argv = ["estimate", "--config", config_file(config), "--out", str(tmp_path / "o")]
+    code = f"import sys, perifou.cli\nassert perifou.cli.main({argv!r}) == 0"
+    assert _modules_loaded_by(code, ("scipy.linalg", "scipy.fft")) == "[]"

@@ -1,10 +1,14 @@
 """Exactness and law checks for the fractional Gaussian noise samplers."""
 
 import math
+import sys
+import threading
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.linalg
 
 from perifou import FactorizationFailure
 from perifou.fgn import (
@@ -98,6 +102,13 @@ def test_cholesky_count_guard():
         generate_fgn_cholesky(spec)
 
 
+@pytest.mark.parametrize("count", [1, 2, 64])
+def test_covariance_is_bit_identical_to_scipy_toeplitz(count):
+    rho = fgn_autocovariance(0.65, np.arange(count))
+    expected = 0.25 ** (2.0 * 0.65) * scipy.linalg.toeplitz(rho)
+    assert fgn_covariance(0.65, count, 0.25).tobytes() == expected.tobytes()
+
+
 def test_partial_sum_variance_telescopes():
     # 1^T T 1 = Var(B_N) = N^{2H}
     for count in (16, 64, 256):
@@ -164,6 +175,62 @@ def test_circulant_matches_complex_fft_construction(hurst, count):
         assert np.max(np.abs(draw - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
+def _fresh_array_draw(spec):
+    """The folded half-spectrum draw with every array allocated afresh and
+    scipy's inverse transform: what the sampler computed before it reused
+    its buffers and moved to numpy.fft."""
+    size = _embedding_size(spec.count)
+    half = size // 2
+    rho = fgn_autocovariance(spec.hurst, np.arange(half + 1))
+    eig = scipy.fft.rfft(np.concatenate([rho, rho[-2:0:-1]])).real
+    weights = np.sqrt(np.maximum(eig, 0.0) * size)
+    weights[1:half] *= 0.5
+    z = np.random.default_rng(spec.seed).standard_normal(2 * size)
+    z1, z2 = z[:size], z[size:]
+    spectrum = np.zeros(half + 1, dtype=complex)
+    spectrum.real = z1[: half + 1]
+    spectrum.real[1:half] += z1[:half:-1]
+    spectrum.imag[1:half] = z2[:half:-1] - z2[1:half]
+    spectrum *= weights
+    return spec.step**spec.hurst * scipy.fft.irfft(spectrum, n=size)[: spec.count]
+
+
+def test_reused_draw_buffers_reproduce_fresh_array_draws_bit_for_bit():
+    # the embedding size changes between draws, so the buffers are rebuilt
+    # and reused in turn
+    for count in (3, 56064, 17, 56064, 2, 3840, 3840, 5):
+        spec = FgnSpec(0.7, 1 / 256, count, 31 * count)
+        assert generate_fgn_circulant(spec).tobytes() == _fresh_array_draw(spec).tobytes()
+
+
+def test_threads_draw_into_their_own_buffers():
+    specs = [FgnSpec(0.65, 1 / 256, count, seed) for count in (100, 3840, 56064) for seed in (1, 2)]
+    expected = [_fresh_array_draw(spec) for spec in specs]
+    matched = {}
+
+    def work(worker):
+        pairs = list(zip(specs, expected))
+        pairs = pairs[worker:] + pairs[:worker]  # the threads change size at different draws
+        matched[worker] = all(
+            np.array_equal(generate_fgn_circulant(spec), want)
+            for _ in range(3)
+            for spec, want in pairs
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert matched == {w: True for w in range(4)}
+
+
 class _UnitNormals:
     """Stands in for the generator: its normals, over all calls, are the
     unit vector e_column of length ``total``."""
@@ -173,9 +240,9 @@ class _UnitNormals:
         self.normals[column] = 1.0
         self.used = 0
 
-    def standard_normal(self, size):
-        out = self.normals[self.used : self.used + size].copy()
-        self.used += size
+    def standard_normal(self, out):
+        out[:] = self.normals[self.used : self.used + out.size]
+        self.used += out.size
         return out
 
 
