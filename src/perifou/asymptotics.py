@@ -26,7 +26,8 @@ grid points enters only folded onto one period: an m x m Toeplitz kernel
 whose lag function sums the fGn covariance over the n periods.
 
 Everything here is deterministic; the weak |t-s|^{2H-2} singularity of the
-limit integrals is absorbed exactly with Gauss-Jacobi weights.
+limit integrals is absorbed exactly with Gauss-Jacobi weights, built here
+from numpy alone by the Golub-Welsch construction.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from perifou.errors import InvalidInput
 from perifou.estimator import block_inverse
@@ -73,7 +73,7 @@ _UNIT_WEIGHTS_FINE = 0.5 * _GL_WEIGHTS_FINE
 @dataclass(frozen=True)
 class LimitSummary:
     """C, Sigma_0 and the limit reference sigma^2 C Sigma_0 C with their
-    ingredients."""
+    ingredients; ``c_inverse_gap`` is the Frobenius norm of Sigma_0 - C^{-1}."""
 
     loadings: np.ndarray
     precision: float
@@ -84,9 +84,9 @@ class LimitSummary:
     alpha_h: float
     clt_valid: bool
     degenerate_limit: bool
+    c_inverse_gap: float
 
     def to_report(self) -> dict:
-        c_inv = np.linalg.inv(self.c_matrix)
         return {
             "lambda": [float(v) for v in self.loadings],
             "gamma": float(self.precision),
@@ -99,10 +99,35 @@ class LimitSummary:
                 "clt_valid": bool(self.clt_valid),
                 "degenerate_limit": bool(self.degenerate_limit),
             },
-            "sigma0_minus_c_inverse_frobenius": float(
-                np.linalg.norm(self.noise_cov - c_inv)
-            ),
+            "sigma0_minus_c_inverse_frobenius": self.c_inverse_gap,
         }
+
+
+def _gauss_jacobi(count: int, beta: float) -> tuple:
+    """Nodes (ascending) and weights of the count-point Gauss rule on [-1, 1]
+    for the weight (1 + x)^beta, -1 < beta < 0: the Jacobi weight with
+    exponents (0, beta).
+
+    Golub-Welsch (Golub & Welsch, Math. Comp. 23, 1969): the nodes are the
+    eigenvalues of the symmetric tridiagonal Jacobi matrix of the
+    orthonormal polynomials p_0..p_{count-1}, whose recurrence is
+    x p_j = b_j p_{j-1} + a_j p_j + b_{j+1} p_{j+1}.  The weight of node x is
+    its Christoffel number 1 / sum_j p_j(x)^2, from the same recurrence.
+    """
+    j = np.arange(count, dtype=float)
+    s = 2.0 * j + beta
+    a = beta * beta / (s * (s + 2.0))
+    b = np.zeros(count)
+    b[1:] = 2.0 * j[1:] * (j[1:] + beta) / (s[1:] * np.sqrt((s[1:] + 1.0) * (s[1:] - 1.0)))
+    # eigvalsh reads only the lower triangle
+    nodes = np.linalg.eigvalsh(np.diag(a) + np.diag(b[1:], -1))
+    previous = np.zeros(count)
+    current = np.full(count, math.sqrt((beta + 1.0) / 2.0 ** (beta + 1.0)))
+    total = current * current
+    for i in range(count - 1):
+        previous, current = current, ((nodes - a[i]) * current - b[i] * previous) / b[i + 1]
+        total += current * current
+    return nodes, 1.0 / total
 
 
 def _long_memory_gram(evaluate, hurst: float) -> np.ndarray:
@@ -117,16 +142,16 @@ def _long_memory_gram(evaluate, hurst: float) -> np.ndarray:
 
         F(u) = int_0^{1-u} ( f(s) g(s+u) + g(s) f(s+u) ) ds.
 
-    The u integral is Gauss-Jacobi with weight exponent 2H-2 (exact for the
-    singular factor); F is Gauss-Legendre on the shrinking interval.  Every
-    entry shares these nodes, so each integrand is evaluated once at s and
-    once at s + u, and with M_ij = sum w f_i(s) f_j(s+u) the Gram matrix is
-    M + M^t.
+    The u integral is the 48-point Golub-Welsch Gauss-Jacobi rule of
+    :func:`_gauss_jacobi` with weight exponent 2H-2 (exact for the singular
+    factor); F is Gauss-Legendre on the shrinking interval.  Every entry
+    shares these nodes, so each integrand is evaluated once at s and once at
+    s + u, and with M_ij = sum w f_i(s) f_j(s+u) the Gram matrix is M + M^t.
     """
     if not 0.5 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
     a = 2.0 * hurst - 2.0
-    xj, wj = roots_jacobi(48, 0.0, a)
+    xj, wj = _gauss_jacobi(48, a)
     u = 0.5 * (xj + 1.0)
     length = (1.0 - u)[:, None]
     s = length * _UNIT_NODES[None, :]
@@ -139,8 +164,9 @@ def _long_memory_gram(evaluate, hurst: float) -> np.ndarray:
     return cross + cross.T
 
 
-def _steady_projection(model: FouModel) -> tuple:
-    """Loadings Lambda and residual variance 1/gamma from one evaluation of h~.
+def _steady_projection(model: FouModel, var: float) -> tuple:
+    """Loadings Lambda and residual variance 1/gamma from one evaluation of h~,
+    given the stationary variance ``var`` of the noise part.
 
     Raises InvalidInput when the residual is at most
     DEGENERATE_LIMIT_THRESHOLD times h_energy + var, as it is when sigma = 0
@@ -150,7 +176,7 @@ def _steady_projection(model: FouModel) -> tuple:
     phi = model.basis.evaluate(_UNIT_NODES_FINE)
     lam = phi @ (_UNIT_WEIGHTS_FINE * h_vals)
     h_energy = float(np.dot(_UNIT_WEIGHTS_FINE, h_vals**2))
-    var = stationary_variance(model.alpha, model.sigma, model.hurst)
+    _require_finite(model, lam, h_energy + var)  # inf <= inf would pass as degenerate
     residual = h_energy + var - float(np.dot(lam, lam))
     if residual <= DEGENERATE_LIMIT_THRESHOLD * (h_energy + var):
         raise InvalidInput(
@@ -159,6 +185,15 @@ def _steady_projection(model: FouModel) -> tuple:
             "lies in the span of model.basis, so gamma and C do not exist"
         )
     return lam, residual
+
+
+def _require_finite(model: FouModel, *values) -> None:
+    """Raise InvalidInput unless every entry of ``values`` is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise InvalidInput(
+            "the limit objects overflow double precision at "
+            f"model.alpha = {model.alpha:g} and model.sigma = {model.sigma:g}"
+        )
 
 
 def stationary_variance(alpha: float, sigma: float, hurst: float) -> float:
@@ -294,17 +329,30 @@ def limit_summary(model: FouModel) -> LimitSummary:
     of sigma^2 C Sigma_0 C is at most DEGENERATE_LIMIT_THRESHOLD times the
     largest, so the limit reference is singular in that component (e.g.
     the alpha entry when h~ lies in the span of the basis).
+
+    Raises InvalidInput when an object is not finite in double precision,
+    as when a tiny alpha or a huge sigma overflows the stationary variance
+    or the steady mean.
     """
-    lam, residual = _steady_projection(model)
-    g = 1.0 / residual
-    c = block_inverse(lam, g)
-    sigma0 = noise_covariance_limit(model)
-    asym = model.sigma**2 * (c @ sigma0 @ c)
+    # Overflow surfaces as InvalidInput from _require_finite, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            var = stationary_variance(model.alpha, model.sigma, model.hurst)
+        except OverflowError:
+            var = math.inf
+        lam, residual = _steady_projection(model, var)
+        g = 1.0 / residual
+        c = block_inverse(lam, g)
+        sigma0 = noise_covariance_limit(model)
+        asym = model.sigma**2 * (c @ sigma0 @ c)
+        _require_finite(model, c, sigma0, asym)  # inv raises LinAlgError on NaN
+        gap = float(np.linalg.norm(sigma0 - np.linalg.inv(c)))
+        _require_finite(model, gap)
     variances = np.diag(asym)
     return LimitSummary(
         loadings=lam,
         precision=g,
-        stationary_var=stationary_variance(model.alpha, model.sigma, model.hurst),
+        stationary_var=var,
         c_matrix=c,
         noise_cov=sigma0,
         asym_cov=asym,
@@ -313,4 +361,5 @@ def limit_summary(model: FouModel) -> LimitSummary:
         degenerate_limit=bool(
             variances.min() <= DEGENERATE_LIMIT_THRESHOLD * variances.max()
         ),
+        c_inverse_gap=gap,
     )

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc
 
 from perifou.errors import DegenerateDesign, InvalidInput
 from perifou.fgn import fgn_autocovariance
@@ -205,7 +204,10 @@ def discrete_trace_correction(
         terms = a ** (lags - 1.0) * fgn_autocovariance(hurst, lags) * weight
         total = float(terms.sum())
         if capped < cutoff:
-            # analytic tail: kernel density approximation of the remaining lags
+            # analytic tail: kernel density approximation of the remaining lags;
+            # reached only for alpha*step below ~2e-5, so scipy loads only then
+            from scipy.special import gammainc
+
             b = 2.0 * hurst - 1.0
             alpha_h = hurst * b
             tail = (

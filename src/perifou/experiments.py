@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from perifou.asymptotics import finite_horizon_covariance, limit_summary
 from perifou.errors import DegenerateDesign, InvalidInput
@@ -228,6 +227,8 @@ def run_consistency(config: McConfig) -> ExperimentReport:
 
 def _ecdf_distance(z: np.ndarray) -> float:
     """Sup distance between the empirical CDF of z and the standard normal."""
+    from scipy.special import ndtr
+
     z = np.sort(z)
     n = z.size
     cdf = ndtr(z)
@@ -510,6 +511,8 @@ def write_qq_csv(report: ExperimentReport, filename) -> None:
     genuine zero for a trigonometric basis whose steady mean lies in the
     span.
     """
+    from scipy.special import ndtri
+
     if report.kind != "clt":
         raise ValueError("QQ data is produced by the clt study")
     theta = np.asarray(report.theta)

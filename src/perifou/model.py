@@ -219,9 +219,9 @@ def first_order_recursion(drive: np.ndarray, a: float, y0: float = 0.0) -> np.nd
 
     Evaluated in C by ``scipy.signal.lfilter``, the package's only use of
     that module.  It is imported here rather than at module level because
-    loading it (with the ``scipy.stats`` it pulls in) costs most of the
-    package's import time, and commands that run no recursion should not
-    pay it.
+    loading it (with the ``scipy.special`` and ``scipy.stats`` it pulls in)
+    takes about four times as long as importing the whole package on numpy,
+    and commands that run no recursion should not pay it.
     """
     from scipy.signal import lfilter
 

@@ -11,6 +11,7 @@ import scipy.special
 from oracles import singular_pair_integral
 from perifou import BasisSet, FouModel, estimate, limit_summary, simulate_path
 from perifou.asymptotics import (
+    _gauss_jacobi,
     finite_horizon_covariance,
     finite_horizon_noise_cov,
     noise_covariance_limit,
@@ -139,6 +140,19 @@ def _fine_long_memory_gram(model, jacobi_nodes=200, legendre_nodes=400):
 
     cross = (integrands(s) * weights.ravel()) @ integrands(s + u[:, None]).T
     return cross + cross.T
+
+
+@pytest.mark.parametrize("hurst", [0.55, 0.65, 0.74, 0.95])
+def test_gauss_jacobi_rule_is_exact_to_degree_95_and_matches_scipy_nodes(hurst):
+    """The 48-point rule for (1+x)^{2H-2} integrates (1+x)^k exactly for
+    k <= 2*48 - 1, whose exact integral over [-1, 1] is 2^{k+b+1}/(k+b+1)."""
+    b = 2 * hurst - 2
+    nodes, weights = _gauss_jacobi(48, b)
+    for k in range(96):
+        exact = 2.0 ** (k + b + 1) / (k + b + 1)
+        assert abs(np.dot(weights, (1 + nodes) ** k) - exact) <= 1e-12 * exact
+    reference, _ = scipy.special.roots_jacobi(48, 0.0, b)
+    assert np.abs(nodes - reference).max() <= 1e-14
 
 
 @pytest.mark.parametrize("hurst", [0.55, 0.65, 0.74])

@@ -294,6 +294,24 @@ def test_limits_at_zero_sigma_with_steady_mean_in_span_exits_2(tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "override",
+    ["model.alpha=1e-100", "model.alpha=1e-200", "model.alpha=1e-300", "model.sigma=1e200"],
+)
+def test_limits_that_overflow_exit_2(tmp_path, capsys, override):
+    """A tiny alpha or a huge sigma overflows the stationary variance or the
+    steady mean; limits.json used to take NaN/Infinity cells, or the run
+    ended in an OverflowError traceback."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"
+    out = tmp_path / "lim"
+    argv = ["limits", "--config", str(config), "--out", str(out), "--set", override]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "model.alpha" in err and "model.sigma" in err
+    assert not out.exists()
+
+
 def _pair_at(k):
     return json.dumps([{"kind": "sin", "k": k}, {"kind": "cos", "k": k}])
 
@@ -537,10 +555,10 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
-def _modules_loaded_by(code: str, prefixes) -> str:
-    """The sorted modules under ``prefixes`` that a fresh interpreter holds
+def _modules_loaded_by(code: str, prefix: str) -> str:
+    """The sorted modules under ``prefix`` that a fresh interpreter holds
     after running ``code``."""
-    code += f"\nprint(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))"
+    code += f"\nprint(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     src = str(Path(perifou.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -549,21 +567,30 @@ def _modules_loaded_by(code: str, prefixes) -> str:
     return proc.stdout.strip().splitlines()[-1]
 
 
-def test_cli_import_loads_neither_scipy_signal_nor_stats():
-    """Loading those modules costs most of a fresh process's start-up, and
-    the commands that run no recursion never use them."""
-    loaded = _modules_loaded_by("import sys, perifou.cli", ("scipy.signal", "scipy.stats"))
-    assert loaded == "[]"
-
-
-def test_cli_import_and_csv_estimate_load_neither_scipy_linalg_nor_fft(config_file, tmp_path):
-    """No module of the package imports scipy.linalg or scipy.fft.  A CSV
-    estimate runs no recursion and no limit quadrature, so nothing else
-    loads them either (scipy.special.roots_jacobi, which ``limits`` calls,
-    loads scipy.linalg lazily)."""
-    config = base_config()
-    assert main(["simulate", "--config", config_file(config), "--out", str(tmp_path)]) == 0
-    config["estimate"]["path_csv"] = str(tmp_path / "path.csv")
-    argv = ["estimate", "--config", config_file(config), "--out", str(tmp_path / "o")]
-    code = f"import sys, perifou.cli\nassert perifou.cli.main({argv!r}) == 0"
-    assert _modules_loaded_by(code, ("scipy.linalg", "scipy.fft")) == "[]"
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        (None, []),
+        ("limits", []),
+        ("estimate", []),
+        ("estimate", ["estimate.alpha_for_correction=1"]),
+    ],
+    ids=["import", "limits", "csv-estimate-plug-in", "csv-estimate-alpha-1"],
+)
+def test_cli_import_limits_and_csv_estimate_load_no_scipy(
+    config_file, tmp_path, command, overrides
+):
+    """The package imports scipy only where it is used: limits and a CSV
+    estimate run no recursion, and their quadrature and trace correction
+    are numpy alone.  Loading scipy costs most of a fresh process's
+    start-up."""
+    code = "import sys, perifou.cli"
+    if command is not None:
+        config = base_config()
+        if command == "estimate":
+            assert main(["simulate", "--config", config_file(config), "--out", str(tmp_path)]) == 0
+            config["estimate"]["path_csv"] = str(tmp_path / "path.csv")
+        argv = [command, "--config", config_file(config), "--out", str(tmp_path / "o")]
+        argv += [arg for item in overrides for arg in ("--set", item)]
+        code += f"\nassert perifou.cli.main({argv!r}) == 0"
+    assert _modules_loaded_by(code, "scipy") == "[]"
