@@ -25,7 +25,8 @@ integrands repeat every period, so the N x N fGn covariance of the n*m
 grid points enters only folded onto one period: an m x m Toeplitz kernel
 whose lag function sums the fGn covariance over the n periods.
 
-Everything here is deterministic; the weak |t-s|^{2H-2} singularity of the
+Everything here is deterministic.  h~ enters through its exact
+trigonometric coefficients, and the weak |t-s|^{2H-2} singularity of the
 limit integrals is absorbed exactly with Gauss-Jacobi weights, built here
 from numpy alone by the Golub-Welsch construction.
 """
@@ -41,20 +42,17 @@ from perifou.errors import InvalidInput
 from perifou.estimator import block_inverse
 from perifou.fgn import fgn_autocovariance
 from perifou.model import (
-    _UNIT_NODES,
-    _UNIT_WEIGHTS,
     FouModel,
     first_order_recursion,
     period_grid,
     steady_euler_orbit,
     steady_mean,
+    steady_mean_terms,
 )
 
 # H below 3/4 is where the slow central limit theorem applies; the
 # matrices remain computable for H up to 1.
 CLT_HURST_UPPER = 0.75
-
-DEGENERATE_LIMIT_THRESHOLD = 1e-12
 
 # Highest sin/cos frequency k at which Sigma_0's 48 x 64-node Gauss-Jacobi x
 # Gauss-Legendre quadrature holds: against a 200 x 400-node evaluation of the
@@ -65,9 +63,9 @@ MAX_LIMIT_FREQUENCY = 15
 # The geometric memory a^j of the Euler noise is cut where it drops below this.
 _EULER_MEMORY_FORGETTING = 1e-17
 
-_GL_NODES_FINE, _GL_WEIGHTS_FINE = np.polynomial.legendre.leggauss(128)
-_UNIT_NODES_FINE = 0.5 * (_GL_NODES_FINE + 1.0)
-_UNIT_WEIGHTS_FINE = 0.5 * _GL_WEIGHTS_FINE
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_UNIT_NODES = 0.5 * (_GL_NODES + 1.0)
+_UNIT_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -165,26 +163,23 @@ def _long_memory_gram(evaluate, hurst: float) -> np.ndarray:
 
 
 def _steady_projection(model: FouModel, var: float) -> tuple:
-    """Loadings Lambda and residual variance 1/gamma from one evaluation of h~,
-    given the stationary variance ``var`` of the noise part.
-
-    Raises InvalidInput when the residual is at most
-    DEGENERATE_LIMIT_THRESHOLD times h_energy + var, as it is when sigma = 0
-    and h~ lies in the basis span: gamma would be the reciprocal of
-    rounding noise."""
-    h_vals = steady_mean(model, _UNIT_NODES_FINE)
-    phi = model.basis.evaluate(_UNIT_NODES_FINE)
-    lam = phi @ (_UNIT_WEIGHTS_FINE * h_vals)
-    h_energy = float(np.dot(_UNIT_WEIGHTS_FINE, h_vals**2))
-    _require_finite(model, lam, h_energy + var)  # inf <= inf would pass as degenerate
-    residual = h_energy + var - float(np.dot(lam, lam))
-    if residual <= DEGENERATE_LIMIT_THRESHOLD * (h_energy + var):
+    """Loadings Lambda, residual variance 1/gamma and out-of-span energy
+    ||h~_perp||^2, read from the coefficients of h~ (:func:`steady_mean_terms`)
+    given the stationary variance ``var``.  The basis is orthonormal, so
+    Lambda_i is the coefficient of phi_i and the residual is var plus the
+    squared coefficients outside the basis: exact, with no cancellation.
+    Raises InvalidInput when it is 0 (sigma = 0 and h~ in the basis span)."""
+    terms = steady_mean_terms(model)
+    lam = np.array([terms.get(f, 0.0) for f in model.basis.functions])
+    outside = sum(c * c for f, c in terms.items() if f not in model.basis.functions)
+    residual = var + outside
+    _require_finite(model, lam, residual)
+    if residual == 0.0:
         raise InvalidInput(
-            f"limit residual variance {residual:.3e} is rounding noise next to "
-            f"{h_energy + var:.3e}: with model.sigma = {model.sigma} the steady mean "
-            "lies in the span of model.basis, so gamma and C do not exist"
+            f"limit residual variance is 0: with model.sigma = {model.sigma} the "
+            "steady mean lies in the span of model.basis, so gamma and C do not exist"
         )
-    return lam, residual
+    return lam, residual, outside
 
 
 def _require_finite(model: FouModel, *values) -> None:
@@ -192,7 +187,8 @@ def _require_finite(model: FouModel, *values) -> None:
     if not all(np.isfinite(v).all() for v in values):
         raise InvalidInput(
             "the limit objects overflow double precision at "
-            f"model.alpha = {model.alpha:g} and model.sigma = {model.sigma:g}"
+            f"model.alpha = {model.alpha:g}, model.sigma = {model.sigma:g} and "
+            f"max |model.mu| = {max(map(abs, model.mu)):g}"
         )
 
 
@@ -325,14 +321,15 @@ def finite_horizon_covariance(
 def limit_summary(model: FouModel) -> LimitSummary:
     """Assemble all limit objects once, with validity flags.
 
-    ``degenerate_limit`` is set when the smallest variance on the diagonal
-    of sigma^2 C Sigma_0 C is at most DEGENERATE_LIMIT_THRESHOLD times the
-    largest, so the limit reference is singular in that component (e.g.
-    the alpha entry when h~ lies in the span of the basis).
+    ``degenerate_limit`` is set when the limit reference sigma^2 C Sigma_0 C
+    is singular: when sigma = 0, or when h~ lies in the span of the basis.
+    The alpha variance is sigma^2 gamma^2 ||h~_perp||_H^2, with h~_perp the
+    part of h~ outside the span, so the flag is decided exactly from the
+    out-of-span coefficients of h~, not from a rounded variance.
 
     Raises InvalidInput when an object is not finite in double precision,
-    as when a tiny alpha or a huge sigma overflows the stationary variance
-    or the steady mean.
+    as when a tiny alpha, a huge sigma or a huge mu overflows the stationary
+    variance, the steady mean or C.
     """
     # Overflow surfaces as InvalidInput from _require_finite, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -340,7 +337,7 @@ def limit_summary(model: FouModel) -> LimitSummary:
             var = stationary_variance(model.alpha, model.sigma, model.hurst)
         except OverflowError:
             var = math.inf
-        lam, residual = _steady_projection(model, var)
+        lam, residual, outside = _steady_projection(model, var)
         g = 1.0 / residual
         c = block_inverse(lam, g)
         sigma0 = noise_covariance_limit(model)
@@ -348,7 +345,6 @@ def limit_summary(model: FouModel) -> LimitSummary:
         _require_finite(model, c, sigma0, asym)  # inv raises LinAlgError on NaN
         gap = float(np.linalg.norm(sigma0 - np.linalg.inv(c)))
         _require_finite(model, gap)
-    variances = np.diag(asym)
     return LimitSummary(
         loadings=lam,
         precision=g,
@@ -358,8 +354,6 @@ def limit_summary(model: FouModel) -> LimitSummary:
         asym_cov=asym,
         alpha_h=model.hurst * (2.0 * model.hurst - 1.0),
         clt_valid=model.hurst < CLT_HURST_UPPER,
-        degenerate_limit=bool(
-            variances.min() <= DEGENERATE_LIMIT_THRESHOLD * variances.max()
-        ),
+        degenerate_limit=model.sigma == 0.0 or outside == 0.0,
         c_inverse_gap=gap,
     )

@@ -23,10 +23,6 @@ _SQRT2 = math.sqrt(2.0)
 # Burn-in length for stationary starts: e^{-alpha * periods} < this.
 BURN_IN_FORGETTING = 1e-8
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_UNIT_NODES = 0.5 * (_GL_NODES + 1.0)
-_UNIT_WEIGHTS = 0.5 * _GL_WEIGHTS
-
 
 @dataclass(frozen=True)
 class BasisFunction:
@@ -188,16 +184,19 @@ def fold_periods(values: np.ndarray, m: int) -> np.ndarray:
     return values.reshape(values.shape[:-1] + (-1, m)).sum(axis=-2)
 
 
-def mean_function(model: FouModel, t):
-    """Periodic mean L(t) = sum_i mu_i phi_i(t)."""
+def _series(terms, t):
+    """sum c f(t) over (BasisFunction f, coefficient c) pairs; a float for scalar t."""
     t = np.asarray(t, dtype=float)
     total = np.zeros_like(t)
-    for coeff, f in zip(model.mu, model.basis.functions):
+    for f, coeff in terms:
         if coeff != 0.0:
             total = total + coeff * f(t)
-    if t.ndim == 0:
-        return float(total)
-    return total
+    return float(total) if t.ndim == 0 else total
+
+
+def mean_function(model: FouModel, t):
+    """Periodic mean L(t) = sum_i mu_i phi_i(t)."""
+    return _series(zip(model.basis.functions, model.mu), t)
 
 
 def _check_step(step: float) -> int:
@@ -294,24 +293,30 @@ def path_from_increments(
     return SamplePath(grid=grid, x=x, driver_increments=increments, model=model)
 
 
-def steady_mean(model: FouModel, t):
-    """1-periodic steady solution of h' = L - alpha h.
+def steady_mean_terms(model: FouModel) -> dict:
+    """The steady mean h~, the 1-periodic solution of h' = L - alpha h, as
+    {BasisFunction: coefficient}.  With omega = 2 pi k and d = alpha^2 +
+    omega^2, a term mu of L gives mu/alpha on the constant; mu on sin k gives
+    alpha mu/d on sin k and -omega mu/d on cos k; mu on cos k gives
+    alpha mu/d on cos k and +omega mu/d on sin k, in the basis or not."""
+    alpha, terms = model.alpha, {}
+    for f, mu in zip(model.basis.functions, model.mu):
+        if f.kind == "const":
+            terms[f] = mu / alpha
+            continue
+        omega = 2.0 * math.pi * f.k
+        r = math.hypot(alpha, omega)  # d = r^2, which no alpha overflows
+        sign, partner = (-1.0, "cos") if f.kind == "sin" else (1.0, "sin")
+        own, cross = alpha / r * (mu / r), sign * omega / r * (mu / r)
+        for g, c in ((f, own), (BasisFunction(partner, f.k), cross)):
+            terms[g] = terms.get(g, 0.0) + c
+    return terms
 
-    Evaluates exp(-alpha t) * integral_{-inf}^t exp(alpha s) L(s) ds by
-    reducing the half-infinite integral over periods to a geometric series:
-    (1 - e^{-alpha})^{-1} * integral_0^1 e^{-alpha u} L(t - u) du, with the
-    unit-interval integral by 64-node Gauss-Legendre quadrature.
-    """
-    t = np.asarray(t, dtype=float)
-    flat = t.ravel()
-    u = _UNIT_NODES[:, None]
-    w = (_UNIT_WEIGHTS * np.exp(-model.alpha * _UNIT_NODES))[:, None]
-    values = mean_function(model, flat[None, :] - u)
-    integral = (w * values).sum(axis=0) / -np.expm1(-model.alpha)
-    integral = integral.reshape(t.shape)
-    if t.ndim == 0:
-        return float(integral)
-    return integral
+
+def steady_mean(model: FouModel, t):
+    """1-periodic steady solution h~(t) of h' = L - alpha h, summed exactly
+    from :func:`steady_mean_terms`."""
+    return _series(steady_mean_terms(model).items(), t)
 
 
 def steady_euler_orbit(model: FouModel, step: float) -> np.ndarray:

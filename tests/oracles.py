@@ -14,7 +14,7 @@ from scipy.special import gammainc
 from perifou.asymptotics import _long_memory_gram
 from perifou.estimator import DesignStats
 from perifou.experiments import ReplicateResult
-from perifou.model import _UNIT_NODES, _UNIT_WEIGHTS, FouModel, mean_function
+from perifou.model import FouModel, mean_function
 
 
 def singular_pair_integral(f, g, hurst: float) -> float:
@@ -65,6 +65,8 @@ def zero_start_mean(model: FouModel, t):
 
     Whole periods contribute a geometric series of one fixed unit-interval
     integral; the trailing partial period is quadrature on [0, t - floor(t)].
+    Both use a 64-node Gauss-Legendre rule of their own, so this stays a
+    reference independent of the package's closed-form steady mean.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
@@ -73,17 +75,19 @@ def zero_start_mean(model: FouModel, t):
     alpha = model.alpha
     whole = np.floor(flat)
     frac = flat - whole
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
 
     # A = integral_0^1 e^{-alpha (1 - v)} L(v) dv
-    decay = np.exp(-alpha * (1.0 - _UNIT_NODES))
+    decay = np.exp(-alpha * (1.0 - nodes))
     unit_integral = float(
-        np.sum(_UNIT_WEIGHTS * decay * mean_function(model, _UNIT_NODES))
+        np.sum(weights * decay * mean_function(model, nodes))
     )
     series = unit_integral * np.exp(-alpha * frac) * -np.expm1(-alpha * whole) / -np.expm1(-alpha)
 
     # partial period: integral_0^frac e^{-alpha u} L(t - u) du
-    u = frac[None, :] * _UNIT_NODES[:, None]
-    w = frac[None, :] * _UNIT_WEIGHTS[:, None]
+    u = frac[None, :] * nodes[:, None]
+    w = frac[None, :] * weights[:, None]
     partial = np.sum(w * np.exp(-alpha * u) * mean_function(model, flat[None, :] - u), axis=0)
 
     result = (series + partial).reshape(t.shape)

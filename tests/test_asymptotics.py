@@ -320,6 +320,18 @@ def test_sine_basis_limit_is_not_degenerate():
     assert not summary.degenerate_limit
 
 
+@pytest.mark.parametrize("alpha", [1.0, 50.0, 200.0])
+def test_degenerate_limit_is_decided_exactly(alpha):
+    # The acceptance model's h~ lies in the sin/cos span at every alpha, so
+    # its alpha variance is a true zero however rounding leaves it (about
+    # 1e-12 of the largest variance at alpha = 50).  A sine-only span misses
+    # the cosine part of h~.
+    in_span = replace(acceptance_model(), alpha=alpha)
+    sine_only = FouModel(hurst=0.65, alpha=alpha, mu=(1.0,), sigma=0.5, basis=sine_basis())
+    assert limit_summary(in_span).degenerate_limit
+    assert not limit_summary(sine_only).degenerate_limit
+
+
 def test_c_matrix_block_structure():
     model = acceptance_model()
     summary = limit_summary(model)

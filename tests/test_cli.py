@@ -281,8 +281,8 @@ def test_aliased_basis_estimate_exits_2_without_writing(tmp_path, capsys):
 
 
 def test_limits_at_zero_sigma_with_steady_mean_in_span_exits_2(tmp_path, capsys):
-    """The limit residual variance is then rounding noise, and gamma and C
-    would be its reciprocal (about -4.5e15 before this was refused)."""
+    """The limit residual variance is then exactly 0, and gamma and C would
+    be its reciprocal (about -4.5e15 when rounding noise was refused late)."""
     config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"
     out = tmp_path / "lim"
     overrides = ["model.sigma=0", 'model.basis=[{"kind":"const"}]', "model.mu=[1.0]"]
@@ -296,20 +296,34 @@ def test_limits_at_zero_sigma_with_steady_mean_in_span_exits_2(tmp_path, capsys)
 
 @pytest.mark.parametrize(
     "override",
-    ["model.alpha=1e-100", "model.alpha=1e-200", "model.alpha=1e-300", "model.sigma=1e200"],
+    ["model.alpha=1e-200", "model.alpha=1e-300", "model.sigma=1e200", "model.mu=[1e200,1e200]"],
 )
 def test_limits_that_overflow_exit_2(tmp_path, capsys, override):
-    """A tiny alpha or a huge sigma overflows the stationary variance or the
-    steady mean; limits.json used to take NaN/Infinity cells, or the run
-    ended in an OverflowError traceback."""
+    """A tiny alpha, a huge sigma or a huge mu overflows the stationary
+    variance, the steady mean or C; limits.json used to take NaN/Infinity
+    cells, or the run ended in an OverflowError traceback.  The message
+    names all three keys, since any of them can be the cause."""
     config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"
     out = tmp_path / "lim"
     argv = ["limits", "--config", str(config), "--out", str(out), "--set", override]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    assert "model.alpha" in err and "model.sigma" in err
+    assert "model.alpha" in err and "model.sigma" in err and "model.mu" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["1e-15", "1e-100"])
+def test_limits_at_tiny_alpha_reach_the_zero_alpha_loadings(tmp_path, alpha):
+    """As alpha -> 0 the steady mean of mu = (1, 2) on {sin, cos} tends to
+    (2 sin - cos) / (2 pi), so Lambda = (2, -1) / (2 pi).  A quadrature of h~
+    divided by 1 - e^{-alpha} reported [-1.115, -3.144] at alpha = 1e-15."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"
+    out = tmp_path / "lim"
+    argv = ["limits", "--config", str(config), "--out", str(out)]
+    assert main(argv + ["--set", f"model.alpha={alpha}"]) == 0
+    report = json.loads((out / "limits.json").read_text())
+    assert report["lambda"] == pytest.approx([1 / math.pi, -0.5 / math.pi], rel=1e-12, abs=0)
 
 
 def _pair_at(k):

@@ -243,9 +243,19 @@ def test_steady_mean_sine_closed_form():
     np.testing.assert_allclose(steady_mean(model, t), expected, atol=1e-12)
 
 
-def test_steady_mean_solves_the_ode():
+def seven_term_model(alpha):
+    """const and sin/cos k = 1..3, every amplitude nonzero."""
+    specs = [{"kind": "const"}] + [
+        {"kind": kind, "k": k} for k in (1, 2, 3) for kind in ("sin", "cos")
+    ]
+    mu = (0.7, 1.0, -0.5, 0.4, 0.3, -0.2, 0.25)
+    return FouModel(hurst=0.7, alpha=alpha, mu=mu, sigma=1.0, basis=BasisSet.from_specs(specs))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1.0, 200.0])
+def test_steady_mean_solves_the_ode(alpha):
     # central difference of h~ equals L - alpha h~ up to O(delta^2)
-    model = FouModel(hurst=0.7, alpha=0.9, mu=(1.0, -0.5), sigma=1.0, basis=sincos_basis())
+    model = seven_term_model(alpha)
     t = np.linspace(0.01, 0.99, 100)
     delta = 1e-4
     lhs = (steady_mean(model, t + delta) - steady_mean(model, t - delta)) / (2 * delta)
@@ -267,9 +277,10 @@ def test_zero_start_mean_at_zero_and_zero_amplitudes():
     assert zero_start_mean(model2, 0.0) == 0.0
 
 
-def test_zero_start_mean_matches_steady_identity():
+@pytest.mark.parametrize("alpha", [0.05, 1.0, 200.0])
+def test_zero_start_mean_matches_steady_identity(alpha):
     # h(t) = h~(t) - exp(-alpha t) h~(0)
-    model = FouModel(hurst=0.7, alpha=1.1, mu=(0.9, 0.4), sigma=1.0, basis=sincos_basis())
+    model = seven_term_model(alpha)
     t = np.linspace(0.0, 6.3, 64)
     identity = steady_mean(model, t) - np.exp(-model.alpha * t) * steady_mean(model, 0.0)
     assert np.max(np.abs(zero_start_mean(model, t) - identity)) <= 1e-10
