@@ -343,7 +343,7 @@ def limit_summary(model: FouModel) -> LimitSummary:
         sigma0 = noise_covariance_limit(model)
         asym = model.sigma**2 * (c @ sigma0 @ c)
         _require_finite(model, c, sigma0, asym)  # inv raises LinAlgError on NaN
-        gap = float(np.linalg.norm(sigma0 - np.linalg.inv(c)))
+        gap = math.hypot(*(sigma0 - np.linalg.inv(c)).ravel())  # norm() would square 1/gamma
         _require_finite(model, gap)
     return LimitSummary(
         loadings=lam,

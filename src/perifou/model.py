@@ -346,22 +346,32 @@ def coupling_gap(path_from_xi0: SamplePath, path_stationary: SamplePath) -> np.n
     return np.abs(a.x - b.x)
 
 
+_CSV_BLOCK_ROWS = 4096  # rows per %-format in write_sample_path_csv, about 0.3 MB of text
+
+
 def write_sample_path_csv(path: SamplePath, filename) -> None:
-    """Write ``t,x[,db]`` rows at full double precision.
+    """Write ``t,x[,db]`` rows at full double precision, a block of rows at a time.
 
     The ``db`` column holds the driver increment over [t_k, t_{k+1}] on row
     k and is empty on the last row.
     """
     has_driver = path.driver_increments is not None
+    table = np.column_stack([path.grid[:-1], path.x[:-1]] + [path.driver_increments] * has_driver)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(filename, "w", encoding="utf-8") as handle:
         handle.write("t,x,db\n" if has_driver else "t,x\n")
-        last = path.x.size - 1
-        for k, (t, x) in enumerate(zip(path.grid, path.x)):
-            if has_driver:
-                db = f"{path.driver_increments[k]:.17g}" if k < last else ""
-                handle.write(f"{t:.17g},{x:.17g},{db}\n")
-            else:
-                handle.write(f"{t:.17g},{x:.17g}\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start : start + _CSV_BLOCK_ROWS]
+            handle.write(row * len(block) % tuple(block.ravel().tolist()))
+        handle.write(f"{path.grid[-1]:.17g},{path.x[-1]:.17g}{',' if has_driver else ''}\n")
+
+
+def _parse_row(line: str, width: int) -> list:
+    """One ``t,x[,db]`` row as floats; an empty ``db`` is left out."""
+    parts = line.strip().split(",")
+    if len(parts) != width:
+        raise InvalidInput(f"{len(parts)} fields under a {width}-column header")
+    return [float(p) for p in (parts[:2] if parts[2:] == [""] else parts)]
 
 
 def read_sample_path_csv(
@@ -373,31 +383,36 @@ def read_sample_path_csv(
     round-trip exactly, so estimating from the file reproduces the
     in-memory pipeline bit for bit.  ``stationary_start`` must restate how
     the path was generated; the file format does not carry it.  A header,
-    row or cell that does not parse raises InvalidInput naming the line.
+    row or cell that does not parse raises InvalidInput naming the line;
+    an empty ``db`` before the last row raises GridMismatch.
     """
-    t_vals, x_vals, db_vals = [], [], []
-    lineno = 1
+    where = "line 1"
     try:
         with open(filename, "r", encoding="utf-8") as handle:
-            header = handle.readline().strip().split(",")
-            if header not in (["t", "x"], ["t", "x", "db"]):
-                raise InvalidInput(f"header {header} is neither t,x nor t,x,db")
-            for lineno, line in enumerate(handle, start=2):
-                parts = line.strip().split(",")
-                if parts == [""]:
-                    continue
-                if len(parts) != len(header):
-                    raise InvalidInput(f"{len(parts)} fields under a {len(header)}-column header")
-                t_vals.append(float(parts[0]))
-                x_vals.append(float(parts[1]))
-                if len(parts) == 3 and parts[2] != "":
-                    db_vals.append(float(parts[2]))
-    except ValueError as exc:  # float(), UTF-8 decoding, and InvalidInput above
-        raise InvalidInput(f"path CSV {filename}, line {lineno}: {exc}") from None
+            lines = handle.read().rstrip().split("\n")  # trailing blank lines dropped
+        header = lines[0].strip().split(",")
+        if header not in (["t", "x"], ["t", "x", "db"]):
+            raise InvalidInput(f"header {header} is neither t,x nor t,x,db")
+        width, body = len(header), list(filter(str.strip, lines[1:-1]))
+        try:
+            rows = np.empty((0, width)) if not body else np.loadtxt(
+                body, delimiter=",", comments=None, ndmin=2
+            ).reshape(len(body), width)  # a wrong column count fails the reshape
+        except ValueError:  # on failure only: name the first line at fault
+            for k, line in enumerate(lines[1:-1], start=2):
+                where = f"line {k}"
+                if line.strip() and len(_parse_row(line, width)) < width:
+                    raise GridMismatch(f"path CSV {filename}, {where}: db is empty") from None
+            where = f"lines 2-{len(lines) - 1}"  # float() takes a cell loadtxt refused
+            raise
+        where = f"line {len(lines)}"
+        last = _parse_row(lines[-1], width) if len(lines) > 1 else []
+    except ValueError as exc:  # UTF-8 decoding, loadtxt, float() and InvalidInput above
+        raise InvalidInput(f"path CSV {filename}, {where}: {exc}") from None
     return SamplePath(
-        grid=np.asarray(t_vals),
-        x=np.asarray(x_vals),
-        driver_increments=np.asarray(db_vals) if len(header) == 3 else None,
+        grid=np.append(rows[:, 0], last[:1]),
+        x=np.append(rows[:, 1], last[1:2]),
+        driver_increments=np.append(rows[:, 2], last[2:]) if width == 3 else None,
         model=model,
         stationary_start=stationary_start,
     )

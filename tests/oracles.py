@@ -120,3 +120,18 @@ def read_replicates_csv(filename) -> list:
                 )
             )
     return rows
+
+
+def write_sample_path_csv_rows(path, filename) -> None:
+    """The path-file writer as one f-string per row: the byte format that
+    ``model.write_sample_path_csv`` must reproduce."""
+    has_driver = path.driver_increments is not None
+    with open(filename, "w", encoding="utf-8") as handle:
+        handle.write("t,x,db\n" if has_driver else "t,x\n")
+        last = path.x.size - 1
+        for k, (t, x) in enumerate(zip(path.grid, path.x)):
+            if has_driver:
+                db = f"{path.driver_increments[k]:.17g}" if k < last else ""
+                handle.write(f"{t:.17g},{x:.17g},{db}\n")
+            else:
+                handle.write(f"{t:.17g},{x:.17g}\n")

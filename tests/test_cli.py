@@ -296,7 +296,7 @@ def test_limits_at_zero_sigma_with_steady_mean_in_span_exits_2(tmp_path, capsys)
 
 @pytest.mark.parametrize(
     "override",
-    ["model.alpha=1e-200", "model.alpha=1e-300", "model.sigma=1e200", "model.mu=[1e200,1e200]"],
+    ["model.alpha=1e-300", "model.sigma=1e200", "model.mu=[1e200,1e200]"],
 )
 def test_limits_that_overflow_exit_2(tmp_path, capsys, override):
     """A tiny alpha, a huge sigma or a huge mu overflows the stationary
@@ -313,17 +313,20 @@ def test_limits_that_overflow_exit_2(tmp_path, capsys, override):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("alpha", ["1e-15", "1e-100"])
+@pytest.mark.parametrize("alpha", ["1e-15", "1e-100", "1e-200"])
 def test_limits_at_tiny_alpha_reach_the_zero_alpha_loadings(tmp_path, alpha):
     """As alpha -> 0 the steady mean of mu = (1, 2) on {sin, cos} tends to
     (2 sin - cos) / (2 pi), so Lambda = (2, -1) / (2 pi).  A quadrature of h~
-    divided by 1 - e^{-alpha} reported [-1.115, -3.144] at alpha = 1e-15."""
+    divided by 1 - e^{-alpha} reported [-1.115, -3.144] at alpha = 1e-15.
+    At alpha = 1e-200 the entry 1/gamma of C^-1 is about 1.46e259: the
+    Sigma_0 - C^-1 gap fits in a double although its squared entries do not."""
     config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"
     out = tmp_path / "lim"
     argv = ["limits", "--config", str(config), "--out", str(out)]
     assert main(argv + ["--set", f"model.alpha={alpha}"]) == 0
     report = json.loads((out / "limits.json").read_text())
     assert report["lambda"] == pytest.approx([1 / math.pi, -0.5 / math.pi], rel=1e-12, abs=0)
+    assert math.isfinite(report["sigma0_minus_c_inverse_frobenius"])
 
 
 def _pair_at(k):

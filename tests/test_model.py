@@ -2,11 +2,12 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import zero_start_mean
+from oracles import write_sample_path_csv_rows, zero_start_mean
 from perifou import (
     BasisSet,
     FouModel,
@@ -18,6 +19,7 @@ from perifou import (
 )
 from perifou.cli import main
 from perifou.model import (
+    _CSV_BLOCK_ROWS,
     BasisFunction,
     SamplePath,
     coupling_gap,
@@ -346,6 +348,109 @@ def test_sample_path_csv_without_driver(tmp_path):
     back = read_sample_path_csv(target, model)
     assert back.driver_increments is None
     assert np.array_equal(back.x, path.x)
+
+
+def _hand_path(model, m, n, driver=True, seed=0):
+    """A path of n periods at step 1/m with standard-normal x and driver."""
+    rng = np.random.default_rng(seed)
+    size = n * m + 1
+    return SamplePath(
+        grid=np.arange(size) / m,
+        x=rng.standard_normal(size),
+        driver_increments=rng.standard_normal(size - 1) if driver else None,
+        model=model,
+    )
+
+
+@pytest.mark.parametrize("case", ["driver", "no_driver", "blocks_plus_one", "extremes"])
+def test_csv_writer_matches_the_row_by_row_oracle(case, tmp_path):
+    """The block writer's bytes equal one f-string per row, across block
+    boundaries and for -0.0, the smallest subnormal and +-DBL_MAX."""
+    model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
+    if case == "blocks_plus_one":  # 2 blocks of rows, then the last row
+        path = _hand_path(model, 256, 2 * _CSV_BLOCK_ROWS // 256)
+        assert path.x.size == 2 * _CSV_BLOCK_ROWS + 1
+    elif case == "extremes":
+        x = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1])
+        driver = np.array([-0.0, -5e-324, 1.7976931348623157e308, 1 / 3])
+        path = SamplePath(grid=np.arange(5) / 4, x=x, driver_increments=driver, model=model)
+    else:
+        path = _hand_path(model, 64, 3, driver=case == "driver")
+    write_sample_path_csv(path, tmp_path / "bulk.csv")
+    write_sample_path_csv_rows(path, tmp_path / "rows.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    back = read_sample_path_csv(tmp_path / "bulk.csv", model)
+    assert np.array_equal(back.x, path.x) and np.array_equal(np.signbit(back.x), np.signbit(path.x))
+
+
+def _edited_path_csv(tmp_path, edit):
+    """A written 8193-row path file whose lines (line 1 is the header)
+    ``edit`` changes in place."""
+    model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
+    path = _hand_path(model, 256, 32)
+    target = tmp_path / "edited.csv"
+    write_sample_path_csv(path, target)
+    lines = target.read_text().split("\n")
+    edit(lines)
+    target.write_text("\n".join(lines))
+    return target, model, path
+
+
+def _set_cell(lineno, column, value):
+    def edit(lines):
+        cells = lines[lineno - 1].split(",")
+        cells[column] = value
+        lines[lineno - 1] = ",".join(cells)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,error,where",
+    [
+        (_set_cell(4000, 1, "abc"), InvalidInput, "line 4000:"),
+        (_set_cell(8194, 1, "abc"), InvalidInput, "line 8194:"),
+        (_set_cell(8194, 2, "0.5,0.5"), InvalidInput, "line 8194:"),
+        (lambda lines: lines.insert(2, "# a comment"), InvalidInput, "line 3:"),
+        (_set_cell(5, 2, ""), GridMismatch, "line 5:"),
+        (_set_cell(6000, 2, "1_0"), InvalidInput, "lines 2-8193:"),
+    ],
+    ids=["bad_cell_mid", "bad_cell_last", "extra_field_last", "comment", "empty_db_mid", "float_only"],
+)
+def test_path_csv_bulk_read_names_the_line_at_fault(edit, error, where, tmp_path):
+    """A row the bulk parse refuses is found again line by line.  A cell
+    float() takes but loadtxt refuses (an underscore) names the row range."""
+    target, model, _ = _edited_path_csv(tmp_path, edit)
+    with pytest.raises(error, match=rf"edited\.csv, {where}"):
+        read_sample_path_csv(target, model)
+
+
+def test_path_csv_reads_crlf_and_blank_lines_bit_exact(tmp_path):
+    def edit(lines):
+        lines.insert(100, "")
+        lines.insert(3, "   ")
+        lines.append("")
+
+    target, model, path = _edited_path_csv(tmp_path, edit)
+    target.write_bytes(target.read_bytes().replace(b"\n", b"\r\n"))
+    assert target.read_bytes().endswith(b",\r\n\r\n")
+    back = read_sample_path_csv(target, model)
+    assert np.array_equal(back.grid, path.grid)
+    assert np.array_equal(back.x, path.x)
+    assert np.array_equal(back.driver_increments, path.driver_increments)
+
+
+@pytest.mark.parametrize("text", ["t,x,db\n", "t,x\n\n", "t,x,db\n\n\n0,0,\n"])
+def test_path_csv_without_a_whole_period_is_partial_and_silent(text, tmp_path):
+    """loadtxt warns on empty input; a header-only or one-row file must
+    reach the grid contract without a warning."""
+    model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
+    target = tmp_path / "short.csv"
+    target.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PartialPeriod):
+            read_sample_path_csv(target, model)
 
 
 def _broken_grid(case):
