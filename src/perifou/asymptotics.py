@@ -44,7 +44,7 @@ from perifou.fgn import fgn_autocovariance
 from perifou.model import (
     FouModel,
     first_order_recursion,
-    period_grid,
+    period_basis,
     steady_euler_orbit,
     steady_mean,
     steady_mean_terms,
@@ -293,7 +293,7 @@ def finite_horizon_noise_cov(model: FouModel, n_periods: int, step: float) -> np
     m = round(1.0 / step)
     n_steps = n_periods * m
     period = np.vstack(
-        [model.basis.evaluate(period_grid(step)), -steady_euler_orbit(model, step)]
+        [period_basis(model.basis, step), -steady_euler_orbit(model, step)]
     )
     c_bb = step ** (2.0 * hurst) * fgn_autocovariance(hurst, np.arange(n_steps))
     q = np.arange(1 - n_periods, n_periods)

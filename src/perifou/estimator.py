@@ -27,7 +27,7 @@ import numpy as np
 
 from perifou.errors import DegenerateDesign, InvalidInput
 from perifou.fgn import fgn_autocovariance
-from perifou.model import SamplePath, fold_periods, period_grid
+from perifou.model import SamplePath, fold_periods, period_basis
 
 MODES = ("naive_pathwise", "oracle_divergence")
 
@@ -109,7 +109,7 @@ def build_design(path: SamplePath) -> DesignStats:
     n = path.n_periods
     step = path.step
     x_left = path.x[:-1]
-    phi = path.model.basis.evaluate(period_grid(path.step))
+    phi = period_basis(path.model.basis, path.step)
     gram = (n * step) * (phi @ phi.T)
     cross = step * (phi @ fold_periods(x_left, path.steps_per_period))
     # Over the N = n*m grid points np.dot is a BLAS ddot, which OpenBLAS
@@ -251,7 +251,7 @@ def estimate(
     model = path.model
     m = path.steps_per_period
     design = build_design(path)
-    phi = model.basis.evaluate(period_grid(path.step))
+    phi = period_basis(model.basis, path.step)
     x_left = path.x[:-1]
     dx = np.diff(path.x)
     # einsum, not np.dot: see build_design

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -25,7 +24,7 @@ from perifou.model import (
     coupling_gap,
     fold_periods,
     path_from_increments,
-    period_grid,
+    period_basis,
     simulate_path,
 )
 
@@ -131,9 +130,14 @@ def _map_jobs(config: McConfig, jobs) -> list:
     )
     if config.workers == 1:
         return [job_fn(job) for job in jobs]
+    # Imported here: concurrent.futures loads multiprocessing, about 18 ms
+    # that only a pool needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     # The first job runs before the fork, so the workers inherit what it
-    # loads (scipy.signal, the sampler's cached weights) instead of each
-    # loading it again.
+    # loads and sets up (scipy.signal, the sampler's cached weights, glibc's
+    # heap thresholds and a warm heap, the cached period values of the
+    # basis) instead of each doing it again.
     first = job_fn(jobs[0])
     rest = jobs[1:]
     chunk = max(1, len(rest) // (config.workers * 8))
@@ -417,7 +421,7 @@ def wiener_variance_study(
     of the basis; the study also checks that the variance shows no
     significant upward trend in n.
     """
-    phi = basis.evaluate(period_grid(step))
+    phi = period_basis(basis, step)
     m = phi.shape[1]
     bound = basis.bound**2
     per_n = {}

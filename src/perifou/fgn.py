@@ -13,9 +13,10 @@ would, to rounding.  All draws are deterministic functions of the seed.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -33,7 +34,14 @@ _MASK64 = (1 << 64) - 1
 # Each thread's draw buffers (normals, half spectrum and inverse transform)
 # for its last embedding size.  Allocated afresh, these 4 MB at M = 2^17 made
 # glibc trim its heap after a draw and fault ~1500 pages back in at the next.
+# Their first allocation also fixes glibc's heap thresholds for the process
+# (_keep_heap_warm), so that the transform's own scratch stays mapped too;
+# the process pool of a Monte Carlo study forks after the first replicate,
+# so its workers inherit both the settings and a warm heap.
 _DRAW_BUFFERS = threading.local()
+
+# glibc mallopt parameters, from malloc.h.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 def _splitmix64(x: int) -> int:
@@ -135,6 +143,27 @@ def _half_spectrum_weights(hurst: float, count: int) -> np.ndarray:
     return weights
 
 
+@cache
+def _keep_heap_warm() -> None:
+    """Stop glibc from trimming the heap top after every draw, once per process.
+
+    glibc raises its trim threshold only to twice the largest mapped block
+    freed so far (about 2 MB here), so after each draw at M = 2^17 it gave
+    back ~1.9 MB of ``irfft`` scratch, which the next draw faulted in again
+    (~480 pages per n = 200 replicate).
+    Setting either threshold turns off glibc's adjustment of both, so both
+    are set: blocks below 16 MB come from the heap, and up to 64 MB of free
+    heap top is kept.  A C library without ``mallopt`` is left alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def generate_fgn_circulant(spec: FgnSpec) -> np.ndarray:
     """Draw fGn by circulant embedding of the Toeplitz covariance.
 
@@ -161,6 +190,7 @@ def generate_fgn_circulant(spec: FgnSpec) -> np.ndarray:
     size = 2 * half
     z, spectrum, draw = getattr(_DRAW_BUFFERS, "last", (np.empty(0), None, None))
     if z.size != 2 * size:
+        _keep_heap_warm()
         # imag[0] and imag[half] of the spectrum are never written and stay 0
         spectrum = np.zeros(half + 1, dtype=complex)
         z, draw = np.empty(2 * size), np.empty(size)

@@ -481,6 +481,26 @@ def test_bad_input_exits_2_with_one_line(config_file, tmp_path, capsys, command,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command", ["simulate", "estimate", "mc-consistency", "mc-clt", "coupling"]
+)
+def test_tiny_alpha_stationary_start_exits_2_before_drawing(
+    config_file, tmp_path, capsys, command
+):
+    """At alpha = 1e-9 the burn-in is 1.8e10 periods; the draw used to end in
+    a numpy MemoryError traceback for a 64 TiB request."""
+    config = base_config()
+    config["model"].update(alpha=1e-9, n_periods=2)
+    config["coupling"]["alphas"] = [1e-9]
+    out = tmp_path / "o"
+    assert main([command, "--config", config_file(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "InvalidInput" in err and "fGn increments" in err
+    assert "model.alpha" in err and "model.n_periods" in err and "model.step_denominator" in err
+    assert not out.exists()
+
+
 def _alternating_path_csv(target):
     """m = 4, n = 2, x_k = (-1)^k, db = 0.1: the naive alpha_hat is 8, so
     the plug-in alpha_hat * step is 2."""
@@ -611,3 +631,9 @@ def test_cli_import_limits_and_csv_estimate_load_no_scipy(
         argv += [arg for item in overrides for arg in ("--set", item)]
         code += f"\nassert perifou.cli.main({argv!r}) == 0"
     assert _modules_loaded_by(code, "scipy") == "[]"
+
+
+def test_cli_import_loads_no_multiprocessing():
+    """Only a study's process pool needs concurrent.futures and with it
+    multiprocessing, about 18 ms of a fresh import."""
+    assert _modules_loaded_by("import sys, perifou.cli", "multiprocessing") == "[]"

@@ -19,7 +19,7 @@ from perifou.estimator import (
     normal_matrix_inverse,
 )
 from perifou.fgn import fgn_autocovariance, substream_seed
-from perifou.model import SamplePath
+from perifou.model import SamplePath, fold_periods, period_grid
 
 
 def sine_basis():
@@ -448,3 +448,32 @@ def test_report_dictionary_shape():
     assert len(report["lambda_n"]) == 2
     assert report["gamma_n"] > 0
     assert report["n_periods"] == 5
+
+
+@pytest.mark.parametrize("m", [16, 256])
+def test_design_and_response_from_cached_basis_are_bit_identical(m):
+    """build_design and estimate read the cached period values of the basis;
+    every sum equals the one over a fresh basis.evaluate bit for bit."""
+    specs = [{"kind": "const"}] + [
+        {"kind": kind, "k": k} for k in (1, 2, 3) for kind in ("sin", "cos")
+    ]
+    mu = (1.0, -0.5, 2.0, 0.0, 0.25, -1.5, 0.75)
+    model = FouModel(hurst=0.65, alpha=1.0, mu=mu, sigma=0.5, basis=BasisSet.from_specs(specs))
+    step, n = 1.0 / m, 6
+    path = simulate_path(model, n, step, seed=m, stationary_start=True)
+    phi = model.basis.evaluate(period_grid(step))
+    x_left, dx, db = path.x[:-1], np.diff(path.x), path.driver_increments
+
+    design = build_design(path)
+    np.testing.assert_array_equal(design.gram, (n * step) * (phi @ phi.T))
+    np.testing.assert_array_equal(design.cross, step * (phi @ fold_periods(x_left, m)))
+
+    result = estimate(path, mode="naive_pathwise")
+    alpha_entry = -float(np.einsum("i,i", x_left, dx))
+    np.testing.assert_array_equal(
+        result.response, np.append(phi @ fold_periods(dx, m), alpha_entry)
+    )
+    noise_alpha_entry = -float(np.einsum("i,i", x_left, db))
+    np.testing.assert_array_equal(
+        result.noise_vector, np.append(phi @ fold_periods(db, m), noise_alpha_entry)
+    )

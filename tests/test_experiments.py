@@ -1,11 +1,17 @@
 """Monte Carlo harness: determinism, aggregation integrity, study behavior."""
 
+import ctypes
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import perifou
 from perifou import (
     BasisSet,
     FouModel,
@@ -294,3 +300,76 @@ def test_moments_match_scipy_stats():
         np.testing.assert_allclose(skew_values, skew(sample, axis=0), rtol=1e-12, atol=0)
         np.testing.assert_allclose(excess_values, kurtosis(sample, axis=0), rtol=1e-12, atol=0)
     assert np.all(_skewness_and_excess_kurtosis(samples[1])[0] > 1.0)
+
+
+# ------------------------------------------------------------ warm heap
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+needs_mallopt = pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+
+# Run in a fresh interpreter: a large transient freed earlier in the same
+# process raises glibc's dynamic thresholds and would hide a trimmed heap.
+_FAULTS_PREAMBLE = """
+import resource
+from functools import partial
+from perifou import BasisSet, FouModel, McConfig, run_clt
+from perifou.experiments import _run_replicate
+basis = BasisSet.from_specs([{"kind": "sin", "k": 1}, {"kind": "cos", "k": 1}])
+model = FouModel(hurst=0.65, alpha=1.0, mu=(1.0, 2.0), sigma=0.5, basis=basis)
+def faults(who):
+    return resource.getrusage(who).ru_minflt
+"""
+
+
+def _fresh_interpreter_prints(code: str) -> int:
+    src = str(Path(perifou.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PREAMBLE + code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return int(proc.stdout.split()[-1])
+
+
+@needs_mallopt
+def test_warm_replicates_fault_no_heap_back_in():
+    """At n = 200 the draw's embedding is M = 2^17; with glibc trimming its
+    heap after every draw each replicate faulted ~480 pages back in."""
+    code = """
+run = partial(_run_replicate, model, 1 / 256, "oracle_divergence", 5)
+for r in range(3):
+    run((200, r))
+before = faults(resource.RUSAGE_SELF)
+for r in range(3, 23):
+    run((200, r))
+print(faults(resource.RUSAGE_SELF) - before)
+"""
+    assert _fresh_interpreter_prints(code) <= 5 * 20
+
+
+@needs_mallopt
+def test_pool_workers_inherit_the_warm_heap():
+    """The workers of an mc-clt study fork after the parent's first replicate
+    and inherit its heap settings.  Forty more replicates add a few faults in
+    the workers, not the ~480 apiece of a trimmed heap; the difference of two
+    studies cancels what forking and starting the pool cost."""
+    code = """
+def child_faults(replicates):
+    config = McConfig(model=model, n_list=(200,), replicates=replicates, step=1 / 256,
+                      mode="oracle_divergence", master_seed=2024, workers=2)
+    before = faults(resource.RUSAGE_CHILDREN)
+    run_clt(config)
+    return faults(resource.RUSAGE_CHILDREN) - before
+print(child_faults(60) - child_faults(20))
+"""
+    assert _fresh_interpreter_prints(code) <= 50 * 40

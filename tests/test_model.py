@@ -17,15 +17,19 @@ from perifou import (
     PartialPeriod,
     simulate_path,
 )
+from perifou import model as model_module
 from perifou.cli import main
 from perifou.model import (
     _CSV_BLOCK_ROWS,
     BasisFunction,
     SamplePath,
+    _euler,
     coupling_gap,
     first_order_recursion,
     mean_function,
     path_from_increments,
+    period_basis,
+    period_grid,
     read_sample_path_csv,
     steady_mean,
     write_sample_path_csv,
@@ -173,6 +177,58 @@ def test_initial_value_fixed_vs_burned_in():
     burned = simulate_path(model, 2, 1 / 64, seed=9, stationary_start=True)
     assert burned.stationary_start
     assert abs(burned.x[0] - 3.0) > 0.01  # transient forgotten
+
+
+def test_tiny_alpha_stationary_start_is_refused_before_drawing():
+    """alpha = 1e-9 burns in 1.8e10 periods; the draw was a 64 TiB request."""
+    model = FouModel(hurst=0.7, alpha=1e-9, mu=(1.0,), sigma=0.5, basis=sine_basis())
+    with pytest.raises(InvalidInput) as caught:
+        simulate_path(model, 2, 1 / 256, seed=0, stationary_start=True)
+    message = str(caught.value)
+    for name in ("model.alpha", "model.n_periods", "model.step_denominator", "4.716e+12"):
+        assert name in message
+
+
+def test_path_increment_cap_counts_burn_in(monkeypatch):
+    """The cap holds the kept and the burn-in increments together."""
+    monkeypatch.setattr(model_module, "MAX_PATH_INCREMENTS", 64 * 24)
+    model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
+    assert simulate_path(model, 24, 1 / 64, seed=0).n_periods == 24
+    assert simulate_path(model, 5, 1 / 64, seed=0, stationary_start=True).n_periods == 5
+    with pytest.raises(InvalidInput, match="fGn increments"):
+        simulate_path(model, 25, 1 / 64, seed=0)
+    with pytest.raises(InvalidInput, match="19 burn-in periods"):
+        simulate_path(model, 6, 1 / 64, seed=0, stationary_start=True)
+
+
+def p7_model():
+    """Constant plus sin/cos at k = 1, 2, 3; one zero amplitude."""
+    specs = [{"kind": "const"}] + [
+        {"kind": kind, "k": k} for k in (1, 2, 3) for kind in ("sin", "cos")
+    ]
+    mu = (1.0, -0.5, 2.0, 0.0, 0.25, -1.5, 0.75)
+    return FouModel(hurst=0.65, alpha=1.0, mu=mu, sigma=0.5, basis=BasisSet.from_specs(specs))
+
+
+def test_period_basis_is_cached_and_read_only():
+    model = p7_model()
+    values = period_basis(model.basis, 1 / 16)
+    assert period_basis(p7_model().basis, 1 / 16) is values
+    np.testing.assert_array_equal(values, model.basis.evaluate(period_grid(1 / 16)))
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("m", [16, 256])
+def test_euler_forcing_from_cached_basis_is_bit_identical(m):
+    """The forcing sums the cached basis rows in mean_function's order."""
+    model, step = p7_model(), 1.0 / m
+    increments = np.random.default_rng(m).standard_normal(5 * m + 3)
+    forcing = np.tile(mean_function(model, period_grid(step)), 6)[: increments.size]
+    drive = forcing * step + model.sigma * increments
+    expected = np.concatenate(([0.3], first_order_recursion(drive, 1.0 - step, 0.3)))
+    np.testing.assert_array_equal(_euler(model, increments, 0.3, step), expected)
 
 
 def test_euler_error_halves_with_step():
