@@ -25,14 +25,16 @@ integrands repeat every period, so the N x N fGn covariance of the n*m
 grid points enters only folded onto one period: an m x m Toeplitz kernel
 whose lag function sums the fGn covariance over the n periods.
 
-Everything here is deterministic.  h~ enters through its exact
-trigonometric coefficients, and the weak |t-s|^{2H-2} singularity of the
-limit integrals is absorbed exactly with Gauss-Jacobi weights, built here
-from numpy alone by the Golub-Welsch construction.
+Everything here is deterministic and exact: no quadrature.  The basis
+and h~ are sums of const/sin/cos terms with known coefficients, hence of
+exponentials e^{2 pi i k t}, and the long-memory integral of two
+exponentials reduces to incomplete gamma functions at an imaginary
+argument.  Sigma_0 therefore costs the same at every frequency k.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -46,7 +48,6 @@ from perifou.model import (
     first_order_recursion,
     period_basis,
     steady_euler_orbit,
-    steady_mean,
     steady_mean_terms,
 )
 
@@ -54,18 +55,8 @@ from perifou.model import (
 # matrices remain computable for H up to 1.
 CLT_HURST_UPPER = 0.75
 
-# Highest sin/cos frequency k at which Sigma_0's 48 x 64-node Gauss-Jacobi x
-# Gauss-Legendre quadrature holds: against a 200 x 400-node evaluation of the
-# same integrals (H in {0.55, 0.65, 0.74}) its relative error is <= 1.1e-9 for
-# k <= 15, 1.4-2.0e-7 at k = 16 and 0.15-0.31 at k = 20.
-MAX_LIMIT_FREQUENCY = 15
-
 # The geometric memory a^j of the Euler noise is cut where it drops below this.
 _EULER_MEMORY_FORGETTING = 1e-17
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_UNIT_NODES = 0.5 * (_GL_NODES + 1.0)
-_UNIT_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -99,67 +90,6 @@ class LimitSummary:
             },
             "sigma0_minus_c_inverse_frobenius": self.c_inverse_gap,
         }
-
-
-def _gauss_jacobi(count: int, beta: float) -> tuple:
-    """Nodes (ascending) and weights of the count-point Gauss rule on [-1, 1]
-    for the weight (1 + x)^beta, -1 < beta < 0: the Jacobi weight with
-    exponents (0, beta).
-
-    Golub-Welsch (Golub & Welsch, Math. Comp. 23, 1969): the nodes are the
-    eigenvalues of the symmetric tridiagonal Jacobi matrix of the
-    orthonormal polynomials p_0..p_{count-1}, whose recurrence is
-    x p_j = b_j p_{j-1} + a_j p_j + b_{j+1} p_{j+1}.  The weight of node x is
-    its Christoffel number 1 / sum_j p_j(x)^2, from the same recurrence.
-    """
-    j = np.arange(count, dtype=float)
-    s = 2.0 * j + beta
-    a = beta * beta / (s * (s + 2.0))
-    b = np.zeros(count)
-    b[1:] = 2.0 * j[1:] * (j[1:] + beta) / (s[1:] * np.sqrt((s[1:] + 1.0) * (s[1:] - 1.0)))
-    # eigvalsh reads only the lower triangle
-    nodes = np.linalg.eigvalsh(np.diag(a) + np.diag(b[1:], -1))
-    previous = np.zeros(count)
-    current = np.full(count, math.sqrt((beta + 1.0) / 2.0 ** (beta + 1.0)))
-    total = current * current
-    for i in range(count - 1):
-        previous, current = current, ((nodes - a[i]) * current - b[i] * previous) / b[i + 1]
-        total += current * current
-    return nodes, 1.0 / total
-
-
-def _long_memory_gram(evaluate, hurst: float) -> np.ndarray:
-    """Gram matrix of integrands f_1..f_K under the long-memory inner product
-    <f, g>_H = H(2H-1) * int_0^1 int_0^1 f(s) g(t) |t-s|^{2H-2} ds dt.
-
-    ``evaluate(t)`` returns the stacked values (f_1(t), ..., f_K(t)), of
-    shape (K,) + shape(t); the integrands must be bounded on [0, 1].
-    Splitting the square along the diagonal and substituting u = t - s
-    reduces each entry to int_0^1 u^{2H-2} F(u) du with the smooth
-    symmetrized correlation
-
-        F(u) = int_0^{1-u} ( f(s) g(s+u) + g(s) f(s+u) ) ds.
-
-    The u integral is the 48-point Golub-Welsch Gauss-Jacobi rule of
-    :func:`_gauss_jacobi` with weight exponent 2H-2 (exact for the singular
-    factor); F is Gauss-Legendre on the shrinking interval.  Every entry
-    shares these nodes, so each integrand is evaluated once at s and once at
-    s + u, and with M_ij = sum w f_i(s) f_j(s+u) the Gram matrix is M + M^t.
-    """
-    if not 0.5 < hurst < 1.0:
-        raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
-    a = 2.0 * hurst - 2.0
-    xj, wj = _gauss_jacobi(48, a)
-    u = 0.5 * (xj + 1.0)
-    length = (1.0 - u)[:, None]
-    s = length * _UNIT_NODES[None, :]
-    weights = (hurst * (2.0 * hurst - 1.0) * 2.0 ** (-a - 1.0)) * (
-        wj[:, None] * length * _UNIT_WEIGHTS[None, :]
-    )
-    at_s = evaluate(s).reshape(-1, s.size)
-    at_shifted = evaluate(s + u[:, None]).reshape(-1, s.size)
-    cross = (at_s * weights.ravel()) @ at_shifted.T
-    return cross + cross.T
 
 
 def _steady_projection(model: FouModel, var: float) -> tuple:
@@ -202,28 +132,80 @@ def stationary_variance(alpha: float, sigma: float, hurst: float) -> float:
     return sigma**2 * alpha ** (-2.0 * hurst) * hurst * math.gamma(2.0 * hurst)
 
 
+def _unit_moment(a: float, k: int) -> complex:
+    """J_a(2 pi k) = int_0^1 u^{a-1} e^{2 pi i k u} du for a > 0, k >= 0.
+
+    With z = -2 pi i k, J_a = z^{-a} (Gamma(a) - Gamma(a, z)), and as
+    e^{-z} = 1, z^{-a} Gamma(a, z) is the continued fraction of Numerical
+    Recipes' ``gcf`` (Lentz's method): within 40 terms at |z| >= 2 pi."""
+    if k == 0:
+        return complex(1.0 / a)
+    theta = 2.0 * math.pi * k
+    b = complex(1.0 - a, -theta)
+    c, d = 1e300, 1.0 / b
+    fraction = d
+    for i in range(1, 100):
+        b += 2.0
+        d = 1.0 / (i * (a - i) * d + b)
+        c = b + i * (a - i) / c
+        fraction *= c * d
+        if abs(c * d - 1.0) <= 1e-16:
+            break
+    return cmath.rect(math.gamma(a) * theta**-a, 0.5 * math.pi * a) - fraction
+
+
+def _exponentials(terms) -> dict:
+    """{j: c_j} with sum_j c_j e^{2 pi i j t} = sum_f w_f f(t) over the
+    (BasisFunction f, weight w_f) pairs of ``terms``:
+    sqrt2 sin x = (-i e^{ix} + i e^{-ix}) / sqrt2, sqrt2 cos x = (e^{ix} + e^{-ix}) / sqrt2."""
+    out = {}
+    for f, w in terms:
+        c = w if f.kind == "const" else w * math.sqrt(0.5) * (-1j if f.kind == "sin" else 1.0)
+        out[f.k] = out.get(f.k, 0.0) + c
+        if f.k:
+            out[-f.k] = out.get(-f.k, 0.0) + c.conjugate()
+    return out
+
+
 def noise_covariance_limit(model: FouModel) -> np.ndarray:
     """Sigma_0: Gram matrix of (phi_1, ..., phi_p, -h~) under the long-memory
-    inner product, from one pass of :func:`_long_memory_gram`.
+    inner product, in closed form.
 
-    This is the limit covariance of the scaled noise vector n^{-H} R_n only
-    when every integrand is constant; in general only the period means
-    survive the n^{-H} scaling (see the module docstring), and
-    :func:`finite_horizon_noise_cov` gives the exact covariance at a
-    finite horizon.  Raises InvalidInput for a basis frequency above
-    MAX_LIMIT_FREQUENCY, where the quadrature no longer resolves it.
+    The basis and h~ (:func:`steady_mean_terms`) are const/sin/cos sums, so
+    with A their coefficients on the distinct exponentials e_j(t) =
+    e^{2 pi i j t} present (at most 2p + 1, whatever the frequencies),
+    Sigma_0 = A G A^T for the bilinear pair integrals G_jl = <e_j, e_l>_H.
+    Splitting the square along the diagonal and substituting u = |t - s|
+    leaves the moments J_a of :func:`_unit_moment`: with beta = 2H - 1,
+    angular frequencies omega, nu in 2 pi Z and e^{i(omega + nu)} = 1,
+
+        G / (H beta) = -2 (Im J_beta(omega) + Im J_beta(nu)) / (omega + nu),
+                       or 2 Re(J_beta(omega) - J_{beta+1}(omega)) if omega + nu = 0.
+
+    J is evaluated once per distinct |j| and exponent, and
+    <1, 1>_H = Var(B^H_1) is set to exactly 1.  Only for constant integrands
+    is this the limit of Cov(n^{-H} R_n) (see the module docstring).
     """
-    top = max(f.k for f in model.basis.functions)
-    if top > MAX_LIMIT_FREQUENCY:
-        raise InvalidInput(
-            f"model.basis frequency k = {top} exceeds {MAX_LIMIT_FREQUENCY}, "
-            "the largest the limit quadrature resolves"
-        )
-
-    def integrands(t):
-        return np.concatenate([model.basis.evaluate(t), -steady_mean(model, t)[None]])
-
-    return _long_memory_gram(integrands, model.hurst)
+    hurst, beta = model.hurst, 2.0 * model.hurst - 1.0
+    if not 0.5 < hurst < 1.0:
+        raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
+    rows = [_exponentials([(f, 1.0)]) for f in model.basis.functions]
+    rows.append(_exponentials((f, -w) for f, w in steady_mean_terms(model).items()))
+    freqs = sorted(set().union(*rows))
+    size = [abs(j) for j in freqs]
+    moments = {k: (_unit_moment(beta, k), _unit_moment(beta + 1.0, k)) for k in set(size)}
+    imag = np.sign(freqs) * np.array([moments[k][0].imag for k in size])
+    opposite = np.array([2.0 * (moments[k][0] - moments[k][1]).real for k in size])
+    total = np.add.outer(freqs, freqs)
+    same = total == 0
+    pair = hurst * beta * np.where(
+        same, opposite, -(imag[:, None] + imag) / (math.pi * np.where(same, 1, total))
+    )
+    if 0 in freqs:
+        pair[freqs.index(0), freqs.index(0)] = 1.0
+    coefficients = np.array([[row.get(j, 0.0) for j in freqs] for row in rows])
+    gram = (coefficients @ pair @ coefficients.T).real
+    return 0.5 * (gram + gram.T)  # the triple product rounds the two triangles apart
 
 
 def quadratic_noise_variance(hurst: float, step: float, alpha: float, n_steps: int) -> float:

@@ -72,6 +72,8 @@ class EstimateResult:
     mode: str
     noise_vector: np.ndarray | None
     correction: float
+    correction_alpha: float | None = None  # None in naive_pathwise mode
+    correction_alpha_source: str | None = None
 
     @property
     def mu_hat(self) -> np.ndarray:
@@ -92,6 +94,8 @@ class EstimateResult:
             "degenerate": False,
             "n_periods": self.design.n_periods,
             "correction": float(self.correction),
+            "correction_alpha": self.correction_alpha,
+            "correction_alpha_source": self.correction_alpha_source,
         }
 
 
@@ -237,9 +241,10 @@ def estimate(
     In ``oracle_divergence`` mode the quadratic response entry is shifted
     by sigma^2 times the Skorokhod trace term, evaluated at
     ``alpha_for_correction`` when given (verification runs with known
-    truth) and otherwise at the naive alpha_hat from a first pass; either
-    must satisfy 0 < alpha*step < 1, or InvalidInput is raised.  theta_hat
-    needs no driver, so either mode runs on an observed path alone.  The
+    truth) and otherwise at the naive alpha_hat from a first pass ("given"
+    or "plug-in", as the result records); either must give a decay
+    0 < 1 - alpha*step < 1 in double precision, or InvalidInput is raised.
+    theta_hat needs no driver, so either mode runs on an observed path alone.  The
     noise vector R with P = Q theta + sigma R is returned whenever driver
     increments are available (None otherwise), assembled under the same
     integral convention as the mode, which makes
@@ -258,16 +263,18 @@ def estimate(
     response = np.append(phi @ fold_periods(dx, m), -float(np.einsum("i,i", x_left, dx)))
     inverse = normal_matrix_inverse(design)
 
-    correction = 0.0
+    correction, source = 0.0, None
     if mode == "oracle_divergence":
         if sigma is None:
             sigma = model.sigma
-        source = "alpha_for_correction"
+        source = "given" if alpha_for_correction is not None else "plug-in"
         if alpha_for_correction is None:
-            source = "plug-in alpha_hat (set estimate.alpha_for_correction to override)"
             alpha_for_correction = max(float((inverse @ response)[-1]), _PLUG_IN_FLOOR)
-        if not 0.0 < alpha_for_correction * path.step < 1.0:
-            raise InvalidInput(f"{source} {alpha_for_correction!r} breaks 0 < alpha*step < 1")
+        if not 0.0 < 1.0 - alpha_for_correction * path.step < 1.0:  # as rounded
+            raise InvalidInput(
+                f"{source} alpha_for_correction {alpha_for_correction!r} breaks "
+                "0 < 1 - alpha*step < 1; set estimate.alpha_for_correction to override"
+            )
         correction = discrete_trace_correction(
             alpha_for_correction,
             model.hurst,
@@ -293,4 +300,6 @@ def estimate(
         mode=mode,
         noise_vector=noise_vector,
         correction=correction,
+        correction_alpha=float(alpha_for_correction) if source else None,
+        correction_alpha_source=source,
     )

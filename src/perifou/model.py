@@ -21,6 +21,9 @@ from perifou.fgn import FgnSpec, generate_fgn_circulant
 
 _SQRT2 = math.sqrt(2.0)
 
+# Beyond 2^53 a double no longer holds every integer k, so sin 2 pi k t is noise.
+_MAX_FREQUENCY = 1 << 53
+
 # Burn-in length for stationary starts: e^{-alpha * periods} < this.
 BURN_IN_FORGETTING = 1e-8
 
@@ -44,8 +47,8 @@ class BasisFunction:
             raise InvalidInput(f"unknown basis kind {self.kind!r}")
         if self.kind == "const" and self.k != 0:
             raise InvalidInput("constant basis function takes no frequency")
-        if self.kind in ("sin", "cos") and self.k < 1:
-            raise InvalidInput(f"{self.kind} basis function needs k >= 1")
+        if self.kind in ("sin", "cos") and not 1 <= self.k <= _MAX_FREQUENCY:
+            raise InvalidInput(f"{self.kind} basis function needs 1 <= k <= 2^53, got {self.k}")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -190,19 +193,14 @@ def fold_periods(values: np.ndarray, m: int) -> np.ndarray:
     return values.reshape(values.shape[:-1] + (-1, m)).sum(axis=-2)
 
 
-def _series(terms, t):
-    """sum c f(t) over (BasisFunction f, coefficient c) pairs; a float for scalar t."""
+def mean_function(model: FouModel, t):
+    """Periodic mean L(t) = sum_i mu_i phi_i(t); a float for scalar t."""
     t = np.asarray(t, dtype=float)
     total = np.zeros_like(t)
-    for f, coeff in terms:
-        if coeff != 0.0:
-            total = total + coeff * f(t)
+    for f, mu in zip(model.basis.functions, model.mu):
+        if mu != 0.0:
+            total = total + mu * f(t)
     return float(total) if t.ndim == 0 else total
-
-
-def mean_function(model: FouModel, t):
-    """Periodic mean L(t) = sum_i mu_i phi_i(t)."""
-    return _series(zip(model.basis.functions, model.mu), t)
 
 
 def _check_step(step: float) -> int:
@@ -355,15 +353,9 @@ def steady_mean_terms(model: FouModel) -> dict:
     return terms
 
 
-def steady_mean(model: FouModel, t):
-    """1-periodic steady solution h~(t) of h' = L - alpha h, summed exactly
-    from :func:`steady_mean_terms`."""
-    return _series(steady_mean_terms(model).items(), t)
-
-
 def steady_euler_orbit(model: FouModel, step: float) -> np.ndarray:
     """One period x_0..x_{m-1} of the noiseless Euler chain's periodic orbit,
-    the grid analogue of :func:`steady_mean`.
+    the grid analogue of the steady mean h~ (:func:`steady_mean_terms`).
 
     From rest the chain reaches x_m = sum_j a^{m-1-j} L(t_j) step after one
     period (a = 1 - alpha*step); the periodic orbit starts at

@@ -1,27 +1,38 @@
 """Limit matrices and the weakly singular pair integral."""
 
+import contextlib
+import io
+import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import singular_pair_integral
+from oracles import (
+    gauss_jacobi,
+    quadrature_noise_covariance,
+    singular_pair_integral,
+    steady_mean,
+)
 from perifou import BasisSet, FouModel, estimate, limit_summary, simulate_path
 from perifou.asymptotics import (
-    _gauss_jacobi,
     finite_horizon_covariance,
     finite_horizon_noise_cov,
     noise_covariance_limit,
     quadratic_noise_variance,
     stationary_variance,
 )
-from perifou.errors import InvalidInput
+from perifou.cli import main
 from perifou.estimator import build_design
 from perifou.fgn import fgn_autocovariance, fgn_covariance, substream_seed
-from perifou.model import period_grid, steady_euler_orbit, steady_mean
+from perifou.model import period_grid, steady_euler_orbit
 
 SQRT2 = math.sqrt(2.0)
 
@@ -119,12 +130,13 @@ def test_noise_covariance_is_the_pairwise_gram_of_basis_and_steady_mean():
     assert np.array_equal(sigma0, sigma0.T)
     functions = list(basis.functions) + [lambda t: -steady_mean(model, t)]
     pairwise = [[singular_pair_integral(f, g, model.hurst) for g in functions] for f in functions]
-    np.testing.assert_allclose(sigma0, pairwise, rtol=1e-13, atol=1e-15)
+    # closed form against quadrature: 1.6e-13 apart, on entries of order one
+    np.testing.assert_allclose(sigma0, pairwise, rtol=0, atol=1e-12)
 
 
 def _fine_long_memory_gram(model, jacobi_nodes=200, legendre_nodes=400):
-    """Sigma_0 by the same Gauss-Jacobi x Gauss-Legendre scheme as the
-    package, on a 200 x 400 grid in place of 48 x 64."""
+    """Sigma_0 by the Gauss-Jacobi x Gauss-Legendre scheme of
+    ``oracles.long_memory_gram``, on a 200 x 400 grid in place of 48 x 64."""
     hurst = model.hurst
     a = 2 * hurst - 2
     xj, wj = scipy.special.roots_jacobi(jacobi_nodes, 0.0, a)
@@ -144,10 +156,10 @@ def _fine_long_memory_gram(model, jacobi_nodes=200, legendre_nodes=400):
 
 @pytest.mark.parametrize("hurst", [0.55, 0.65, 0.74, 0.95])
 def test_gauss_jacobi_rule_is_exact_to_degree_95_and_matches_scipy_nodes(hurst):
-    """The 48-point rule for (1+x)^{2H-2} integrates (1+x)^k exactly for
-    k <= 2*48 - 1, whose exact integral over [-1, 1] is 2^{k+b+1}/(k+b+1)."""
+    """The oracle's 48-point rule for (1+x)^{2H-2} integrates (1+x)^k exactly
+    for k <= 2*48 - 1, whose exact integral over [-1, 1] is 2^{k+b+1}/(k+b+1)."""
     b = 2 * hurst - 2
-    nodes, weights = _gauss_jacobi(48, b)
+    nodes, weights = gauss_jacobi(48, b)
     for k in range(96):
         exact = 2.0 ** (k + b + 1) / (k + b + 1)
         assert abs(np.dot(weights, (1 + nodes) ** k) - exact) <= 1e-12 * exact
@@ -156,16 +168,84 @@ def test_gauss_jacobi_rule_is_exact_to_degree_95_and_matches_scipy_nodes(hurst):
 
 
 @pytest.mark.parametrize("hurst", [0.55, 0.65, 0.74])
-def test_noise_covariance_resolves_frequency_15_and_refuses_16(hurst):
-    def model(k):
-        basis = BasisSet.from_specs([{"kind": "sin", "k": k}, {"kind": "cos", "k": k}])
-        return FouModel(hurst=hurst, alpha=1.0, mu=(1.0, 2.0), sigma=0.5, basis=basis)
+def test_noise_covariance_matches_quadrature_at_every_frequency(hurst):
+    """The closed form against the oracle's 48 x 64-node quadrature where
+    that resolves the frequency (k <= 15), and against a 200 x 400-node one
+    beyond it: each gap within 1e-9 of the largest entry."""
 
-    fine = _fine_long_memory_gram(model(15))
-    gap = np.abs(noise_covariance_limit(model(15)) - fine).max()
-    assert gap <= 1e-8 * np.abs(fine).max()
-    with pytest.raises(InvalidInput, match="model.basis.*15"):
-        noise_covariance_limit(model(16))
+    def model(k):
+        specs = [{"kind": "const"}, {"kind": "sin", "k": k}, {"kind": "cos", "k": k}]
+        basis = BasisSet.from_specs(specs)
+        return FouModel(hurst=hurst, alpha=1.0, mu=(0.5, 1.0, 2.0), sigma=0.5, basis=basis)
+
+    cases = [(k, quadrature_noise_covariance) for k in (1, 2, 7, 15)]
+    for k, reference in cases + [(16, _fine_long_memory_gram), (40, _fine_long_memory_gram)]:
+        expected = reference(model(k))
+        gap = np.abs(noise_covariance_limit(model(k)) - expected).max()
+        assert gap <= 1e-9 * np.abs(expected).max(), f"k={k}: gap {gap:.2e}"
+
+
+@pytest.mark.parametrize("hurst", [0.55, 0.74, 0.95])
+def test_noise_covariance_at_high_frequency_follows_the_spectral_law(hurst):
+    """<sqrt2 sin k, sqrt2 sin k>_H -> Gamma(2H+1) sin(pi H) (2 pi k)^{1-2H}
+    as k grows: the fGn spectral density near 0 against the sine's line at
+    2 pi k.  At k = 10^6 the next term is about 1/(2 pi k) relative."""
+    k = 10**6
+    basis = BasisSet.from_specs([{"kind": "sin", "k": k}])
+    model = FouModel(hurst=hurst, alpha=1.0, mu=(1.0,), sigma=0.5, basis=basis)
+    law = math.gamma(2 * hurst + 1) * math.sin(math.pi * hurst)
+    law *= (2 * math.pi * k) ** (1 - 2 * hurst)
+    assert noise_covariance_limit(model)[0, 0] == pytest.approx(law, rel=1e-5, abs=0)
+
+
+def _numbers(node):
+    if isinstance(node, dict):
+        return [v for item in node.values() for v in _numbers(item)]
+    if isinstance(node, list):
+        return [v for item in node for v in _numbers(item)]
+    return [node] if isinstance(node, float) else []
+
+
+_TERMS = st.one_of(
+    st.just({"kind": "const"}),
+    st.builds(
+        lambda kind, k: {"kind": kind, "k": k},
+        st.sampled_from(["sin", "cos"]),
+        st.integers(1, 10**9),
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    hurst=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+    log_alpha=st.floats(-300.0, 300.0),
+    sigma=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    basis=st.lists(_TERMS, min_size=1, max_size=7, unique_by=lambda t: (t["kind"], t.get("k"))),
+    data=st.data(),
+)
+def test_limits_on_any_valid_model_is_finite_or_refused(hurst, log_alpha, sigma, basis, data):
+    """limits either writes a limits.json whose every number is finite and
+    whose Sigma_0 is symmetric, or exits 2 with one stderr line; at no
+    basis frequency does it refuse for the frequency alone."""
+    mu = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(basis), max_size=len(basis)))
+    model = {"hurst": hurst, "alpha": 10.0**log_alpha, "mu": mu, "sigma": sigma, "basis": basis}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({"model": model}))
+        out = Path(tmp) / "o"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            status = main(["limits", "--config", str(config), "--out", str(out)])
+        if status == 2:
+            assert len(err.getvalue().strip().splitlines()) == 1
+            assert not out.exists()
+            return
+        assert status == 0, err.getvalue()
+        report = json.loads((out / "limits.json").read_text())
+    assert all(math.isfinite(v) for v in _numbers(report))
+    sigma0 = np.array(report["Sigma0"])
+    assert np.array_equal(sigma0, sigma0.T)
 
 
 def test_pair_integral_rejects_bad_hurst():
@@ -250,8 +330,6 @@ def test_precision_positive_for_random_models():
 
 
 def test_bessel_inequality():
-    from perifou.model import steady_mean
-
     rng = np.random.default_rng(12)
     basis = BasisSet.from_specs([{"kind": "sin", "k": 1}, {"kind": "cos", "k": 2}])
     nodes, weights = np.polynomial.legendre.leggauss(128)

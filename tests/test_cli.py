@@ -345,22 +345,18 @@ def test_high_frequency_basis_simulates_and_estimates(config_file, tmp_path, com
         assert all(math.isfinite(v) for v in report["theta_hat"])
 
 
+@pytest.mark.parametrize("k", [16, 40])
 @pytest.mark.parametrize("command", ["limits", "mc-clt"])
-def test_limit_objects_refuse_frequency_16_before_simulating(
-    config_file, tmp_path, capsys, monkeypatch, command
-):
-    def no_replicate(*args):
-        raise AssertionError("a replicate was simulated")
-
-    monkeypatch.setattr(experiments, "_run_replicate", no_replicate)
-    cfg = config_file(base_config())
+def test_limit_objects_take_frequencies_above_15(config_file, tmp_path, command, k):
+    """Sigma_0 is in closed form, so the limit objects exist at any basis
+    frequency; a quadrature used to refuse every k >= 16."""
+    config = base_config()
+    config["model"].update(basis=json.loads(_pair_at(k)), step_denominator=256)
+    config["clt"].update(n=4, replicates=12)
     out = tmp_path / "o"
-    argv = [command, "--config", cfg, "--out", str(out), "--set", f"model.basis={_pair_at(16)}"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
-    assert "model.basis" in err and "15" in err
-    assert not out.exists()
+    assert main([command, "--config", config_file(config), "--out", str(out)]) in (0, 1)
+    name = "limits.json" if command == "limits" else "clt_report.json"
+    assert (out / name).exists()
 
 
 def test_coupling_command(config_file, tmp_path):
@@ -435,6 +431,44 @@ def test_unstable_alpha_step_exits_2(config_file, tmp_path, capsys, command, ove
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["1e-17", "1e-300"])
+def test_correction_alpha_that_rounds_the_decay_to_1_exits_2(tmp_path, capsys, alpha):
+    """Below about 5.6e-17 / step, a = 1 - alpha*step rounds to 1 although
+    0 < alpha*step < 1 holds; the trace correction used to end in a
+    ValueError traceback with exit 1."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"
+    out = tmp_path / "o"
+    argv = ["estimate", "--config", str(config), "--out", str(out)]
+    assert main(argv + ["--set", f"estimate.alpha_for_correction={alpha}"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "InvalidInput" in err and "alpha_for_correction" in err
+    assert not (out / "estimate.json").exists()
+
+
+@pytest.mark.parametrize(
+    "mode, override, alpha, source",
+    [
+        ("oracle_divergence", "estimate.alpha_for_correction=1.5", 1.5, "given"),
+        ("oracle_divergence", None, None, "plug-in"),
+        ("naive_pathwise", None, None, None),
+    ],
+)
+def test_estimate_records_the_correction_alpha_and_its_source(
+    config_file, tmp_path, mode, override, alpha, source
+):
+    config = base_config()
+    config["estimate"]["mode"] = mode
+    argv = ["estimate", "--config", config_file(config), "--out", str(tmp_path)]
+    assert main(argv + (["--set", override] if override else [])) == 0
+    report = json.loads((tmp_path / "estimate.json").read_text())
+    assert report["correction_alpha_source"] == source
+    if source == "plug-in":
+        assert report["correction_alpha"] > 0.0 and report["correction"] > 0.0
+    else:
+        assert report["correction_alpha"] == alpha
+
+
 # Path files that do not parse: a cell, the header, a row with one field.
 _BAD_PATH_FILES = {
     "bad_cell": "t,x,db\n0,abc,0.1\n",
@@ -460,6 +494,12 @@ _BAD_PATH_FILES = {
         ("simulate", "model.seed=-1"),
         ("simulate", "model.seed=1.9"),
         ("simulate", 'model.basis=[{"kind": "sin", "k": 1.7}, {"kind": "cos", "k": 1}]'),
+        ("limits", 'model.basis=[{"kind": "sin", "k": 9007199254740993}, {"kind": "cos", "k": 1}]'),
+        pytest.param(
+            "limits",
+            'model.basis=[{"kind": "cos", "k": 1' + "0" * 400 + '}, {"kind": "sin", "k": 1}]',
+            id="limits-k-beyond-double",
+        ),
         ("simulate", 'model.stationary_start="no"'),
         ("estimate", "estimate.alpha_for_correction=true"),
         ("estimate", "estimate.path_csv=5"),
@@ -631,6 +671,18 @@ def test_cli_import_limits_and_csv_estimate_load_no_scipy(
         argv += [arg for item in overrides for arg in ("--set", item)]
         code += f"\nassert perifou.cli.main({argv!r}) == 0"
     assert _modules_loaded_by(code, "scipy") == "[]"
+
+
+@pytest.mark.parametrize("command", [None, "limits"], ids=["import", "limits"])
+def test_cli_import_and_limits_load_no_numpy_polynomial(config_file, tmp_path, command):
+    """Sigma_0 is in closed form, so nothing builds a Gauss-Legendre table:
+    numpy.polynomial and a 64-node leggauss took about half of the import
+    of perifou.asymptotics."""
+    code = "import sys, perifou.cli"
+    if command is not None:
+        argv = [command, "--config", config_file(base_config()), "--out", str(tmp_path / "o")]
+        code += f"\nassert perifou.cli.main({argv!r}) == 0"
+    assert _modules_loaded_by(code, "numpy.polynomial") == "[]"
 
 
 def test_cli_import_loads_no_multiprocessing():

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import write_sample_path_csv_rows, zero_start_mean
+from oracles import steady_mean, write_sample_path_csv_rows, zero_start_mean
 from perifou import (
     BasisSet,
     FouModel,
@@ -31,7 +31,6 @@ from perifou.model import (
     period_basis,
     period_grid,
     read_sample_path_csv,
-    steady_mean,
     write_sample_path_csv,
 )
 
