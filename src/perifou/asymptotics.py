@@ -98,12 +98,19 @@ def _steady_projection(model: FouModel, var: float) -> tuple:
     given the stationary variance ``var``.  The basis is orthonormal, so
     Lambda_i is the coefficient of phi_i and the residual is var plus the
     squared coefficients outside the basis: exact, with no cancellation.
-    Raises InvalidInput when it is 0 (sigma = 0 and h~ in the basis span)."""
+    Raises InvalidInput when it is 0: sigma = 0 and h~ in the basis span, or
+    a stationary variance that underflows."""
     terms = steady_mean_terms(model)
     lam = np.array([terms.get(f, 0.0) for f in model.basis.functions])
     outside = sum(c * c for f, c in terms.items() if f not in model.basis.functions)
     residual = var + outside
     _require_finite(model, lam, residual)
+    if residual == 0.0 and model.sigma > 0.0:
+        raise InvalidInput(
+            "limit residual variance is 0: the stationary variance "
+            f"sigma^2 alpha^(-2H) H Gamma(2H) underflows at model.alpha = {model.alpha:g} "
+            f"and model.sigma = {model.sigma:g}, so gamma would overflow"
+        )
     if residual == 0.0:
         raise InvalidInput(
             f"limit residual variance is 0: with model.sigma = {model.sigma} the "

@@ -137,11 +137,13 @@ def _map_jobs(config: McConfig, jobs) -> list:
     # The first job runs before the fork, so the workers inherit what it
     # loads and sets up (scipy.signal, the sampler's cached weights, glibc's
     # heap thresholds and a warm heap, the cached period values of the
-    # basis) instead of each doing it again.
+    # basis) instead of each doing it again.  The pool forks all of its
+    # workers up front, so it gets no more of them than there are jobs left.
     first = job_fn(jobs[0])
     rest = jobs[1:]
-    chunk = max(1, len(rest) // (config.workers * 8))
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, len(rest))
+    chunk = max(1, len(rest) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return [first] + list(pool.map(job_fn, rest, chunksize=chunk))
 
 

@@ -256,6 +256,18 @@ def first_order_recursion(drive: np.ndarray, a: float, y0: float = 0.0) -> np.nd
     return lfilter([1.0], [1.0, -a], drive, zi=[a * y0])[0]
 
 
+def euler_decay(alpha: float, step: float, alpha_key: str = "model.alpha") -> float:
+    """The Euler recursion's decay a = 1 - alpha*step; InvalidStep naming
+    ``alpha_key`` and model.step_denominator unless a > 0."""
+    a = 1.0 - alpha * step
+    if not a > 0.0:
+        raise InvalidStep(
+            f"Euler recursion needs alpha*step < 1, got {alpha_key} = {alpha:g} "
+            f"at step 1/{round(1.0 / step)} (model.step_denominator)"
+        )
+    return a
+
+
 def _euler(model: FouModel, increments: np.ndarray, x0: float, step: float) -> np.ndarray:
     """Run x_{k+1} = x_k + (L(t_k) - alpha x_k) step + sigma dB_k.
 
@@ -263,9 +275,7 @@ def _euler(model: FouModel, increments: np.ndarray, x0: float, step: float) -> n
     because they span whole periods.  Evaluated as a linear recursion in C.
     The recursion is stable only for alpha * step < 1.
     """
-    a = 1.0 - model.alpha * step
-    if not a > 0.0:
-        raise InvalidStep(f"Euler recursion needs alpha*step < 1, got {model.alpha * step}")
+    a = euler_decay(model.alpha, step)
     n_steps = increments.size
     period_mean = _period_mean(model, step)
     forcing = np.tile(period_mean, n_steps // period_mean.size + 1)[:n_steps]

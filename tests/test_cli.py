@@ -1,5 +1,6 @@
 """Command-line driver: config handling, artifacts, round trips."""
 
+import argparse
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import perifou
 from perifou import experiments
-from perifou.cli import _REQUIRED, _SCHEMA, load_config, main
+from perifou.cli import _COMMANDS, _REQUIRED, _SCHEMA, load_config, main
 from perifou.errors import ConfigError
 
 
@@ -291,7 +292,24 @@ def test_limits_at_zero_sigma_with_steady_mean_in_span_exits_2(tmp_path, capsys)
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "model.sigma" in err and "model.basis" in err
+    assert "steady mean lies in the span of model.basis" in err and "underflow" not in err
     assert not out.exists()
+
+
+def test_limits_whose_stationary_variance_underflows_exit_2(tmp_path, capsys):
+    """At alpha = 1e300 sigma^2 alpha^(-2H) H Gamma(2H) underflows to 0 with
+    sigma = 0.5, so the residual is 0 although sigma is not (1e200 exits 0)."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"
+    out = tmp_path / "lim"
+    argv = ["limits", "--config", str(config), "--out", str(out), "--set"]
+    assert main(argv + ["model.alpha=1e300"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "stationary variance" in err and "underflows" in err
+    assert "model.alpha = 1e+300" in err and "model.sigma = 0.5" in err
+    assert "span" not in err
+    assert not out.exists()
+    assert main(argv + ["model.alpha=1e200"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -395,11 +413,50 @@ def test_workers_flag_overrides_config(config_file, tmp_path):
     assert a == b
 
 
-def test_workers_flag_only_on_study_commands(config_file, tmp_path):
+@pytest.mark.parametrize("command", ["simulate", "estimate", "limits", "coupling"])
+def test_workers_flag_only_on_study_commands(config_file, tmp_path, capsys, command):
     cfg = config_file(base_config())
     with pytest.raises(SystemExit) as exc:
-        main(["limits", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "2"])
+        main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "2"])
     assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["nosuch", "--config", "cfg.json"], ["limits", "--out", "o"]],
+    ids=["empty", "unknown-command", "no-config"],
+)
+def test_parser_refusals_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: perifou" in capsys.readouterr().err
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert all(name in text for name in _COMMANDS) and len(_COMMANDS) == 6
+
+
+def test_one_main_call_builds_one_parser(config_file, tmp_path, monkeypatch):
+    """A subparser per command cost each call about 1 ms in building seven
+    ArgumentParsers; the flat parser is one, built per call, not at import."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    argv = ["limits", "--config", config_file(base_config()), "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    assert built == ["perifou"]
 
 
 def test_estimate_degenerate_path_reported(config_file, tmp_path):
@@ -429,6 +486,26 @@ def test_unstable_alpha_step_exits_2(config_file, tmp_path, capsys, command, ove
     out = str(tmp_path / "o")
     assert main([command, "--config", cfg, "--out", out, "--set", override]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, override, alpha_key",
+    [
+        ("estimate", "model.step_denominator=1", "model.alpha = 1 "),
+        ("coupling", "coupling.alphas=[0.5,300]", "coupling.alphas[1] = 300 "),
+    ],
+)
+def test_euler_step_refusal_names_its_keys(
+    config_file, tmp_path, capsys, command, override, alpha_key
+):
+    out = tmp_path / "o"
+    argv = [command, "--config", config_file(base_config()), "--out", str(out), "--set", override]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert alpha_key in err and "model.step_denominator" in err
+    assert command == "estimate" or "model.alpha" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("alpha", ["1e-17", "1e-300"])
@@ -683,6 +760,20 @@ def test_cli_import_and_limits_load_no_numpy_polynomial(config_file, tmp_path, c
         argv = [command, "--config", config_file(base_config()), "--out", str(tmp_path / "o")]
         code += f"\nassert perifou.cli.main({argv!r}) == 0"
     assert _modules_loaded_by(code, "numpy.polynomial") == "[]"
+
+
+def test_module_entry_point_prints_help():
+    """``python -m perifou.cli`` runs the console entry point."""
+    src = str(Path(perifou.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "perifou.cli", "--help"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert all(name in proc.stdout for name in _COMMANDS)
 
 
 def test_cli_import_loads_no_multiprocessing():

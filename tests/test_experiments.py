@@ -92,6 +92,27 @@ def test_worker_count_does_not_change_results():
     assert serial.aggregates == parallel.aggregates
 
 
+def test_pool_gets_no_more_workers_than_jobs_left(monkeypatch, tmp_path):
+    """The fork-context pool starts all ``max_workers`` processes up front,
+    so two replicates at workers=6 must fork one process, not six."""
+    import concurrent.futures
+
+    sizes = []
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    serial = run_consistency(small_config(n_list=(2,), replicates=2, workers=1))
+    pooled = run_consistency(small_config(n_list=(2,), replicates=2, workers=6))
+    assert sizes == [1]
+    write_replicates_csv(serial, tmp_path / "serial.csv")
+    write_replicates_csv(pooled, tmp_path / "pooled.csv")
+    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+
+
 def test_replicate_seeds_depend_only_on_master_n_r():
     report = run_consistency(small_config())
     other = run_consistency(small_config(n_list=(8, 16)))
