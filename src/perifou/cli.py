@@ -21,7 +21,7 @@ from dataclasses import replace as dc_replace
 from pathlib import Path
 
 from perifou.asymptotics import CLT_HURST_UPPER, limit_summary
-from perifou.errors import ConfigError, DegenerateDesign, PerifouError
+from perifou.errors import ConfigError, DegenerateDesign, InvalidInput, PerifouError
 from perifou.estimator import estimate
 from perifou.experiments import (
     COUPLING_GAP_FLOOR,
@@ -255,15 +255,18 @@ def _mc_config(config: dict, args, section_name: str) -> McConfig:
     section = config[section_name]
     if section is None:
         raise ConfigError(f"config needs a '{section_name}' section")
-    return McConfig(
-        model=model,
-        n_list=section["n_list"] if section_name == "consistency" else (section["n"],),
-        replicates=section["replicates"],
-        step=1.0 / config["model"]["step_denominator"],
-        mode=section["mode"],
-        master_seed=section["master_seed"],
-        workers=args.workers or section["workers"],
-    )
+    try:
+        return McConfig(
+            model=model,
+            n_list=section["n_list"] if section_name == "consistency" else (section["n"],),
+            replicates=section["replicates"],
+            step=1.0 / config["model"]["step_denominator"],
+            mode=section["mode"],
+            master_seed=section["master_seed"],
+            workers=args.workers or section["workers"],
+        )
+    except InvalidInput as exc:  # McConfig's messages start with the field name
+        raise ConfigError(f"{section_name}.{exc}") from exc
 
 
 def _cmd_mc_consistency(config: dict, args) -> int:
@@ -290,8 +293,9 @@ def _cmd_mc_clt(config: dict, args) -> int:
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"mc-clt: {verdict} (n={mc.n_list[0]}, R={mc.replicates}, "
-        f"mu-block rel Frobenius finite-horizon={report.finite_horizon_mu_rel_frobenius:.3f}, "
-        f"limit={report.mu_block_rel_frobenius:.3f}, "
+        "mu-block rel Frobenius "
+        f"finite-horizon={report.clt['finite_horizon_mu_rel_frobenius']:.3f}, "
+        f"limit={report.clt['mu_block_rel_frobenius']:.3f}, "
         f"{report.wall_clock:.1f}s)"
     )
     return 0 if report.passed else 1
@@ -304,8 +308,10 @@ def _cmd_coupling(config: dict, args) -> int:
     gap0 = section["gap0"]
     master_seed = section["master_seed"]
     step = 1.0 / config["model"]["step_denominator"]
-    for i, alpha in enumerate(section["alphas"] or []):
-        euler_decay(alpha, step, f"coupling.alphas[{i}]")  # refuse before any run
+    for i, alpha in enumerate(section["alphas"] or []):  # refuse before any run
+        if not alpha > 0.0:
+            raise ConfigError(f"coupling.alphas[{i}] must be positive, got {alpha:g}")
+        euler_decay(alpha, step, f"coupling.alphas[{i}]")
     reports = [
         run_coupling(dc_replace(model, alpha=alpha), horizon, step, master_seed, gap0)
         for alpha in section["alphas"] or [model.alpha]
@@ -377,6 +383,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.workers is not None and not args.command.startswith("mc-"):
         parser.error(f"--workers applies to mc-consistency and mc-clt only, not {args.command}")
+    if args.workers is not None and args.workers < 0:
+        parser.error(f"--workers must be >= 0 (0: the config value), got {args.workers}")
     try:
         config = load_config(args.config, args.overrides)
         return _COMMANDS[args.command](config, args)

@@ -14,7 +14,8 @@ class FactorizationFailure(PerifouError):
 
 
 class InvalidStep(PerifouError):
-    """Simulation step does not divide the unit period exactly."""
+    """Simulation step does not divide the unit period exactly, or
+    alpha * step >= 1 makes the Euler recursion unstable."""
 
 
 class GridMismatch(PerifouError):

@@ -78,35 +78,19 @@ class ReplicateResult:
 
 @dataclass
 class ExperimentReport:
-    """Per-replicate estimates plus deterministic aggregates.
+    """Per-replicate estimates plus deterministic aggregates of one study.
 
-    ``wall_clock`` is informational only and is never serialized, so
-    artifacts are byte-identical across repeated runs.
-    """
+    ``clt`` holds :func:`run_clt`'s statistics, JSON-ready under their
+    ``clt_report.json`` keys and in file order, and is None for consistency.
+    ``wall_clock`` is never serialized, so artifacts are byte-identical
+    across repeated runs."""
 
-    kind: str
-    theta: tuple
-    hurst: float
-    n_list: tuple
-    replicates: int
-    step: float
-    mode: str
-    master_seed: int
+    config: McConfig
     rows: list
     aggregates: dict
     passed: bool
+    clt: dict | None = None
     wall_clock: float = 0.0
-    scaled_cov: np.ndarray | None = None
-    reference_cov: np.ndarray | None = None
-    mu_block_rel_frobenius: float | None = None
-    full_rel_frobenius: float | None = None
-    finite_horizon_cov: np.ndarray | None = None
-    finite_horizon_mu_rel_frobenius: float | None = None
-    skewness: list | None = None
-    excess_kurtosis: list | None = None
-    ecdf_distance: list | None = None
-    noise_scaled_var: list | None = None
-    degenerate_limit: bool | None = None
 
 
 def _run_replicate(model: FouModel, step: float, mode: str, master_seed: int, job):
@@ -212,18 +196,10 @@ def run_consistency(config: McConfig) -> ExperimentReport:
     jobs = [(n, r) for n in config.n_list for r in range(config.replicates)]
     rows = _map_jobs(config, jobs)
     rows.sort(key=lambda row: (row.n, row.replicate))
-    theta = config.model.theta
-    aggregates = aggregate_rows(theta, rows)
+    aggregates = aggregate_rows(config.model.theta, rows)
     passed = _consistency_passed(aggregates, config.n_list)
     return ExperimentReport(
-        kind="consistency",
-        theta=tuple(float(v) for v in theta),
-        hurst=config.model.hurst,
-        n_list=config.n_list,
-        replicates=config.replicates,
-        step=config.step,
-        mode=config.mode,
-        master_seed=config.master_seed,
+        config=config,
         rows=rows,
         aggregates=aggregates,
         passed=passed,
@@ -310,55 +286,46 @@ def run_clt(config: McConfig) -> ExperimentReport:
         gap = np.linalg.norm(scaled_cov[:p, :p] - mu_target) / np.linalg.norm(mu_target)
         return float(gap)
 
-    mu_frob = mu_block_gap(reference)
     finite_frob = mu_block_gap(finite)
     full_frob = None
     if not summary.degenerate_limit:
         full_frob = float(np.linalg.norm(scaled_cov - reference) / np.linalg.norm(reference))
 
     skew_values, excess_values = _skewness_and_excess_kurtosis(scaled)
-    skewness = [float(v) for v in skew_values]
+    skew = [float(v) for v in skew_values]
     excess = [float(v) for v in excess_values]
-    sds = scaled.std(axis=0, ddof=1)
-    means = scaled.mean(axis=0)
-    ecdf = [
-        _ecdf_distance((scaled[:, c] - means[c]) / sds[c]) for c in range(scaled.shape[1])
-    ]
+    standardized = (scaled - scaled.mean(axis=0)) / scaled.std(axis=0, ddof=1)
 
     noise_var = None
     if all(row.noise_vector is not None for row in kept):
         noise = np.array([row.noise_vector for row in kept])
         noise_var = [float(v) for v in (n ** (-hurst) * noise).var(axis=0, ddof=1)]
 
+    clt = {
+        "scaled_error_covariance": scaled_cov.tolist(),
+        "reference_covariance": reference.tolist(),
+        "mu_block_rel_frobenius": mu_block_gap(reference),
+        "full_rel_frobenius": full_frob,
+        "finite_horizon_covariance": finite.tolist(),
+        "finite_horizon_mu_rel_frobenius": finite_frob,
+        "skewness": skew,
+        "excess_kurtosis": excess,
+        "ecdf_distance": [_ecdf_distance(column) for column in standardized.T],
+        "noise_scaled_variance": noise_var,
+        "degenerate_limit": summary.degenerate_limit,
+    }
     passed = (
         finite_frob <= CLT_FROBENIUS_TOL
-        and max(abs(v) for v in skewness) <= CLT_SKEWNESS_TOL
+        and max(abs(v) for v in skew) <= CLT_SKEWNESS_TOL
         and max(abs(v) for v in excess) <= CLT_KURTOSIS_TOL
     )
     return ExperimentReport(
-        kind="clt",
-        theta=tuple(float(v) for v in theta),
-        hurst=hurst,
-        n_list=config.n_list,
-        replicates=config.replicates,
-        step=config.step,
-        mode=config.mode,
-        master_seed=config.master_seed,
+        config=config,
         rows=rows,
         aggregates=aggregates,
         passed=passed,
+        clt=clt,
         wall_clock=time.perf_counter() - start,
-        scaled_cov=scaled_cov,
-        reference_cov=reference,
-        mu_block_rel_frobenius=mu_frob,
-        full_rel_frobenius=full_frob,
-        finite_horizon_cov=finite,
-        finite_horizon_mu_rel_frobenius=finite_frob,
-        skewness=skewness,
-        excess_kurtosis=excess,
-        ecdf_distance=ecdf,
-        noise_scaled_var=noise_var,
-        degenerate_limit=summary.degenerate_limit,
     )
 
 
@@ -462,7 +429,7 @@ def wiener_variance_study(
 
 def write_replicates_csv(report: ExperimentReport, filename) -> None:
     """Per-replicate table: n,replicate,seed,mu_hat_1..mu_hat_p,alpha_hat,degenerate."""
-    p = len(report.theta) - 1
+    p = report.config.model.p
     mu_cols = ",".join(f"mu_hat_{i + 1}" for i in range(p))
     with open(filename, "w", encoding="utf-8") as handle:
         handle.write(f"n,replicate,seed,{mu_cols},alpha_hat,degenerate\n")
@@ -480,31 +447,20 @@ def write_replicates_csv(report: ExperimentReport, filename) -> None:
 
 def report_to_dict(report: ExperimentReport) -> dict:
     """JSON-ready aggregate report; volatile fields (wall clock) excluded."""
+    config = report.config
     out = {
-        "kind": report.kind,
-        "theta": list(report.theta),
-        "hurst": report.hurst,
-        "n_list": list(report.n_list),
-        "replicates": report.replicates,
-        "step": report.step,
-        "mode": report.mode,
-        "master_seed": report.master_seed,
+        "kind": "consistency" if report.clt is None else "clt",
+        "theta": [float(v) for v in config.model.theta],
+        "hurst": config.model.hurst,
+        "n_list": list(config.n_list),
+        "replicates": config.replicates,
+        "step": config.step,
+        "mode": config.mode,
+        "master_seed": config.master_seed,
         "aggregates": {str(n): agg for n, agg in report.aggregates.items()},
         "passed": bool(report.passed),
     }
-    if report.kind == "clt":
-        out["scaled_error_covariance"] = report.scaled_cov.tolist()
-        out["reference_covariance"] = report.reference_cov.tolist()
-        out["mu_block_rel_frobenius"] = report.mu_block_rel_frobenius
-        out["full_rel_frobenius"] = report.full_rel_frobenius
-        out["finite_horizon_covariance"] = report.finite_horizon_cov.tolist()
-        out["finite_horizon_mu_rel_frobenius"] = report.finite_horizon_mu_rel_frobenius
-        out["skewness"] = report.skewness
-        out["excess_kurtosis"] = report.excess_kurtosis
-        out["ecdf_distance"] = report.ecdf_distance
-        out["noise_scaled_variance"] = report.noise_scaled_var
-        out["degenerate_limit"] = report.degenerate_limit
-    return out
+    return out if report.clt is None else {**out, **report.clt}
 
 
 def write_qq_csv(report: ExperimentReport, filename) -> None:
@@ -519,14 +475,14 @@ def write_qq_csv(report: ExperimentReport, filename) -> None:
     """
     from scipy.special import ndtri
 
-    if report.kind != "clt":
+    if report.clt is None:
         raise ValueError("QQ data is produced by the clt study")
-    theta = np.asarray(report.theta)
-    n = report.n_list[0]
+    model = report.config.model
+    n = report.config.n_list[0]
     kept = [row for row in report.rows if not row.degenerate]
     estimates = np.array([row.theta_hat for row in kept])
-    scaled = n ** (1.0 - report.hurst) * (estimates - theta)
-    sds = np.sqrt(np.diag(report.finite_horizon_cov))
+    scaled = n ** (1.0 - model.hurst) * (estimates - model.theta)
+    sds = np.sqrt(np.diag(report.clt["finite_horizon_covariance"]))
     count = scaled.shape[0]
     quantiles = (np.arange(1, count + 1) - 0.5) / count
     normal_q = ndtri(quantiles)

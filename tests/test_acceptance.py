@@ -280,19 +280,24 @@ def test_criterion_05_consistency(consistency_study):
 
 def test_criterion_06_clt_covariance_and_moments(clt_study):
     report, _, elapsed = clt_study
-    frob = report.finite_horizon_mu_rel_frobenius
-    max_skew = max(abs(v) for v in report.skewness)
-    max_kurt = max(abs(v) for v in report.excess_kurtosis)
+    clt = report.clt
+    frob = clt["finite_horizon_mu_rel_frobenius"]
+    max_skew = max(abs(v) for v in clt["skewness"])
+    max_kurt = max(abs(v) for v in clt["excess_kurtosis"])
     frob_ok = frob <= 0.25
     moments_ok = max_skew <= 0.3 and max_kurt <= 0.5
     ok = frob_ok and moments_ok and elapsed <= 1200.0
+
+    def mu_diag(cov):
+        return np.array2string(np.diag(cov)[:2], precision=3)
+
     detail = (
         f"mu-block rel Frobenius {frob:.3f} vs finite-horizon covariance (<= 0.25: {frob_ok}), "
-        f"{report.mu_block_rel_frobenius:.3f} vs sigma^2 C Sigma0 C, "
+        f"{clt['mu_block_rel_frobenius']:.3f} vs sigma^2 C Sigma0 C, "
         f"max |skew| {max_skew:.3f}, max |ex-kurt| {max_kurt:.3f}, "
-        f"empirical mu-diag {np.array2string(np.diag(report.scaled_cov)[:2], precision=3)} vs "
-        f"finite-horizon {np.array2string(np.diag(report.finite_horizon_cov)[:2], precision=3)} "
-        f"and limit {np.array2string(np.diag(report.reference_cov)[:2], precision=3)}, "
+        f"empirical mu-diag {mu_diag(clt['scaled_error_covariance'])} vs "
+        f"finite-horizon {mu_diag(clt['finite_horizon_covariance'])} "
+        f"and limit {mu_diag(clt['reference_covariance'])}, "
         f"{elapsed:.0f}s on {WORKERS} workers"
     )
     _verdict(6, "scaled-error law vs finite-horizon covariance", ok, detail)

@@ -1,11 +1,14 @@
-"""What code outside the package relies on: the README quick start and the
-names the benchmark harness in perfbench/ imports and traces."""
+"""What code outside the package relies on: the README quick start, the
+README's account of clt_report.json, and the names the benchmark harness
+in perfbench/ imports and traces."""
 
 import importlib
 import importlib.util
 import re
 import sys
 from pathlib import Path
+
+from perifou import BasisSet, FouModel, McConfig, run_clt
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,3 +47,17 @@ def test_perfbench_traced_targets_resolve(monkeypatch):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == ["asymptotics.singular_pair_integral"]
+
+
+def test_readme_documents_every_clt_report_key():
+    """clt_report.json gains keys as the study grows; each must be named
+    in README.md, in backticks, where the artifacts are described."""
+    basis = BasisSet.from_specs([{"kind": "sin", "k": 1}])
+    model = FouModel(hurst=0.65, alpha=1.0, mu=(1.0,), sigma=0.5, basis=basis)
+    config = McConfig(
+        model=model, n_list=(2,), replicates=4, step=1 / 16,
+        mode="oracle_divergence", master_seed=1,
+    )
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [key for key in run_clt(config).clt if f"`{key}`" not in readme]
+    assert missing == []

@@ -508,6 +508,36 @@ def test_euler_step_refusal_names_its_keys(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["mc-clt", "--set", "clt.replicates=1"], "clt.replicates"),
+        (["mc-clt", "--set", "clt.mode=foo"], "clt.mode"),
+        (["mc-clt", "--set", "clt.workers=0"], "clt.workers"),
+        (["mc-consistency", "--set", "consistency.n_list=[10,5]"], "consistency.n_list"),
+        (["mc-clt", "--workers", "-3"], "--workers"),
+        (["coupling", "--set", "coupling.alphas=[1,-2]"], "coupling.alphas[1]"),
+        (["coupling", "--set", "coupling.alphas=[0]"], "coupling.alphas[0]"),
+    ],
+    ids=["replicates", "mode", "workers", "n_list", "workers-flag", "alpha-neg", "alpha-0"],
+)
+def test_range_refusal_names_its_key(config_file, tmp_path, capsys, argv, key):
+    """McConfig names only its field, and FouModel only alpha: the CLI
+    names the config key.  A negative --workers is refused by the parser,
+    after its usage lines."""
+    out = tmp_path / "o"
+    argv = argv + ["--config", config_file(base_config()), "--out", str(out)]
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    assert status == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+    assert len(errors) == 1 and f"{key} must be" in errors[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", ["1e-17", "1e-300"])
 def test_correction_alpha_that_rounds_the_decay_to_1_exits_2(tmp_path, capsys, alpha):
     """Below about 5.6e-17 / step, a = 1 - alpha*step rounds to 1 although

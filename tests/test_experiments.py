@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +130,7 @@ def test_aggregates_recomputable_from_csv(tmp_path):
     target = tmp_path / "reps.csv"
     write_replicates_csv(report, target)
     rows = read_replicates_csv(target)
-    recomputed = aggregate_rows(np.asarray(report.theta), rows)
+    recomputed = aggregate_rows(report.config.model.theta, rows)
     assert recomputed == report.aggregates
 
 
@@ -187,22 +188,32 @@ def test_clt_requires_single_horizon():
 def test_clt_report_fields_and_qq(tmp_path):
     config = small_config(n_list=(6,), replicates=40)
     report = run_clt(config)
-    assert report.scaled_cov.shape == (3, 3)
-    assert np.max(np.abs(report.scaled_cov - report.scaled_cov.T)) == 0.0
-    assert np.linalg.eigvalsh(report.scaled_cov).min() >= -1e-10
-    assert report.reference_cov.shape == (3, 3)
-    assert report.mu_block_rel_frobenius >= 0.0
-    assert report.finite_horizon_cov.shape == (3, 3)
-    assert np.all(np.diag(report.finite_horizon_cov) > 0.0)
-    assert report.finite_horizon_mu_rel_frobenius >= 0.0
+    clt = report.clt
+    scaled_cov = np.asarray(clt["scaled_error_covariance"])
+    assert scaled_cov.shape == (3, 3)
+    assert np.max(np.abs(scaled_cov - scaled_cov.T)) == 0.0
+    assert np.linalg.eigvalsh(scaled_cov).min() >= -1e-10
+    assert np.shape(clt["reference_covariance"]) == (3, 3)
+    assert clt["mu_block_rel_frobenius"] >= 0.0
+    assert np.shape(clt["finite_horizon_covariance"]) == (3, 3)
+    assert np.all(np.diag(clt["finite_horizon_covariance"]) > 0.0)
+    assert clt["finite_horizon_mu_rel_frobenius"] >= 0.0
     payload = report_to_dict(report)
-    assert payload["finite_horizon_covariance"] == report.finite_horizon_cov.tolist()
-    assert payload["finite_horizon_mu_rel_frobenius"] == report.finite_horizon_mu_rel_frobenius
-    assert len(report.skewness) == 3
-    assert len(report.excess_kurtosis) == 3
-    assert len(report.ecdf_distance) == 3
-    assert all(0.0 <= d <= 1.0 for d in report.ecdf_distance)
-    assert report.noise_scaled_var is not None
+    assert list(payload) == [
+        "kind", "theta", "hurst", "n_list", "replicates", "step", "mode", "master_seed",
+        "aggregates", "passed",
+        "scaled_error_covariance", "reference_covariance", "mu_block_rel_frobenius",
+        "full_rel_frobenius", "finite_horizon_covariance", "finite_horizon_mu_rel_frobenius",
+        "skewness", "excess_kurtosis", "ecdf_distance", "noise_scaled_variance",
+        "degenerate_limit",
+    ]
+    assert payload["kind"] == "clt" and payload["n_list"] == [6]
+    assert all(payload[key] == value for key, value in clt.items())
+    assert len(clt["skewness"]) == 3
+    assert len(clt["excess_kurtosis"]) == 3
+    assert len(clt["ecdf_distance"]) == 3
+    assert all(0.0 <= d <= 1.0 for d in clt["ecdf_distance"])
+    assert clt["noise_scaled_variance"] is not None
     target = tmp_path / "qq.csv"
     write_qq_csv(report, target)
     lines = target.read_text().strip().splitlines()
@@ -222,9 +233,9 @@ def test_clt_constant_basis_mu_variance_matches_reference():
         model=model, n_list=(200,), replicates=250, step=1 / 64,
         mode="oracle_divergence", master_seed=31,
     )
-    report = run_clt(config)
-    emp = report.scaled_cov[0, 0]
-    ref = report.reference_cov[0, 0]
+    clt = run_clt(config).clt
+    emp = clt["scaled_error_covariance"][0][0]
+    ref = clt["reference_covariance"][0][0]
     assert ref == pytest.approx(model.sigma**2, rel=1e-6)
     assert abs(emp / ref - 1.0) <= 0.3
 
@@ -237,14 +248,22 @@ def test_clt_sine_basis_mu_variance_decays_below_reference():
         model=model, n_list=(100,), replicates=150, step=1 / 64,
         mode="oracle_divergence", master_seed=77,
     )
-    report = run_clt(config)
-    assert report.scaled_cov[0, 0] <= 0.5 * report.reference_cov[0, 0]
+    clt = run_clt(config).clt
+    assert clt["scaled_error_covariance"][0][0] <= 0.5 * clt["reference_covariance"][0][0]
 
 
 def test_report_dict_excludes_wall_clock():
     report = run_consistency(small_config())
     payload = report_to_dict(report)
     assert "wall_clock" not in json.dumps(payload)
+    assert [field.name for field in fields(report)] == [
+        "config", "rows", "aggregates", "passed", "clt", "wall_clock"
+    ]
+    assert report.clt is None
+    assert list(payload) == [
+        "kind", "theta", "hurst", "n_list", "replicates", "step", "mode", "master_seed",
+        "aggregates", "passed",
+    ]
     assert payload["kind"] == "consistency"
     assert set(payload["aggregates"]) == {"4", "8"}
 
