@@ -37,6 +37,7 @@ from perifou.experiments import (
 from perifou.model import (
     BasisSet,
     FouModel,
+    burn_in_periods,
     euler_decay,
     read_sample_path_csv,
     simulate_path,
@@ -309,9 +310,11 @@ def _cmd_coupling(config: dict, args) -> int:
     master_seed = section["master_seed"]
     step = 1.0 / config["model"]["step_denominator"]
     for i, alpha in enumerate(section["alphas"] or []):  # refuse before any run
+        key = f"coupling.alphas[{i}]"
         if not alpha > 0.0:
-            raise ConfigError(f"coupling.alphas[{i}] must be positive, got {alpha:g}")
-        euler_decay(alpha, step, f"coupling.alphas[{i}]")
+            raise ConfigError(f"{key} must be positive, got {alpha:g}")
+        euler_decay(alpha, step, key)
+        burn_in_periods(alpha, horizon, config["model"]["step_denominator"], True, key)
     reports = [
         run_coupling(dc_replace(model, alpha=alpha), horizon, step, master_seed, gap0)
         for alpha in section["alphas"] or [model.alpha]

@@ -31,8 +31,11 @@ from perifou.model import SamplePath, fold_periods, period_basis
 
 MODES = ("naive_pathwise", "oracle_divergence")
 
-# Below this residual variance the data carry no information about alpha.
-DEGENERACY_THRESHOLD = 1e-12
+# Below this share of the path's mean square the residual variance is
+# rounding, and the data carry no information about alpha.  The share is
+# scale-free, as alpha_hat is; noiseless paths in the basis span reach
+# 2.5e-12 at 60 000 increments, so 1e-10 leaves margin up to the 2^24 cap.
+DEGENERACY_THRESHOLD = 1e-10
 
 # Largest entry of gram/n - I a basis may show on its grid; valid bases sit
 # at rounding level (<= 1.4e-15), an aliased frequency at order one.
@@ -48,36 +51,27 @@ class DesignStats:
     """Path functionals entering the normal equations.
 
     gram      (p, p)  integral phi_i phi_j dt over [0, n]
-    cross     (p,)    integral phi_i X dt
-    energy    float   integral X^2 dt
-    loadings  (p,)    cross / n
-    precision float   1 / (energy/n - |loadings|^2), the reciprocal
-                      residual variance of X after projecting on the basis
+    loadings  (p,)    (1/n) integral phi_i X dt
+    residual  float   (1/n) integral X^2 dt - |loadings|^2, the residual
+                      variance of X after projecting on the basis
     n_periods int
     """
 
     gram: np.ndarray
-    cross: np.ndarray
-    energy: float
     loadings: np.ndarray
-    precision: float
+    residual: float
     n_periods: int
 
 
 @dataclass(frozen=True)
 class EstimateResult:
     theta_hat: np.ndarray
-    response: np.ndarray
     design: DesignStats
     mode: str
     noise_vector: np.ndarray | None
     correction: float
     correction_alpha: float | None = None  # None in naive_pathwise mode
     correction_alpha_source: str | None = None
-
-    @property
-    def mu_hat(self) -> np.ndarray:
-        return self.theta_hat[:-1]
 
     @property
     def alpha_hat(self) -> float:
@@ -87,10 +81,10 @@ class EstimateResult:
         return {
             "mode": self.mode,
             "theta_hat": [float(v) for v in self.theta_hat],
-            "mu_hat": [float(v) for v in self.mu_hat],
+            "mu_hat": [float(v) for v in self.theta_hat[:-1]],
             "alpha_hat": self.alpha_hat,
             "lambda_n": [float(v) for v in self.design.loadings],
-            "gamma_n": float(self.design.precision),
+            "gamma_n": 1.0 / self.design.residual,
             "degenerate": False,
             "n_periods": self.design.n_periods,
             "correction": float(self.correction),
@@ -107,43 +101,36 @@ def build_design(path: SamplePath) -> DesignStats:
     from the samples rather than assumed to be n * I_p, so its deviation
     from the identity is a genuine discretization diagnostic.  A path whose
     residual variance after projection on the basis is numerically zero
-    (e.g. a constant path against the constant basis) gets an infinite
-    ``precision``; :func:`normal_matrix_inverse` rejects it.
+    (e.g. a constant path against the constant basis) is rejected by
+    :func:`normal_matrix_inverse`, not here.
     """
     n = path.n_periods
     step = path.step
     x_left = path.x[:-1]
     phi = period_basis(path.model.basis, path.step)
     gram = (n * step) * (phi @ phi.T)
-    cross = step * (phi @ fold_periods(x_left, path.steps_per_period))
+    loadings = step * (phi @ fold_periods(x_left, path.steps_per_period)) / n
     # Over the N = n*m grid points np.dot is a BLAS ddot, which OpenBLAS
     # spreads over every core; in a process pool those threads contend with
     # the other workers, so the N-length reductions of this module use
     # einsum's single-threaded loop.
     energy = step * float(np.einsum("i,i", x_left, x_left))
-    loadings = cross / n
     residual = energy / n - float(np.dot(loadings, loadings))
-    return DesignStats(
-        gram=gram,
-        cross=cross,
-        energy=energy,
-        loadings=loadings,
-        precision=1.0 / residual if residual > DEGENERACY_THRESHOLD else math.inf,
-        n_periods=n,
-    )
+    return DesignStats(gram=gram, loadings=loadings, residual=residual, n_periods=n)
 
 
 def normal_matrix_inverse(design: DesignStats) -> np.ndarray:
     """Closed-form inverse of the normal matrix.
 
     Q^{-1} = (1/n) [[I_p + g L L^t, g L], [g L^t, g]] with loadings L and
-    precision g, by block (Schur) inversion of [[I, -L], [-L^t, b/n]];
+    g = 1/residual, by block (Schur) inversion of [[I, -L], [-L^t, b/n]];
     valid because the basis Gram block equals n * I_p up to discretization
     error.  Note the positive off-diagonal blocks: the two minus signs of
     Q cancel there.  Raises InvalidInput when the Gram block departs from
     n * I_p by more than ALIASING_TOLERANCE (a frequency the grid cannot
     carry, e.g. sin 2 pi 8 t on t = j/16), and DegenerateDesign when the
-    residual variance is at most DEGENERACY_THRESHOLD.
+    residual variance is at most DEGENERACY_THRESHOLD times the path's
+    mean square b/n = residual + |L|^2.
     """
     aliasing = np.abs(design.gram / design.n_periods - np.eye(design.gram.shape[0])).max()
     if aliasing > ALIASING_TOLERANCE:
@@ -152,15 +139,13 @@ def normal_matrix_inverse(design: DesignStats) -> np.ndarray:
             f"max |gram/n - I| = {aliasing:.3g} > {ALIASING_TOLERANCE:.0e}; "
             "a basis frequency aliases on this grid"
         )
-    residual = design.energy / design.n_periods - float(
-        np.dot(design.loadings, design.loadings)
-    )
-    if residual <= DEGENERACY_THRESHOLD:
+    mean_square = design.residual + float(np.dot(design.loadings, design.loadings))
+    if design.residual <= DEGENERACY_THRESHOLD * mean_square:
         raise DegenerateDesign(
-            f"residual variance {residual:.3e} <= {DEGENERACY_THRESHOLD:.0e}; "
-            "mean reversion is unidentifiable"
+            f"residual variance {design.residual:.3e} <= {DEGENERACY_THRESHOLD:.0e} x "
+            f"the mean square {mean_square:.3e}; mean reversion is unidentifiable"
         )
-    return block_inverse(design.loadings, design.precision) / design.n_periods
+    return block_inverse(design.loadings, 1.0 / design.residual) / design.n_periods
 
 
 def block_inverse(lam: np.ndarray, g: float) -> np.ndarray:
@@ -258,9 +243,13 @@ def estimate(
     design = build_design(path)
     phi = period_basis(model.basis, path.step)
     x_left = path.x[:-1]
-    dx = np.diff(path.x)
-    # einsum, not np.dot: see build_design
-    response = np.append(phi @ fold_periods(dx, m), -float(np.einsum("i,i", x_left, dx)))
+    # The response P is the functional of dx that the noise vector R is of
+    # db.  einsum, not np.dot: see build_design
+    response, noise_vector = (
+        None if dz is None
+        else np.append(phi @ fold_periods(dz, m), -float(np.einsum("i,i", x_left, dz)))
+        for dz in (np.diff(path.x), path.driver_increments)
+    )
     inverse = normal_matrix_inverse(design)
 
     correction, source = 0.0, None
@@ -286,16 +275,11 @@ def estimate(
 
     theta_hat = inverse @ response
 
-    noise_vector = None
-    if path.driver_increments is not None:
-        db = path.driver_increments
-        noise_vector = np.append(phi @ fold_periods(db, m), -float(np.einsum("i,i", x_left, db)))
-        if mode == "oracle_divergence":
-            noise_vector[-1] += sigma * correction
+    if noise_vector is not None and mode == "oracle_divergence":
+        noise_vector[-1] += sigma * correction
 
     return EstimateResult(
         theta_hat=theta_hat,
-        response=response,
         design=design,
         mode=mode,
         noise_vector=noise_vector,

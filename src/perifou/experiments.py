@@ -71,8 +71,7 @@ class ReplicateResult:
     n: int
     replicate: int
     seed: int
-    theta_hat: tuple | None
-    degenerate: bool
+    theta_hat: tuple | None  # None for a degenerate design
     noise_vector: tuple | None = None
 
 
@@ -101,11 +100,11 @@ def _run_replicate(model: FouModel, step: float, mode: str, master_seed: int, jo
     try:
         result = estimate(path, mode=mode, sigma=model.sigma, alpha_for_correction=alpha_ref)
     except DegenerateDesign:
-        return ReplicateResult(n, r, seed, None, True, None)
+        return ReplicateResult(n, r, seed, None)
     noise = None
     if result.noise_vector is not None:
         noise = tuple(float(v) for v in result.noise_vector)
-    return ReplicateResult(n, r, seed, tuple(float(v) for v in result.theta_hat), False, noise)
+    return ReplicateResult(n, r, seed, tuple(float(v) for v in result.theta_hat), noise)
 
 
 def _map_jobs(config: McConfig, jobs) -> list:
@@ -143,8 +142,8 @@ def aggregate_rows(theta: np.ndarray, rows) -> dict:
         block = sorted(
             (row for row in rows if row.n == n), key=lambda row: row.replicate
         )
-        kept = [row.theta_hat for row in block if not row.degenerate]
-        excluded = sum(1 for row in block if row.degenerate)
+        kept = [row.theta_hat for row in block if row.theta_hat is not None]
+        excluded = len(block) - len(kept)
         if not kept:
             per_n[n] = {
                 "included": 0,
@@ -253,7 +252,7 @@ def run_clt(config: McConfig) -> ExperimentReport:
     n = config.n_list[0]
     if config.model.sigma == 0.0:
         first = _run_replicate(config.model, config.step, config.mode, config.master_seed, (n, 0))
-        if not first.degenerate:
+        if first.theta_hat is not None:
             raise InvalidInput(
                 "model.sigma = 0 makes every replicate the same path; "
                 "the scaled-error study needs sigma > 0"
@@ -263,7 +262,7 @@ def run_clt(config: McConfig) -> ExperimentReport:
         summary = limit_summary(config.model)
         rows = _map_jobs(config, [(n, r) for r in range(config.replicates)])
     rows.sort(key=lambda row: (row.n, row.replicate))
-    kept = [row for row in rows if not row.degenerate]
+    kept = [row for row in rows if row.theta_hat is not None]
     if len(kept) < 2:
         raise DegenerateDesign(
             f"only {len(kept)} of {config.replicates} replicates have an identifiable "
@@ -434,7 +433,7 @@ def write_replicates_csv(report: ExperimentReport, filename) -> None:
     with open(filename, "w", encoding="utf-8") as handle:
         handle.write(f"n,replicate,seed,{mu_cols},alpha_hat,degenerate\n")
         for row in report.rows:
-            if row.degenerate:
+            if row.theta_hat is None:
                 fields = [""] * (p + 1)
                 flag = "1"
             else:
@@ -479,7 +478,7 @@ def write_qq_csv(report: ExperimentReport, filename) -> None:
         raise ValueError("QQ data is produced by the clt study")
     model = report.config.model
     n = report.config.n_list[0]
-    kept = [row for row in report.rows if not row.degenerate]
+    kept = [row for row in report.rows if row.theta_hat is not None]
     estimates = np.array([row.theta_hat for row in kept])
     scaled = n ** (1.0 - model.hurst) * (estimates - model.theta)
     sds = np.sqrt(np.diag(report.clt["finite_horizon_covariance"]))

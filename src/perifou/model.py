@@ -193,16 +193,6 @@ def fold_periods(values: np.ndarray, m: int) -> np.ndarray:
     return values.reshape(values.shape[:-1] + (-1, m)).sum(axis=-2)
 
 
-def mean_function(model: FouModel, t):
-    """Periodic mean L(t) = sum_i mu_i phi_i(t); a float for scalar t."""
-    t = np.asarray(t, dtype=float)
-    total = np.zeros_like(t)
-    for f, mu in zip(model.basis.functions, model.mu):
-        if mu != 0.0:
-            total = total + mu * f(t)
-    return float(total) if t.ndim == 0 else total
-
-
 def _check_step(step: float) -> int:
     if step <= 0.0:
         raise InvalidStep(f"step must be positive, got {step}")
@@ -232,8 +222,8 @@ def period_basis(basis: BasisSet, step: float) -> np.ndarray:
 
 
 def _period_mean(model: FouModel, step: float) -> np.ndarray:
-    """L on period_grid(step) from :func:`period_basis`, summed term by term
-    as :func:`mean_function` sums it, so the two agree bit for bit."""
+    """The periodic mean L = sum_i mu_i phi_i on period_grid(step), from
+    :func:`period_basis`, summed term by term in basis order."""
     phi = period_basis(model.basis, step)
     total = np.zeros(phi.shape[1])
     for values, mu in zip(phi, model.mu):
@@ -283,6 +273,29 @@ def _euler(model: FouModel, increments: np.ndarray, x0: float, step: float) -> n
     return np.concatenate(([x0], first_order_recursion(drive, a, x0)))
 
 
+def burn_in_periods(
+    alpha: float, n_periods: int, m: int, stationary_start: bool, alpha_key: str = "model.alpha"
+) -> int:
+    """Burn-in periods ahead of a path of ``n_periods`` periods of ``m``
+    steps: none from a fixed start; from a stationary start enough that the
+    start is forgotten to below ``BURN_IN_FORGETTING``, about 18.4/alpha.
+    InvalidInput naming ``alpha_key`` when the draw, burn-in included, would
+    pass ``MAX_PATH_INCREMENTS``."""
+    burn = 0
+    if stationary_start:
+        burn = math.log(1.0 / BURN_IN_FORGETTING) / alpha
+        burn = math.ceil(burn) if burn < math.inf else burn  # a subnormal alpha overflows
+    count = (n_periods + burn) * m
+    if count > MAX_PATH_INCREMENTS:
+        raise InvalidInput(
+            f"the path needs {count:.4g} fGn increments, above the cap of {MAX_PATH_INCREMENTS}: "
+            f"{n_periods} periods (model.n_periods, or a study's n) and {burn:.4g} "
+            f"burn-in periods ({alpha_key} = {alpha:g}) of {m} steps "
+            "(model.step_denominator)"
+        )
+    return burn
+
+
 def simulate_path(
     model: FouModel,
     n_periods: int,
@@ -303,21 +316,10 @@ def simulate_path(
     if n_periods < 1:
         raise InvalidInput(f"n_periods must be >= 1, got {n_periods}")
     m = _check_step(step)
-    burn_periods = 0
-    if stationary_start:
-        burn = math.log(1.0 / BURN_IN_FORGETTING) / model.alpha
-        burn_periods = math.ceil(burn) if burn < math.inf else burn  # a subnormal alpha overflows
-    count = (n_periods + burn_periods) * m
-    if count > MAX_PATH_INCREMENTS:
-        raise InvalidInput(
-            f"the path needs {count:.4g} fGn increments, above the cap of {MAX_PATH_INCREMENTS}: "
-            f"{n_periods} periods (model.n_periods, or a study's n) and {burn_periods:.4g} "
-            f"burn-in periods (model.alpha = {model.alpha:g}) of {m} steps "
-            "(model.step_denominator)"
-        )
+    burn_periods = burn_in_periods(model.alpha, n_periods, m, stationary_start)
     n_keep = n_periods * m
     n_burn = burn_periods * m
-    spec = FgnSpec(model.hurst, step, count, seed)
+    spec = FgnSpec(model.hurst, step, n_keep + n_burn, seed)
     increments = generate_fgn_circulant(spec)
     x_full = _euler(model, increments, model.xi0, step)
     grid = np.arange(n_keep + 1) * step

@@ -13,7 +13,7 @@ from scipy.special import gammainc
 
 from perifou.estimator import DesignStats
 from perifou.experiments import ReplicateResult
-from perifou.model import FouModel, mean_function, steady_mean_terms
+from perifou.model import FouModel, SamplePath, steady_mean_terms
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _UNIT_NODES = 0.5 * (_GL_NODES + 1.0)
@@ -91,6 +91,18 @@ def singular_pair_integral(f, g, hurst: float) -> float:
     return float(long_memory_gram(lambda t: np.stack([f(t), g(t)]), hurst)[0, 1])
 
 
+def mean_function(model: FouModel, t):
+    """Periodic mean L(t) = sum_i mu_i phi_i(t); a float for scalar t.
+    Summed term by term as ``model._period_mean`` sums the cached basis
+    values, so the two agree bit for bit on the period grid."""
+    t = np.asarray(t, dtype=float)
+    total = np.zeros_like(t)
+    for f, mu in zip(model.basis.functions, model.mu):
+        if mu != 0.0:
+            total = total + mu * f(t)
+    return float(total) if t.ndim == 0 else total
+
+
 def steady_mean(model: FouModel, t):
     """The steady mean h~(t), the 1-periodic solution of h' = L - alpha h,
     summed from ``model.steady_mean_terms``; a float for scalar t."""
@@ -109,14 +121,25 @@ def quadrature_noise_covariance(model: FouModel) -> np.ndarray:
 
 
 def normal_matrix(design: DesignStats) -> np.ndarray:
-    """Assemble Q = [[G, -a], [-a^t, b]]."""
-    p = design.cross.size
+    """Assemble Q = [[G, -a], [-a^t, b]] with a = n * loadings and
+    b = n * (residual + |loadings|^2)."""
+    n, lam = design.n_periods, design.loadings
+    p = lam.size
     q = np.empty((p + 1, p + 1))
     q[:p, :p] = design.gram
-    q[:p, p] = -design.cross
-    q[p, :p] = -design.cross
-    q[p, p] = design.energy
+    q[:p, p] = -n * lam
+    q[p, :p] = -n * lam
+    q[p, p] = n * (design.residual + float(lam @ lam))
     return q
+
+
+def response(path: SamplePath, sigma: float = 0.0, correction: float = 0.0) -> np.ndarray:
+    """The response P of the normal equations, summed over the whole grid:
+    sum_k phi_i(t_k) dX_k for each basis function, then -sum_k X_k dX_k
+    shifted by sigma^2 * correction (the oracle_divergence convention)."""
+    phi = path.model.basis.evaluate(path.grid[:-1])
+    x_left, dx = path.x[:-1], np.diff(path.x)
+    return np.append(phi @ dx, -float(np.einsum("i,i", x_left, dx)) + sigma**2 * correction)
 
 
 def skorokhod_correction(alpha: float, hurst: float, horizon: float) -> float:
@@ -191,9 +214,8 @@ def read_replicates_csv(filename) -> list:
             parts = line.strip().split(",")
             if len(parts) < p + 5:
                 continue
-            degenerate = parts[-1] == "1"
             theta = None
-            if not degenerate:
+            if parts[-1] != "1":
                 theta = tuple(float(v) for v in parts[3 : 3 + p + 1])
             rows.append(
                 ReplicateResult(
@@ -201,7 +223,6 @@ def read_replicates_csv(filename) -> list:
                     replicate=int(parts[1]),
                     seed=int(parts[2]),
                     theta_hat=theta,
-                    degenerate=degenerate,
                 )
             )
     return rows

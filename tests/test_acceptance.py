@@ -218,12 +218,7 @@ def test_criterion_03_closed_form_inverse():
         loadings = rng.normal(scale=2.0, size=p)
         residual = float(rng.uniform(0.02, 5.0))
         stats = DesignStats(
-            gram=n * np.eye(p),
-            cross=n * loadings,
-            energy=n * (residual + float(loadings @ loadings)),
-            loadings=loadings,
-            precision=1.0 / residual,
-            n_periods=n,
+            gram=n * np.eye(p), loadings=loadings, residual=residual, n_periods=n
         )
         q = normal_matrix(stats)
         inv = normal_matrix_inverse(stats)

@@ -1,12 +1,15 @@
 """What code outside the package relies on: the README quick start, the
-README's account of clt_report.json, and the names the benchmark harness
-in perfbench/ imports and traces."""
+README's account of clt_report.json, the names the benchmark harness in
+perfbench/ imports and traces, and its bit-for-bit replay check."""
 
 import importlib
 import importlib.util
+import random
 import re
 import sys
 from pathlib import Path
+
+import pytest
 
 from perifou import BasisSet, FouModel, McConfig, run_clt
 
@@ -33,6 +36,23 @@ def test_readme_quick_start_runs(capsys):
 
 def test_perfbench_workloads_imports_resolve(monkeypatch):
     _load_file(monkeypatch, "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+
+
+@pytest.mark.parametrize("name", ["ConsistencyWorkload", "PathCsvWorkload", "CltWorkload"])
+def test_perfbench_replay_check_passes(monkeypatch, tmp_path, name):
+    """The benchmark replays what the CLI computed through estimate,
+    SamplePath, simulate_path and path_from_increments, and counts any
+    difference as an incorrect run.  One tiny instance per workload, with a
+    tracer so that every unit is replayed."""
+    workloads = _load_file(monkeypatch, "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    spans = _load_file(monkeypatch, "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    workload = getattr(workloads, name)(tmp_path, random.Random(5), tiny=True)
+    inst = workload.instance()
+    workloads.run_instance(inst)
+    tally = workloads.Tally()
+    workload.check(inst, tally, spans.Tracer())
+    assert tally.attempted > 0
+    assert tally.failed == 0 and tally.correct, dict(tally.reasons)
 
 
 def test_perfbench_traced_targets_resolve(monkeypatch):

@@ -644,8 +644,29 @@ def test_tiny_alpha_stationary_start_exits_2_before_drawing(
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "InvalidInput" in err and "fGn increments" in err
-    assert "model.alpha" in err and "model.n_periods" in err and "model.step_denominator" in err
+    alpha_key = "coupling.alphas[0]" if command == "coupling" else "model.alpha"
+    assert f"{alpha_key} = 1e-09" in err
+    assert "model.n_periods" in err and "model.step_denominator" in err
     assert not out.exists()
+
+
+def test_coupling_increment_cap_names_its_alphas_entry_before_any_run(
+    config_file, tmp_path, capsys, monkeypatch
+):
+    """At m = 256, alpha = 1e-4 burns in 1.8e5 periods, past the 2^24
+    increment cap.  The entry is refused under its own key before the
+    alpha = 1 run starts; the cap used to name model.alpha after that run."""
+    runs = []
+    monkeypatch.setattr("perifou.cli.run_coupling", lambda *args: runs.append(args))
+    out = tmp_path / "o"
+    argv = ["coupling", "--config", config_file(base_config()), "--out", str(out),
+            "--set", "model.step_denominator=256", "--set", "coupling.alphas=[1,1e-4]"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "fGn increments" in err and "coupling.alphas[1] = 0.0001" in err
+    assert "model.alpha" not in err
+    assert runs == [] and not out.exists()
 
 
 def _alternating_path_csv(target):

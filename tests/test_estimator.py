@@ -1,7 +1,7 @@
 """Least-squares estimator: sums, normal equations, corrections, identities."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,10 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
-from oracles import normal_matrix, skorokhod_correction
+from oracles import normal_matrix, response, skorokhod_correction
 from perifou import BasisSet, DegenerateDesign, FouModel, InvalidInput, estimate, simulate_path
 from perifou.estimator import (
     DesignStats,
+    EstimateResult,
     build_design,
     discrete_trace_correction,
     normal_matrix_inverse,
@@ -72,12 +73,16 @@ def test_folded_sums_match_full_grid_sums(subset, n, m, stationary, seed):
         return np.all(np.abs(folded - full) <= 1e-12 * terms)
 
     bound = basis.bound
-    assert close(result.design.gram, step * phi @ phi.T, n * bound**2)
-    assert close(result.design.cross, step * phi @ x_left, step * bound * np.abs(x_left).sum())
-    assert close(result.response[:-1], phi @ dx, bound * np.abs(dx).sum())
+    design = result.design
+    assert close(design.gram, step * phi @ phi.T, n * bound**2)
+    assert close(n * design.loadings, step * phi @ x_left, step * bound * np.abs(x_left).sum())
     assert close(result.noise_vector[:-1], phi @ db, bound * np.abs(db).sum())
-    assert result.response[-1] == -float(np.einsum("i,i", x_left, dx))
     assert result.noise_vector[-1] == -float(np.einsum("i,i", x_left, db))
+    # theta_hat = Q^{-1} P: the rounding gap between the folded and the
+    # full-grid response reaches theta_hat through |Q^{-1}|
+    inverse = normal_matrix_inverse(design)
+    terms = np.append(np.full(basis.p, bound * np.abs(dx).sum()), np.abs(x_left * dx).sum())
+    assert close(result.theta_hat, inverse @ response(path), np.abs(inverse) @ terms)
 
 
 def test_design_zero_path_is_degenerate():
@@ -86,9 +91,8 @@ def test_design_zero_path_is_degenerate():
     stats = build_design(path)
     with pytest.raises(DegenerateDesign, match="mean reversion is unidentifiable"):
         normal_matrix_inverse(stats)
-    np.testing.assert_array_equal(stats.cross, [0.0])
-    assert stats.energy == 0.0
-    assert math.isinf(stats.precision)
+    np.testing.assert_array_equal(stats.loadings, [0.0])
+    assert stats.residual == 0.0
 
 
 def test_design_constant_path_constant_basis_degenerate_with_loadings():
@@ -99,7 +103,7 @@ def test_design_constant_path_constant_basis_degenerate_with_loadings():
     with pytest.raises(DegenerateDesign, match="mean reversion is unidentifiable"):
         normal_matrix_inverse(stats)
     assert stats.loadings[0] == pytest.approx(c, abs=1e-8)
-    assert stats.energy / stats.n_periods == pytest.approx(c**2, abs=1e-8)
+    assert stats.residual + stats.loadings[0] ** 2 == pytest.approx(c**2, abs=1e-8)
 
 
 def test_design_riemann_sums_match_manual():
@@ -108,8 +112,9 @@ def test_design_riemann_sums_match_manual():
     stats = build_design(path)
     t = path.grid[:-1]
     phi = math.sqrt(2) * np.sin(2 * np.pi * t)
-    assert stats.cross[0] == pytest.approx(np.sum(phi * path.x[:-1]) / 32, rel=1e-12)
-    assert stats.energy == pytest.approx(np.sum(path.x[:-1] ** 2) / 32, rel=1e-12)
+    assert 3 * stats.loadings[0] == pytest.approx(np.sum(phi * path.x[:-1]) / 32, rel=1e-12)
+    energy = 3 * (stats.residual + stats.loadings[0] ** 2)
+    assert energy == pytest.approx(np.sum(path.x[:-1] ** 2) / 32, rel=1e-12)
     assert stats.gram[0, 0] == pytest.approx(3.0, abs=1e-10)
 
 
@@ -127,31 +132,17 @@ def test_gram_block_close_to_identity_scaled():
 
 
 def test_inverse_block_diagonal_when_loadings_vanish():
-    stats = DesignStats(
-        gram=5 * np.eye(2),
-        cross=np.zeros(2),
-        energy=5 * 2.0,
-        loadings=np.zeros(2),
-        precision=1.0 / 2.0,
-        n_periods=5,
-    )
+    stats = DesignStats(gram=5 * np.eye(2), loadings=np.zeros(2), residual=2.0, n_periods=5)
     inv = normal_matrix_inverse(stats)
     expected = np.diag([1 / 5, 1 / 5, (5 / 10.0) / 5]).astype(float)
     np.testing.assert_allclose(inv, expected, atol=1e-14)
 
 
 def test_inverse_two_by_two_hand_value():
-    # p=1, loadings 1, energy/n = 2 -> precision 1; direct inversion of
+    # p=1, loadings 1, energy/n = 2 -> residual 1; direct inversion of
     # [[n, -n], [-n, 2n]] gives (1/n) [[2, 1], [1, 1]]
     n = 7
-    stats = DesignStats(
-        gram=n * np.eye(1),
-        cross=np.array([float(n)]),
-        energy=2.0 * n,
-        loadings=np.array([1.0]),
-        precision=1.0,
-        n_periods=n,
-    )
+    stats = DesignStats(gram=n * np.eye(1), loadings=np.array([1.0]), residual=1.0, n_periods=n)
     inv = normal_matrix_inverse(stats)
     np.testing.assert_allclose(inv, np.array([[2.0, 1.0], [1.0, 1.0]]) / n, atol=1e-14)
     np.testing.assert_allclose(inv, np.linalg.inv(normal_matrix(stats)), atol=1e-14)
@@ -164,15 +155,7 @@ def test_inverse_matches_dense_solver_on_random_designs():
         n = int(rng.integers(3, 400))
         loadings = rng.normal(scale=2.0, size=p)
         residual = float(rng.uniform(0.05, 4.0))
-        energy = n * (residual + float(loadings @ loadings))
-        stats = DesignStats(
-            gram=n * np.eye(p),
-            cross=n * loadings,
-            energy=energy,
-            loadings=loadings,
-            precision=1.0 / residual,
-            n_periods=n,
-        )
+        stats = DesignStats(gram=n * np.eye(p), loadings=loadings, residual=residual, n_periods=n)
         q = normal_matrix(stats)
         inv = normal_matrix_inverse(stats)
         assert np.max(np.abs(q @ inv - np.eye(p + 1))) <= 1e-8
@@ -180,16 +163,51 @@ def test_inverse_matches_dense_solver_on_random_designs():
 
 
 def test_inverse_rejects_degenerate_designs():
-    stats = DesignStats(
-        gram=4 * np.eye(1),
-        cross=np.array([4.0]),
-        energy=4.0,
-        loadings=np.array([1.0]),
-        precision=math.inf,
-        n_periods=4,
-    )
+    stats = DesignStats(gram=4 * np.eye(1), loadings=np.array([1.0]), residual=0.0, n_periods=4)
     with pytest.raises(DegenerateDesign):
         normal_matrix_inverse(stats)
+
+
+def test_record_shapes():
+    """Four numbers determine the design; the result keeps no value that
+    only tests read."""
+    assert [f.name for f in fields(DesignStats)] == ["gram", "loadings", "residual", "n_periods"]
+    assert [f.name for f in fields(EstimateResult)] == [
+        "theta_hat", "design", "mode", "noise_vector", "correction",
+        "correction_alpha", "correction_alpha_source",
+    ]
+    assert not hasattr(EstimateResult, "mu_hat")
+
+
+def acceptance_model(mu, sigma: float) -> FouModel:
+    """The model of configs/acceptance.json with the given mu and sigma."""
+    return FouModel(hurst=0.65, alpha=1.0, mu=mu, sigma=sigma, basis=sincos_basis())
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-5, 1e5])
+def test_degeneracy_does_not_depend_on_the_units_of_x(scale):
+    """alpha_hat is invariant when sigma and mu scale together, so the
+    degeneracy test must be too.  An absolute bound of 1e-12 on the
+    residual variance flagged the path at scale 1e-6."""
+    step, kwargs = 1 / 256, dict(mode="oracle_divergence", alpha_for_correction=1.0)
+    unit = simulate_path(acceptance_model((1.0, 2.0), 0.5), 50, step, 42, stationary_start=True)
+    scaled = simulate_path(
+        acceptance_model((scale, 2.0 * scale), 0.5 * scale), 50, step, 42, stationary_start=True
+    )
+    alpha_unit = estimate(unit, sigma=0.5, **kwargs).alpha_hat
+    alpha_scaled = estimate(scaled, sigma=0.5 * scale, **kwargs).alpha_hat
+    assert alpha_scaled == pytest.approx(alpha_unit, rel=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e5, 1e8])
+def test_noiseless_in_span_path_is_degenerate_at_every_scale(scale):
+    """At sigma = 0 the stationary path is the steady orbit, in the sin/cos
+    span.  Its rounding residual grows with |mu|^2: an absolute bound
+    passed it at mu = (1e5, 3e5) and returned alpha_hat = -0.870."""
+    model = acceptance_model((scale, 3.0 * scale), 0.0)
+    path = simulate_path(model, 50, 1 / 256, seed=42, stationary_start=True)
+    with pytest.raises(DegenerateDesign, match="mean reversion is unidentifiable"):
+        estimate(path, mode="oracle_divergence", alpha_for_correction=1.0)
 
 
 # ------------------------------------------------------------- corrections
@@ -360,7 +378,9 @@ def test_theta_solves_normal_equations():
     path = simulate_path(model, 10, 1 / 128, seed=21, stationary_start=True)
     result = estimate(path, mode="oracle_divergence", sigma=model.sigma,
                       alpha_for_correction=model.alpha)
-    dense = np.linalg.solve(normal_matrix(result.design), result.response)
+    dense = np.linalg.solve(
+        normal_matrix(result.design), response(path, model.sigma, result.correction)
+    )
     assert np.max(np.abs(result.theta_hat - dense)) <= 1e-10 * max(1.0, np.max(np.abs(dense)))
 
 
@@ -401,7 +421,7 @@ def test_naive_versus_oracle_gap_exact_algebra():
             path, mode="oracle_divergence", sigma=model.sigma, alpha_for_correction=model.alpha
         )
         gap = oracle.alpha_hat - naive.alpha_hat
-        expected = oracle.design.precision * model.sigma**2 * oracle.correction / n
+        expected = model.sigma**2 * oracle.correction / (oracle.design.residual * n)
         assert gap > 0.0
         assert gap == pytest.approx(expected, rel=1e-10)
 
@@ -441,8 +461,15 @@ def test_two_pass_plug_in_close_to_true_alpha_correction():
 def test_report_dictionary_shape():
     model = FouModel(hurst=0.65, alpha=1.0, mu=(1.0, 2.0), sigma=0.5, basis=sincos_basis())
     path = simulate_path(model, 5, 1 / 64, seed=2, stationary_start=True)
-    report = estimate(path, mode="oracle_divergence", sigma=model.sigma,
-                      alpha_for_correction=model.alpha).to_report()
+    result = estimate(path, mode="oracle_divergence", sigma=model.sigma,
+                      alpha_for_correction=model.alpha)
+    report = result.to_report()
+    assert list(report) == [
+        "mode", "theta_hat", "mu_hat", "alpha_hat", "lambda_n", "gamma_n", "degenerate",
+        "n_periods", "correction", "correction_alpha", "correction_alpha_source",
+    ]
+    assert report["mu_hat"] == report["theta_hat"][:2]
+    assert report["gamma_n"] == 1.0 / result.design.residual
     assert report["degenerate"] is False
     assert len(report["theta_hat"]) == 3
     assert len(report["lambda_n"]) == 2
@@ -466,12 +493,13 @@ def test_design_and_response_from_cached_basis_are_bit_identical(m):
 
     design = build_design(path)
     np.testing.assert_array_equal(design.gram, (n * step) * (phi @ phi.T))
-    np.testing.assert_array_equal(design.cross, step * (phi @ fold_periods(x_left, m)))
+    np.testing.assert_array_equal(design.loadings, step * (phi @ fold_periods(x_left, m)) / n)
 
     result = estimate(path, mode="naive_pathwise")
     alpha_entry = -float(np.einsum("i,i", x_left, dx))
     np.testing.assert_array_equal(
-        result.response, np.append(phi @ fold_periods(dx, m), alpha_entry)
+        result.theta_hat,
+        normal_matrix_inverse(design) @ np.append(phi @ fold_periods(dx, m), alpha_entry),
     )
     noise_alpha_entry = -float(np.einsum("i,i", x_left, db))
     np.testing.assert_array_equal(

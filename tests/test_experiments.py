@@ -137,9 +137,9 @@ def test_aggregates_recomputable_from_csv(tmp_path):
 def test_exclusion_accounting():
     theta = np.array([1.0, 0.5])
     rows = [
-        ReplicateResult(4, 0, 10, (1.1, 0.6), False),
-        ReplicateResult(4, 1, 11, None, True),
-        ReplicateResult(4, 2, 12, (0.9, 0.4), False),
+        ReplicateResult(4, 0, 10, (1.1, 0.6)),
+        ReplicateResult(4, 1, 11, None),
+        ReplicateResult(4, 2, 12, (0.9, 0.4)),
     ]
     agg = aggregate_rows(theta, rows)
     assert agg[4]["included"] == 2
@@ -150,14 +150,20 @@ def test_exclusion_accounting():
 def test_aggregate_values_match_manual_computation():
     theta = np.array([1.0])
     rows = [
-        ReplicateResult(2, 0, 0, (1.2,), False),
-        ReplicateResult(2, 1, 1, (0.9,), False),
+        ReplicateResult(2, 0, 0, (1.2,)),
+        ReplicateResult(2, 1, 1, (0.9,)),
     ]
     agg = aggregate_rows(theta, rows)[2]
     errors = np.array([0.2, -0.1])
     assert agg["bias"][0] == pytest.approx(errors.mean(), abs=1e-15)
     assert agg["rmse"][0] == pytest.approx(np.sqrt((errors**2).mean()), abs=1e-15)
     assert agg["se"][0] == pytest.approx(errors.std(ddof=1) / math.sqrt(2), abs=1e-15)
+
+
+def test_replicate_result_shape():
+    """A degenerate replicate is the one with no theta_hat."""
+    names = [field.name for field in fields(ReplicateResult)]
+    assert names == ["n", "replicate", "seed", "theta_hat", "noise_vector"]
 
 
 # -------------------------------------------------------------- studies

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import steady_mean, write_sample_path_csv_rows, zero_start_mean
+from oracles import mean_function, steady_mean, write_sample_path_csv_rows, zero_start_mean
 from perifou import (
     BasisSet,
     FouModel,
@@ -26,7 +26,6 @@ from perifou.model import (
     _euler,
     coupling_gap,
     first_order_recursion,
-    mean_function,
     path_from_increments,
     period_basis,
     period_grid,
@@ -224,7 +223,9 @@ def test_euler_forcing_from_cached_basis_is_bit_identical(m):
     """The forcing sums the cached basis rows in mean_function's order."""
     model, step = p7_model(), 1.0 / m
     increments = np.random.default_rng(m).standard_normal(5 * m + 3)
-    forcing = np.tile(mean_function(model, period_grid(step)), 6)[: increments.size]
+    period_mean = mean_function(model, period_grid(step))
+    np.testing.assert_array_equal(model_module._period_mean(model, step), period_mean)
+    forcing = np.tile(period_mean, 6)[: increments.size]
     drive = forcing * step + model.sigma * increments
     expected = np.concatenate(([0.3], first_order_recursion(drive, 1.0 - step, 0.3)))
     np.testing.assert_array_equal(_euler(model, increments, 0.3, step), expected)
