@@ -13,14 +13,10 @@ that defines it (``perifou.fgn``, ``perifou.model``, ``perifou.estimator``,
 """
 
 from perifou.errors import (
-    ConfigError,
     DegenerateDesign,
     FactorizationFailure,
-    GridMismatch,
     InvalidInput,
-    InvalidStep,
     NonnegativeEmbeddingFailure,
-    PartialPeriod,
     PerifouError,
 )
 from perifou.model import BasisSet, FouModel, simulate_path
@@ -38,16 +34,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisSet",
-    "ConfigError",
     "DegenerateDesign",
     "FactorizationFailure",
     "FouModel",
-    "GridMismatch",
     "InvalidInput",
-    "InvalidStep",
     "McConfig",
     "NonnegativeEmbeddingFailure",
-    "PartialPeriod",
     "PerifouError",
     "estimate",
     "limit_summary",

@@ -21,7 +21,7 @@ from dataclasses import replace as dc_replace
 from pathlib import Path
 
 from perifou.asymptotics import CLT_HURST_UPPER, limit_summary
-from perifou.errors import ConfigError, DegenerateDesign, InvalidInput, PerifouError
+from perifou.errors import DegenerateDesign, InvalidInput, PerifouError
 from perifou.estimator import estimate
 from perifou.experiments import (
     COUPLING_GAP_FLOOR,
@@ -98,27 +98,27 @@ def _typed(value, kind, where: str):
     float keys converted to float and defaults filled in."""
     if isinstance(kind, dict):
         if type(value) is not dict:
-            raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+            raise InvalidInput(f"{where} must be a JSON object, got {value!r}")
         unknown = sorted(set(value) - set(kind))
         if unknown:
-            raise ConfigError(f"unknown key(s) in {where or 'config'}: {unknown}")
+            raise InvalidInput(f"unknown key(s) in {where or 'config'}: {unknown}")
         typed = {}
         for key, (sub, default) in kind.items():
             name = f"{where}.{key}".lstrip(".")
             if key not in value and default is _REQUIRED:
-                raise ConfigError(f"missing key {name}")
+                raise InvalidInput(f"missing key {name}")
             item = value.get(key, default)
             typed[key] = None if item is None and default is None else _typed(item, sub, name)
         return typed
     if isinstance(kind, list):
         if type(value) is not list or not value:
-            raise ConfigError(f"{where} must be a nonempty list, got {value!r}")
+            raise InvalidInput(f"{where} must be a nonempty list, got {value!r}")
         return [_typed(item, kind[0], f"{where}[{i}]") for i, item in enumerate(value)]
     if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)
     if kind is not float and type(value) is kind:
         return value
-    raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
+    raise InvalidInput(f"{where} must be {kind.__name__}, got {value!r}")
 
 
 def load_config(path, overrides=()) -> dict:
@@ -129,11 +129,11 @@ def load_config(path, overrides=()) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise InvalidInput(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise InvalidInput(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise InvalidInput("config root must be a JSON object")
     for item in overrides:
         _apply_override(config, item)
     return _typed(config, _SCHEMA, "")
@@ -141,7 +141,7 @@ def load_config(path, overrides=()) -> dict:
 
 def _apply_override(config: dict, item: str) -> None:
     if "=" not in item:
-        raise ConfigError(f"override {item!r} is not of the form key=value")
+        raise InvalidInput(f"override {item!r} is not of the form key=value")
     dotted, raw = item.split("=", 1)
     keys = dotted.split(".")
     try:
@@ -152,15 +152,22 @@ def _apply_override(config: dict, item: str) -> None:
     for key in keys[:-1]:
         node = node.setdefault(key, {})
         if not isinstance(node, dict):
-            raise ConfigError(f"override {dotted!r} descends into a non-object")
+            raise InvalidInput(f"override {dotted!r} descends into a non-object")
     node[keys[-1]] = value
+
+
+def _at_least_1(value: int, key: str) -> int:
+    """``value``, read from the config key ``key``; InvalidInput naming the
+    key unless it is >= 1."""
+    if value < 1:
+        raise InvalidInput(f"{key} must be >= 1, got {value}")
+    return value
 
 
 def build_model(section: dict) -> FouModel:
     """Construct the model from its config section, whose grid must have at
     least one step per period."""
-    if section["step_denominator"] < 1:
-        raise ConfigError(f"model.step_denominator must be >= 1, got {section['step_denominator']}")
+    _at_least_1(section["step_denominator"], "model.step_denominator")
     return FouModel(
         hurst=section["hurst"],
         alpha=section["alpha"],
@@ -186,7 +193,7 @@ def _write_json(payload: dict, filename: Path) -> None:
 def _simulate(model: FouModel, section: dict):
     return simulate_path(
         model,
-        n_periods=section["n_periods"],
+        n_periods=_at_least_1(section["n_periods"], "model.n_periods"),
         step=1.0 / section["step_denominator"],
         seed=section["seed"],
         stationary_start=section["stationary_start"],
@@ -206,7 +213,9 @@ def _cmd_estimate(config: dict, args) -> int:
     section = config["estimate"]
     mode = section["mode"]
     model_section = config["model"]
-    if section["path_csv"]:
+    if section["path_csv"] == "":
+        raise InvalidInput("estimate.path_csv is empty; null simulates a path")
+    if section["path_csv"] is not None:
         path = read_sample_path_csv(
             section["path_csv"], model, stationary_start=model_section["stationary_start"]
         )
@@ -252,14 +261,20 @@ def _cmd_limits(config: dict, args) -> int:
 def _mc_config(config: dict, args, section_name: str) -> McConfig:
     model = build_model(config["model"])
     if not model.hurst < CLT_HURST_UPPER:
-        raise ConfigError(f"{section_name} requires hurst < {CLT_HURST_UPPER}, got {model.hurst}")
+        raise InvalidInput(f"{section_name} requires hurst < {CLT_HURST_UPPER}, got {model.hurst}")
     section = config[section_name]
     if section is None:
-        raise ConfigError(f"config needs a '{section_name}' section")
+        raise InvalidInput(f"config needs a '{section_name}' section")
+    if section_name == "consistency":
+        n_list = [
+            _at_least_1(n, f"consistency.n_list[{i}]") for i, n in enumerate(section["n_list"])
+        ]
+    else:
+        n_list = (_at_least_1(section["n"], "clt.n"),)
     try:
         return McConfig(
             model=model,
-            n_list=section["n_list"] if section_name == "consistency" else (section["n"],),
+            n_list=n_list,
             replicates=section["replicates"],
             step=1.0 / config["model"]["step_denominator"],
             mode=section["mode"],
@@ -267,7 +282,7 @@ def _mc_config(config: dict, args, section_name: str) -> McConfig:
             workers=args.workers or section["workers"],
         )
     except InvalidInput as exc:  # McConfig's messages start with the field name
-        raise ConfigError(f"{section_name}.{exc}") from exc
+        raise InvalidInput(f"{section_name}.{exc}") from exc
 
 
 def _cmd_mc_consistency(config: dict, args) -> int:
@@ -305,19 +320,21 @@ def _cmd_mc_clt(config: dict, args) -> int:
 def _cmd_coupling(config: dict, args) -> int:
     model = build_model(config["model"])
     section = config["coupling"]
-    horizon = section["n_periods"]
+    horizon = _at_least_1(section["n_periods"], "coupling.n_periods")
     gap0 = section["gap0"]
     master_seed = section["master_seed"]
-    step = 1.0 / config["model"]["step_denominator"]
-    for i, alpha in enumerate(section["alphas"] or []):  # refuse before any run
-        key = f"coupling.alphas[{i}]"
+    m = config["model"]["step_denominator"]
+    step = 1.0 / m
+    alphas = section["alphas"] or [model.alpha]
+    for i, alpha in enumerate(alphas):  # refuse before any run
+        key = f"coupling.alphas[{i}]" if section["alphas"] else "model.alpha"
         if not alpha > 0.0:
-            raise ConfigError(f"{key} must be positive, got {alpha:g}")
+            raise InvalidInput(f"{key} must be positive, got {alpha:g}")
         euler_decay(alpha, step, key)
-        burn_in_periods(alpha, horizon, config["model"]["step_denominator"], True, key)
+        burn_in_periods(alpha, horizon, m, True, ("coupling.n_periods", key))
     reports = [
         run_coupling(dc_replace(model, alpha=alpha), horizon, step, master_seed, gap0)
-        for alpha in section["alphas"] or [model.alpha]
+        for alpha in alphas
     ]
     out = _out_dir(args)
     write_coupling_csv(reports, out / "coupling_decay.csv")

@@ -21,7 +21,6 @@ from perifou.estimator import MODES, estimate
 from perifou.fgn import FgnSpec, generate_fgn_circulant, substream_seed
 from perifou.model import (
     FouModel,
-    coupling_gap,
     fold_periods,
     path_from_increments,
     period_basis,
@@ -239,28 +238,23 @@ def run_clt(config: McConfig) -> ExperimentReport:
     functions that reference is not what the study measures.  Also reports
     moment and ECDF diagnostics per component and the empirical variance of
     the scaled noise vector n^{-H} R_n (bounded in L^2).  Raises
-    DegenerateDesign when fewer than two replicates have an identifiable
-    design, and InvalidInput when sigma is 0: every replicate is then the
-    same path, so the scaled errors have no spread to compare, and one
-    replicate run in this process tells the two cases apart before the
-    limit objects or any pool.  A basis frequency the limit objects cannot
-    resolve raises InvalidInput before any replicate runs at sigma > 0.
+    InvalidInput when sigma is 0, before the limit objects or any
+    replicate: every replicate is then the same path, so the scaled errors
+    have no spread to compare.  Raises DegenerateDesign when fewer than two
+    replicates have an identifiable design.  A basis frequency the limit
+    objects cannot resolve raises InvalidInput before any replicate runs.
     """
     if len(config.n_list) != 1:
         raise ValueError("run_clt expects a single horizon in n_list")
     start = time.perf_counter()
     n = config.n_list[0]
     if config.model.sigma == 0.0:
-        first = _run_replicate(config.model, config.step, config.mode, config.master_seed, (n, 0))
-        if first.theta_hat is not None:
-            raise InvalidInput(
-                "model.sigma = 0 makes every replicate the same path; "
-                "the scaled-error study needs sigma > 0"
-            )
-        rows = [first]  # stands for all R replicates: none is identifiable
-    else:
-        summary = limit_summary(config.model)
-        rows = _map_jobs(config, [(n, r) for r in range(config.replicates)])
+        raise InvalidInput(
+            "model.sigma = 0 makes every replicate the same path; "
+            "the scaled-error study needs sigma > 0"
+        )
+    summary = limit_summary(config.model)
+    rows = _map_jobs(config, [(n, r) for r in range(config.replicates)])
     rows.sort(key=lambda row: (row.n, row.replicate))
     kept = [row for row in rows if row.theta_hat is not None]
     if len(kept) < 2:
@@ -357,7 +351,7 @@ def run_coupling(
     shifted = path_from_increments(
         model, stationary.driver_increments, float(stationary.x[0]) + gap0, step
     )
-    gaps_full = coupling_gap(shifted, stationary)
+    gaps_full = np.abs(shifted.x - stationary.x)
     m = round(1.0 / step)
     times = np.arange(1, horizon + 1, dtype=float)
     gaps = gaps_full[(np.arange(1, horizon + 1) * m)]

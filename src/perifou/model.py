@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from perifou.errors import GridMismatch, InvalidInput, InvalidStep, PartialPeriod
+from perifou.errors import InvalidInput
 from perifou.fgn import FgnSpec, generate_fgn_circulant
 
 _SQRT2 = math.sqrt(2.0)
@@ -155,20 +155,20 @@ class SamplePath:
     def __post_init__(self):
         grid = self.grid
         if grid.size < 2:
-            raise PartialPeriod(f"path grid has {grid.size} points, needs a whole period")
+            raise InvalidInput(f"path grid has {grid.size} points, needs a whole period")
         if not np.all(np.isfinite(grid)):
-            raise GridMismatch("path grid has non-finite times")
+            raise InvalidInput("path grid has non-finite times")
         m = _check_step(self.step)
         expected = np.arange(grid.size) / m
         if np.any(np.abs(grid - expected) > 1e-9 * np.maximum(expected, 1.0)):
-            raise GridMismatch(f"path grid is not t_k = k/{m} starting at t = 0")
+            raise InvalidInput(f"path grid is not t_k = k/{m} starting at t = 0")
         if (grid.size - 1) % m:
-            raise PartialPeriod(f"path spans {(grid.size - 1) / m} periods, not a whole number")
+            raise InvalidInput(f"path spans {(grid.size - 1) / m} periods, not a whole number")
         if self.x.shape != grid.shape or not np.all(np.isfinite(self.x)):
-            raise GridMismatch(f"path needs one finite x per grid point ({grid.size})")
+            raise InvalidInput(f"path needs one finite x per grid point ({grid.size})")
         driver = self.driver_increments
         if driver is not None and driver.shape != (grid.size - 1,):
-            raise GridMismatch(f"driver has {driver.size} increments for {grid.size - 1} steps")
+            raise InvalidInput(f"driver has {driver.size} increments for {grid.size - 1} steps")
 
     @property
     def step(self) -> float:
@@ -195,10 +195,10 @@ def fold_periods(values: np.ndarray, m: int) -> np.ndarray:
 
 def _check_step(step: float) -> int:
     if step <= 0.0:
-        raise InvalidStep(f"step must be positive, got {step}")
+        raise InvalidInput(f"step must be positive, got {step}")
     m = round(1.0 / step)
     if m < 1 or abs(1.0 / step - m) > 1e-9 * m:
-        raise InvalidStep(f"step must equal 1/m for integer m, got {step}")
+        raise InvalidInput(f"step must equal 1/m for integer m, got {step}")
     return m
 
 
@@ -247,11 +247,11 @@ def first_order_recursion(drive: np.ndarray, a: float, y0: float = 0.0) -> np.nd
 
 
 def euler_decay(alpha: float, step: float, alpha_key: str = "model.alpha") -> float:
-    """The Euler recursion's decay a = 1 - alpha*step; InvalidStep naming
+    """The Euler recursion's decay a = 1 - alpha*step; InvalidInput naming
     ``alpha_key`` and model.step_denominator unless a > 0."""
     a = 1.0 - alpha * step
     if not a > 0.0:
-        raise InvalidStep(
+        raise InvalidInput(
             f"Euler recursion needs alpha*step < 1, got {alpha_key} = {alpha:g} "
             f"at step 1/{round(1.0 / step)} (model.step_denominator)"
         )
@@ -274,13 +274,17 @@ def _euler(model: FouModel, increments: np.ndarray, x0: float, step: float) -> n
 
 
 def burn_in_periods(
-    alpha: float, n_periods: int, m: int, stationary_start: bool, alpha_key: str = "model.alpha"
+    alpha: float,
+    n_periods: int,
+    m: int,
+    stationary_start: bool,
+    keys: tuple = ("model.n_periods, or a study's n", "model.alpha"),
 ) -> int:
     """Burn-in periods ahead of a path of ``n_periods`` periods of ``m``
     steps: none from a fixed start; from a stationary start enough that the
     start is forgotten to below ``BURN_IN_FORGETTING``, about 18.4/alpha.
-    InvalidInput naming ``alpha_key`` when the draw, burn-in included, would
-    pass ``MAX_PATH_INCREMENTS``."""
+    InvalidInput naming the config ``keys`` of the horizon and of alpha when
+    the draw, burn-in included, would pass ``MAX_PATH_INCREMENTS``."""
     burn = 0
     if stationary_start:
         burn = math.log(1.0 / BURN_IN_FORGETTING) / alpha
@@ -289,8 +293,8 @@ def burn_in_periods(
     if count > MAX_PATH_INCREMENTS:
         raise InvalidInput(
             f"the path needs {count:.4g} fGn increments, above the cap of {MAX_PATH_INCREMENTS}: "
-            f"{n_periods} periods (model.n_periods, or a study's n) and {burn:.4g} "
-            f"burn-in periods ({alpha_key} = {alpha:g}) of {m} steps "
+            f"{n_periods} periods ({keys[0]}) and {burn:.4g} "
+            f"burn-in periods ({keys[1]} = {alpha:g}) of {m} steps "
             "(model.step_denominator)"
         )
     return burn
@@ -380,18 +384,6 @@ def steady_euler_orbit(model: FouModel, step: float) -> np.ndarray:
     return _euler(model, np.zeros(m), x0, step)[:-1]
 
 
-def coupling_gap(path_from_xi0: SamplePath, path_stationary: SamplePath) -> np.ndarray:
-    """|X_t - X~_t| per grid point for two recursions sharing the driver."""
-    a, b = path_from_xi0, path_stationary
-    if a.grid.shape != b.grid.shape or not np.array_equal(a.grid, b.grid):
-        raise GridMismatch("paths are defined on different grids")
-    if a.driver_increments is None or b.driver_increments is None:
-        raise GridMismatch("both paths must carry driver increments")
-    if not np.array_equal(a.driver_increments, b.driver_increments):
-        raise GridMismatch("paths were not driven by the same increments")
-    return np.abs(a.x - b.x)
-
-
 _CSV_BLOCK_ROWS = 4096  # rows per %-format in write_sample_path_csv, about 0.3 MB of text
 
 
@@ -429,8 +421,8 @@ def read_sample_path_csv(
     round-trip exactly, so estimating from the file reproduces the
     in-memory pipeline bit for bit.  ``stationary_start`` must restate how
     the path was generated; the file format does not carry it.  A header,
-    row or cell that does not parse raises InvalidInput naming the line;
-    an empty ``db`` before the last row raises GridMismatch.
+    row or cell that does not parse, or an empty ``db`` before the last
+    row, raises InvalidInput naming the line.
     """
     where = "line 1"
     try:
@@ -448,7 +440,7 @@ def read_sample_path_csv(
             for k, line in enumerate(lines[1:-1], start=2):
                 where = f"line {k}"
                 if line.strip() and len(_parse_row(line, width)) < width:
-                    raise GridMismatch(f"path CSV {filename}, {where}: db is empty") from None
+                    raise InvalidInput("db is empty")  # the handler below names the line
             where = f"lines 2-{len(lines) - 1}"  # float() takes a cell loadtxt refused
             raise
         where = f"line {len(lines)}"

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import perifou
 from perifou import experiments
 from perifou.cli import _COMMANDS, _REQUIRED, _SCHEMA, load_config, main
-from perifou.errors import ConfigError
+from perifou.errors import InvalidInput
 
 
 def base_config():
@@ -65,6 +65,13 @@ def config_file(tmp_path):
         return str(target)
 
     return write
+
+
+def _refusal(capsys, command, kind="InvalidInput"):
+    """The one stderr line of a refused command, checked for its prefix."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"perifou {command}: {kind}: "), lines
+    return lines[0]
 
 
 def test_simulate_row_count(config_file, tmp_path):
@@ -195,15 +202,15 @@ def test_mc_clt_writes_artifacts(config_file, tmp_path):
 
 
 def test_mc_clt_with_too_few_identifiable_replicates_exits_2(config_file, tmp_path, capsys):
-    """sigma = 0 makes every stationary sin/cos design degenerate."""
+    """At sigma = 1e-9 a stationary path stays within about 1e-9 of the
+    steady mean, which lies in the sin/cos span, so every design is
+    degenerate."""
     config = base_config()
-    config["model"]["sigma"] = 0.0
+    config["model"]["sigma"] = 1e-9
     config["clt"].update(n=5, replicates=4)
     out = tmp_path / "clt"
     assert main(["mc-clt", "--config", config_file(config), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
-    assert "DegenerateDesign" in err and "only 0 of 4" in err
+    assert "only 0 of 4" in _refusal(capsys, "mc-clt", "DegenerateDesign")
     assert not out.exists()
 
 
@@ -229,38 +236,30 @@ def test_mc_clt_with_zero_sigma_exits_2_before_writing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "overrides,error",
-    [
-        ([], "DegenerateDesign"),
-        (['model.basis=[{"kind":"sin","k":1}]', "model.mu=[1.0]"], "model.sigma"),
-    ],
+    "overrides",
+    [[], ['model.basis=[{"kind":"sin","k":1}]', "model.mu=[1.0]"]],
+    ids=["unidentifiable", "identifiable"],
 )
-def test_mc_clt_at_zero_sigma_refuses_after_one_replicate(
-    config_file, tmp_path, capsys, monkeypatch, overrides, error
+def test_mc_clt_at_zero_sigma_refuses_before_any_replicate(
+    config_file, tmp_path, capsys, monkeypatch, overrides
 ):
-    """Every replicate is the same path at sigma = 0, so one run in the parent
-    decides the refusal: no pool starts and no second replicate runs."""
+    """Every replicate is the same path at sigma = 0, whether or not its
+    design is identifiable, so the study refuses before the limit objects
+    and before any replicate runs."""
     calls = []
-    run_replicate = experiments._run_replicate
 
-    def counted(*args):
-        calls.append(args[-1])
-        return run_replicate(*args)
+    def spy(name):
+        return lambda *args: calls.append(name)
 
-    def no_pool(*args):
-        raise AssertionError("the study started")
-
-    monkeypatch.setattr(experiments, "_run_replicate", counted)
-    monkeypatch.setattr(experiments, "_map_jobs", no_pool)
+    for name in ("_run_replicate", "_map_jobs", "limit_summary"):
+        monkeypatch.setattr(experiments, name, spy(name))
     cfg = config_file(base_config())
     out = tmp_path / "clt"
     settings = ["model.sigma=0", "clt.workers=4", *overrides]
     argv = ["mc-clt", "--config", cfg, "--out", str(out)]
     assert main(argv + [arg for item in settings for arg in ("--set", item)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
-    assert error in err
-    assert len(calls) <= 1
+    assert "model.sigma = 0" in _refusal(capsys, "mc-clt")
+    assert calls == []
     assert not out.exists()
 
 
@@ -485,7 +484,7 @@ def test_unstable_alpha_step_exits_2(config_file, tmp_path, capsys, command, ove
     cfg = config_file(base_config())
     out = str(tmp_path / "o")
     assert main([command, "--config", cfg, "--out", out, "--set", override]) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    _refusal(capsys, command)
 
 
 @pytest.mark.parametrize(
@@ -501,8 +500,7 @@ def test_euler_step_refusal_names_its_keys(
     out = tmp_path / "o"
     argv = [command, "--config", config_file(base_config()), "--out", str(out), "--set", override]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
+    err = _refusal(capsys, command)
     assert alpha_key in err and "model.step_denominator" in err
     assert command == "estimate" or "model.alpha" not in err
     assert not out.exists()
@@ -535,6 +533,7 @@ def test_range_refusal_names_its_key(config_file, tmp_path, capsys, argv, key):
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
     assert len(errors) == 1 and f"{key} must be" in errors[0]
+    assert key == "--workers" or errors[0].startswith(f"perifou {argv[0]}: InvalidInput: ")
     assert not out.exists()
 
 
@@ -623,9 +622,7 @@ def test_bad_input_exits_2_with_one_line(config_file, tmp_path, capsys, command,
         override = f"estimate.path_csv={target}"
     cfg = config_file(base_config())
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--set", override]) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
-    assert "Traceback" not in err
+    _refusal(capsys, command)
 
 
 @pytest.mark.parametrize(
@@ -641,12 +638,63 @@ def test_tiny_alpha_stationary_start_exits_2_before_drawing(
     config["coupling"]["alphas"] = [1e-9]
     out = tmp_path / "o"
     assert main([command, "--config", config_file(config), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
-    assert "InvalidInput" in err and "fGn increments" in err
+    err = _refusal(capsys, command)
+    assert "fGn increments" in err
     alpha_key = "coupling.alphas[0]" if command == "coupling" else "model.alpha"
     assert f"{alpha_key} = 1e-09" in err
-    assert "model.n_periods" in err and "model.step_denominator" in err
+    horizon_key = "(coupling.n_periods)" if command == "coupling" else "(model.n_periods"
+    assert horizon_key in err and "model.step_denominator" in err
+    assert not out.exists()
+
+
+def test_coupling_increment_cap_without_alphas_names_the_coupling_horizon(
+    config_file, tmp_path, capsys, monkeypatch
+):
+    """With coupling.alphas null the run takes model.alpha, and is checked
+    against the cap before it starts, under coupling.n_periods."""
+    runs = []
+    monkeypatch.setattr("perifou.cli.run_coupling", lambda *args: runs.append(args))
+    out = tmp_path / "o"
+    settings = ["coupling.alphas=null", "model.alpha=1e-4", "model.step_denominator=256"]
+    argv = ["coupling", "--config", config_file(base_config()), "--out", str(out)]
+    assert main(argv + [arg for item in settings for arg in ("--set", item)]) == 2
+    err = _refusal(capsys, "coupling")
+    assert "10 periods (coupling.n_periods)" in err and "model.alpha = 0.0001" in err
+    assert "model.n_periods" not in err
+    assert runs == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("simulate", "model.n_periods", "0"),
+        ("coupling", "coupling.n_periods", "0"),
+        ("mc-clt", "clt.n", "0"),
+        ("mc-consistency", "consistency.n_list", "[0,5]"),
+    ],
+)
+def test_horizon_below_1_names_its_key(
+    config_file, tmp_path, capsys, monkeypatch, command, key, value
+):
+    """Each horizon is checked where the CLI reads it: mc-clt refuses
+    before the limit objects."""
+    monkeypatch.setattr(experiments, "limit_summary", lambda *args: pytest.fail("ran"))
+    out = tmp_path / "o"
+    argv = [command, "--config", config_file(base_config()), "--out", str(out)]
+    assert main(argv + ["--set", f"{key}={value}"]) == 2
+    err = _refusal(capsys, command)
+    assert key in err and "must be >= 1, got 0" in err
+    assert not out.exists()
+
+
+def test_empty_path_csv_exits_2_without_simulating(config_file, tmp_path, capsys, monkeypatch):
+    """Only null means "simulate a path"; an empty string used to estimate
+    a simulated path and exit 0."""
+    monkeypatch.setattr("perifou.cli.simulate_path", lambda *args, **kw: pytest.fail("simulated"))
+    out = tmp_path / "o"
+    argv = ["estimate", "--config", config_file(base_config()), "--out", str(out)]
+    assert main(argv + ["--set", "estimate.path_csv="]) == 2
+    assert "estimate.path_csv" in _refusal(capsys, "estimate")
     assert not out.exists()
 
 
@@ -655,17 +703,18 @@ def test_coupling_increment_cap_names_its_alphas_entry_before_any_run(
 ):
     """At m = 256, alpha = 1e-4 burns in 1.8e5 periods, past the 2^24
     increment cap.  The entry is refused under its own key before the
-    alpha = 1 run starts; the cap used to name model.alpha after that run."""
+    alpha = 1 run starts; the cap used to name model.alpha after that run.
+    The horizon is coupling.n_periods (10 here), not model.n_periods (5)."""
     runs = []
     monkeypatch.setattr("perifou.cli.run_coupling", lambda *args: runs.append(args))
     out = tmp_path / "o"
     argv = ["coupling", "--config", config_file(base_config()), "--out", str(out),
             "--set", "model.step_denominator=256", "--set", "coupling.alphas=[1,1e-4]"]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
+    err = _refusal(capsys, "coupling")
     assert "fGn increments" in err and "coupling.alphas[1] = 0.0001" in err
-    assert "model.alpha" not in err
+    assert "10 periods (coupling.n_periods)" in err
+    assert "model.alpha" not in err and "model.n_periods" not in err
     assert runs == [] and not out.exists()
 
 
@@ -751,13 +800,29 @@ def test_schema_rejects_every_wrong_json_type(data):
     with tempfile.TemporaryDirectory() as tmp:
         target = Path(tmp) / "config.json"
         target.write_text(json.dumps(config))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput):
             load_config(target)
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in perifou.__all__ if not hasattr(perifou, name)]
     assert not missing
+
+
+def test_five_exception_classes_all_exported():
+    """Every refusal is an InvalidInput; the other classes are caught by name."""
+    from perifou import errors
+
+    classes = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    expected = {
+        "PerifouError",
+        "InvalidInput",
+        "DegenerateDesign",
+        "NonnegativeEmbeddingFailure",
+        "FactorizationFailure",
+    }
+    assert classes == expected
+    assert expected <= set(perifou.__all__)
 
 
 def _modules_loaded_by(code: str, prefix: str) -> str:

@@ -8,15 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import mean_function, steady_mean, write_sample_path_csv_rows, zero_start_mean
-from perifou import (
-    BasisSet,
-    FouModel,
-    GridMismatch,
-    InvalidInput,
-    InvalidStep,
-    PartialPeriod,
-    simulate_path,
-)
+from perifou import BasisSet, FouModel, InvalidInput, simulate_path
 from perifou import model as model_module
 from perifou.cli import main
 from perifou.model import (
@@ -24,7 +16,6 @@ from perifou.model import (
     BasisFunction,
     SamplePath,
     _euler,
-    coupling_gap,
     first_order_recursion,
     path_from_increments,
     period_basis,
@@ -163,7 +154,7 @@ def test_simulation_deterministic():
 
 def test_simulation_rejects_bad_step():
     model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=1.0, basis=sine_basis())
-    with pytest.raises(InvalidStep):
+    with pytest.raises(InvalidInput, match="step must equal 1/m"):
         simulate_path(model, 2, 0.3, seed=0)
 
 
@@ -351,8 +342,7 @@ def test_coupling_gap_zero_for_identical_starts():
     model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
     path = simulate_path(model, 3, 1 / 64, seed=2)
     twin = path_from_increments(model, path.driver_increments, float(path.x[0]), 1 / 64)
-    gap = coupling_gap(twin, path)
-    assert np.max(gap) == 0.0
+    assert np.max(np.abs(twin.x - path.x)) == 0.0
 
 
 def test_coupling_gap_decays_exponentially():
@@ -360,21 +350,10 @@ def test_coupling_gap_decays_exponentially():
     step = 1 / 128
     path = simulate_path(model, 8, step, seed=3, stationary_start=True)
     shifted = path_from_increments(model, path.driver_increments, float(path.x[0]) + 1.0, step)
-    gap = coupling_gap(shifted, path)
+    gap = np.abs(shifted.x - path.x)
     bound = np.exp(-model.alpha * path.grid) * (1.0 + 10 * step)
     assert np.all(gap <= bound + 1e-15)
     assert np.all(np.diff(gap) <= 1e-15)
-
-
-def test_coupling_gap_requires_shared_grid_and_driver():
-    model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
-    a = simulate_path(model, 2, 1 / 64, seed=1)
-    b = simulate_path(model, 2, 1 / 64, seed=2)
-    with pytest.raises(GridMismatch):
-        coupling_gap(a, b)
-    c = simulate_path(model, 3, 1 / 64, seed=1)
-    with pytest.raises(GridMismatch):
-        coupling_gap(a, c)
 
 
 # ---------------------------------------------------------------- files
@@ -468,17 +447,19 @@ def _set_cell(lineno, column, value):
         (_set_cell(8194, 1, "abc"), InvalidInput, "line 8194:"),
         (_set_cell(8194, 2, "0.5,0.5"), InvalidInput, "line 8194:"),
         (lambda lines: lines.insert(2, "# a comment"), InvalidInput, "line 3:"),
-        (_set_cell(5, 2, ""), GridMismatch, "line 5:"),
+        (_set_cell(5, 2, ""), InvalidInput, "line 5:"),
         (_set_cell(6000, 2, "1_0"), InvalidInput, "lines 2-8193:"),
     ],
     ids=["bad_cell_mid", "bad_cell_last", "extra_field_last", "comment", "empty_db_mid", "float_only"],
 )
 def test_path_csv_bulk_read_names_the_line_at_fault(edit, error, where, tmp_path):
-    """A row the bulk parse refuses is found again line by line.  A cell
-    float() takes but loadtxt refuses (an underscore) names the row range."""
+    """A row the bulk parse refuses is found again line by line, and named
+    once.  A cell float() takes but loadtxt refuses (an underscore) names
+    the row range."""
     target, model, _ = _edited_path_csv(tmp_path, edit)
-    with pytest.raises(error, match=rf"edited\.csv, {where}"):
+    with pytest.raises(error, match=rf"^path CSV \S*edited\.csv, {where}") as caught:
         read_sample_path_csv(target, model)
+    assert str(caught.value).count("path CSV") == 1
 
 
 def test_path_csv_reads_crlf_and_blank_lines_bit_exact(tmp_path):
@@ -505,7 +486,7 @@ def test_path_csv_without_a_whole_period_is_partial_and_silent(text, tmp_path):
     target.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PartialPeriod):
+        with pytest.raises(InvalidInput, match="needs a whole period"):
             read_sample_path_csv(target, model)
 
 
@@ -527,26 +508,26 @@ def _broken_grid(case):
     return grid, x, driver
 
 
-@pytest.mark.parametrize(
-    "case,error",
-    [
-        ("shifted_period", GridMismatch),
-        ("nan_time", GridMismatch),
-        ("non_uniform", GridMismatch),
-        ("partial_period", PartialPeriod),
-        ("driver_length", GridMismatch),
-    ],
-)
-def test_grid_contract_rejects_broken_paths(case, error, tmp_path):
+_GRID_DEFECTS = {
+    "shifted_period": "not t_k = k/4 starting at t = 0",
+    "nan_time": "non-finite times",
+    "non_uniform": "not t_k = k/4 starting at t = 0",
+    "partial_period": "spans 1.75 periods, not a whole number",
+    "driver_length": "7 increments for 8 steps",
+}
+
+
+@pytest.mark.parametrize("case", _GRID_DEFECTS)
+def test_grid_contract_rejects_broken_paths(case, tmp_path):
     model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
     grid, x, driver = _broken_grid(case)
-    with pytest.raises(error):
+    with pytest.raises(InvalidInput, match=_GRID_DEFECTS[case]):
         SamplePath(grid=grid, x=x, driver_increments=driver, model=model)
     target = tmp_path / "path.csv"
     rows = [f"{t:.17g},{v:.17g},{d:.17g}" for t, v, d in zip(grid, x, driver)]
     rows += [f"{t:.17g},{v:.17g}," for t, v in zip(grid[driver.size :], x[driver.size :])]
     target.write_text("t,x,db\n" + "\n".join(rows) + "\n")
-    with pytest.raises(error):
+    with pytest.raises(InvalidInput):
         read_sample_path_csv(target, model)
     config = tmp_path / "config.json"
     config.write_text(
