@@ -22,13 +22,7 @@ from perifou.errors import (
 from perifou.model import BasisSet, FouModel, simulate_path
 from perifou.estimator import estimate
 from perifou.asymptotics import limit_summary
-from perifou.experiments import (
-    McConfig,
-    run_clt,
-    run_consistency,
-    run_coupling,
-    wiener_variance_study,
-)
+from perifou.experiments import McConfig, run_clt, run_consistency, run_coupling
 
 __version__ = "0.1.0"
 
@@ -47,5 +41,4 @@ __all__ = [
     "run_consistency",
     "run_coupling",
     "simulate_path",
-    "wiener_variance_study",
 ]

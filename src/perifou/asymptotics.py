@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from perifou.errors import InvalidInput
-from perifou.estimator import block_inverse
+from perifou.estimator import block_inverse, euler_lag_sum, scaled_upper_gamma
 from perifou.fgn import fgn_autocovariance
 from perifou.model import (
     FouModel,
@@ -54,9 +54,6 @@ from perifou.model import (
 # H below 3/4 is where the slow central limit theorem applies; the
 # matrices remain computable for H up to 1.
 CLT_HURST_UPPER = 0.75
-
-# The geometric memory a^j of the Euler noise is cut where it drops below this.
-_EULER_MEMORY_FORGETTING = 1e-17
 
 
 @dataclass(frozen=True)
@@ -143,21 +140,11 @@ def _unit_moment(a: float, k: int) -> complex:
     """J_a(2 pi k) = int_0^1 u^{a-1} e^{2 pi i k u} du for a > 0, k >= 0.
 
     With z = -2 pi i k, J_a = z^{-a} (Gamma(a) - Gamma(a, z)), and as
-    e^{-z} = 1, z^{-a} Gamma(a, z) is the continued fraction of Numerical
-    Recipes' ``gcf`` (Lentz's method): within 40 terms at |z| >= 2 pi."""
+    e^{-z} = 1, z^{-a} Gamma(a, z) is :func:`scaled_upper_gamma`."""
     if k == 0:
         return complex(1.0 / a)
     theta = 2.0 * math.pi * k
-    b = complex(1.0 - a, -theta)
-    c, d = 1e300, 1.0 / b
-    fraction = d
-    for i in range(1, 100):
-        b += 2.0
-        d = 1.0 / (i * (a - i) * d + b)
-        c = b + i * (a - i) / c
-        fraction *= c * d
-        if abs(c * d - 1.0) <= 1e-16:
-            break
+    fraction = scaled_upper_gamma(a, complex(0.0, -theta))
     return cmath.rect(math.gamma(a) * theta**-a, 0.5 * math.pi * a) - fraction
 
 
@@ -226,27 +213,20 @@ def quadratic_noise_variance(hurst: float, step: float, alpha: float, n_steps: i
     of c_BB(d) = Cov(dB_k, dB_{k+d}), c_ZB(d) = Cov(Z_k, dB_{k+d}) and
     c_ZZ(d) = Cov(Z_k, Z_{k+d}).  The lag functions follow from two exact
     linear recursions: c_ZB(d) = c_BB(d+1) + a c_ZB(d+1), run backwards
-    from far enough beyond the horizon that the dropped memory is below
-    _EULER_MEMORY_FORGETTING, and c_ZZ(d) = c_ZB(d-1) + a c_ZZ(d-1), run
-    forwards from Var(Z) = (c_BB(0) + 2a c_ZB(0)) / (1 - a^2).
+    from c_ZB(N-1) = :func:`euler_lag_sum` at the horizon, and
+    c_ZZ(d) = c_ZB(d-1) + a c_ZZ(d-1), run forwards from
+    Var(Z) = (c_BB(0) + 2a c_ZB(0)) / (1 - a^2).
     """
     a = 1.0 - alpha * step
     if not 0.0 < a < 1.0:
         raise ValueError(f"alpha*step must lie in (0, 1), got {alpha * step}")
     last = int(n_steps) - 1
-    memory = math.ceil(math.log(_EULER_MEMORY_FORGETTING) / math.log1p(-alpha * step))
-    weight = step ** (2.0 * hurst)
-    # c_BB(d+1) for d = -last .. last + memory
-    c_bb_next = weight * fgn_autocovariance(
-        hurst, np.abs(np.arange(1 - last, last + memory + 2))
-    )
-    c_zb = first_order_recursion(c_bb_next[::-1], a)[::-1][: 2 * last + 1]
-    c_bb = weight * fgn_autocovariance(hurst, np.arange(last + 1))
+    c_bb = step ** (2.0 * hurst) * fgn_autocovariance(hurst, np.arange(last + 1))
+    horizon = euler_lag_sum(alpha, hurst, step, last)  # c_ZB(last); back from there to c_ZB(-last)
+    drive = c_bb[np.abs(np.arange(last, -last, -1))]
+    c_zb = np.append(first_order_recursion(drive, a, horizon)[::-1], horizon)
     var_z = (c_bb[0] + 2.0 * a * c_zb[last]) / (1.0 - a * a)
-    c_zz = np.empty(last + 1)
-    c_zz[0] = var_z
-    if last:
-        c_zz[1:] = first_order_recursion(c_zb[last:-1], a, var_z)
+    c_zz = np.append(var_z, first_order_recursion(c_zb[last:-1], a, var_z))
     lags = np.arange(last + 1)
     multiplicity = np.where(lags == 0, 1.0, 2.0) * (last + 1 - lags)
     terms = c_zz * c_bb + c_zb[last:] * c_zb[last::-1]

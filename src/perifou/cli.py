@@ -266,11 +266,13 @@ def _mc_config(config: dict, args, section_name: str) -> McConfig:
     if section is None:
         raise InvalidInput(f"config needs a '{section_name}' section")
     if section_name == "consistency":
-        n_list = [
-            _at_least_1(n, f"consistency.n_list[{i}]") for i, n in enumerate(section["n_list"])
-        ]
+        keys = [f"consistency.n_list[{i}]" for i in range(len(section["n_list"]))]
+        n_list = [_at_least_1(n, key) for n, key in zip(section["n_list"], keys)]
     else:
-        n_list = (_at_least_1(section["n"], "clt.n"),)
+        keys, n_list = ["clt.n"], [_at_least_1(section["n"], "clt.n")]
+    m = config["model"]["step_denominator"]
+    for n, key in zip(n_list, keys):  # every replicate starts stationary; refuse before any runs
+        burn_in_periods(model.alpha, n, m, True, (key, "model.alpha"))
     try:
         return McConfig(
             model=model,

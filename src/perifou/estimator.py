@@ -45,6 +45,8 @@ ALIASING_TOLERANCE = 1e-9
 # the naive alpha_hat can dip below zero when the trace term dominates.
 _PLUG_IN_FLOOR = 1e-6
 
+_EXPLICIT_LAGS = 4096  # K of euler_lag_sum: lags added one by one; beyond them, a closed form
+
 
 @dataclass(frozen=True)
 class DesignStats:
@@ -160,6 +162,49 @@ def block_inverse(lam: np.ndarray, g: float) -> np.ndarray:
     return inv
 
 
+def scaled_upper_gamma(a: float, z):
+    """e^z z^{-a} Gamma(a, z) for real a not in {0, -1, ...} and real z > 0 or complex z:
+    Gamma(a) e^z z^{-a} minus the lower-gamma series below |z| = 2 (the cancellation costs
+    <= 1e-13 there), else Lentz's continued fraction (Numerical Recipes' ``gcf``)."""
+    if abs(z) < 2.0:
+        term = total = 1.0 / a
+        for n in range(1, 40):
+            term *= z / (a + n)
+            total += term
+        return math.gamma(a) * math.exp(z) * z**-a - total
+    b = 1.0 - a + z
+    c, d = 1e300, 1.0 / b
+    fraction = d
+    for i in range(1, 100):  # within 60 terms at real z >= 2, 40 at |z| >= 2 pi
+        b += 2.0
+        d = 1.0 / (i * (a - i) * d + b)
+        c = b + i * (a - i) / c
+        fraction *= c * d
+        if abs(c * d - 1.0) <= 1e-16:
+            break
+    return fraction
+
+
+def euler_lag_sum(alpha: float, hurst: float, step: float, start: int = 0) -> float:
+    """T(d) = sum_{j>=1} a^{j-1} c_BB(d + j) = Cov(Z_k, dB_{k+d}) at d = ``start``, for the
+    stationary Euler noise Z_{k+1} = a Z_k + dB_k, a = 1 - alpha*step = e^{-lam}, and fGn of
+    covariance c_BB(k) = step^{2H} rho_H(k).  The first min(K, lags until a^j < 1e-18) terms
+    are summed as they stand; the rest by the midpoint Euler-Maclaurin rule int_{K+1/2}^inf f
+    + f'(K+1/2)/24 on rho_H(k) = H b k^{b-1} (1 + (b-1)(b-2) / (12 k^2)), b = 2H - 1, whose
+    integrals are a^{K-1/2} u^s e^x x^{-s} Gamma(s, x) at u = K + 1/2 + d, x = lam u, s = b and
+    b - 2 (:func:`scaled_upper_gamma`; scaled, so no factor e^{lam d} overflows or cancels)."""
+    lam, a = -math.log1p(-alpha * step), 1.0 - alpha * step
+    lags = np.arange(1, min(_EXPLICIT_LAGS, math.ceil(math.log(1e18) / lam)) + 1)
+    total = float(np.sum(a ** (lags - 1.0) * fgn_autocovariance(hurst, lags + start)))
+    if lags.size == _EXPLICIT_LAGS:
+        b, u = 2.0 * hurst - 1.0, _EXPLICIT_LAGS + 0.5 + start
+        first, second = (u**s * scaled_upper_gamma(s, lam * u) for s in (b, b - 2.0))
+        integral = first + (b - 1.0) * (b - 2.0) / 12.0 * second
+        slope = u ** (b - 1.0) * ((b - 1.0) / u - lam) / 24.0
+        total += hurst * b * math.exp(-lam * (_EXPLICIT_LAGS - 0.5)) * (integral + slope)
+    return step ** (2.0 * hurst) * total
+
+
 @lru_cache(maxsize=128)
 def discrete_trace_correction(
     alpha: float, hurst: float, step: float, n_steps: int, stationary: bool = True
@@ -169,7 +214,7 @@ def discrete_trace_correction(
     For the Euler chain with decay factor a = 1 - alpha*step,
     E[sum_k X_k dB_k] = sigma * sum_k sum_{m>=1} a^{m-1} rho_H(m) step^{2H}
     with the inner sum running over the available history of row k: the
-    whole past for stationary starts, lags m <= k for fixed starts.
+    whole past for stationary starts (N :func:`euler_lag_sum`), lags m <= k for fixed starts.
     Subtracting this makes the discretized quadratic response mean-zero,
     matching the divergence-integral convention on the grid exactly; the
     continuous-time trace term (``skorokhod_correction`` in the tests'
@@ -185,29 +230,9 @@ def discrete_trace_correction(
     a = 1.0 - alpha * step
     if not 0.0 < a < 1.0:
         raise ValueError(f"alpha*step must lie in (0, 1), got {alpha * step}")
-    weight = step ** (2.0 * hurst)
     if stationary:
-        cutoff = int(math.ceil(math.log(1e18) / -math.log(a))) + 1
-        capped = min(cutoff, 1 << 21)
-        lags = np.arange(1, capped + 1)
-        terms = a ** (lags - 1.0) * fgn_autocovariance(hurst, lags) * weight
-        total = float(terms.sum())
-        if capped < cutoff:
-            # analytic tail: kernel density approximation of the remaining lags;
-            # reached only for alpha*step below ~2e-5, so scipy loads only then
-            from scipy.special import gammainc
-
-            b = 2.0 * hurst - 1.0
-            alpha_h = hurst * b
-            tail = (
-                alpha_h
-                * math.exp(alpha * step)
-                * alpha**-b
-                * math.gamma(b)
-                * (1.0 - gammainc(b, alpha * step * capped))
-            )
-            total += tail
-        return n_steps * total
+        return n_steps * euler_lag_sum(alpha, hurst, step)
+    weight = step ** (2.0 * hurst)
     lags = np.arange(1, n_steps)
     if lags.size == 0:
         return 0.0

@@ -18,14 +18,8 @@ import numpy as np
 from perifou.asymptotics import finite_horizon_covariance, limit_summary
 from perifou.errors import DegenerateDesign, InvalidInput
 from perifou.estimator import MODES, estimate
-from perifou.fgn import FgnSpec, generate_fgn_circulant, substream_seed
-from perifou.model import (
-    FouModel,
-    fold_periods,
-    path_from_increments,
-    period_basis,
-    simulate_path,
-)
+from perifou.fgn import substream_seed
+from perifou.model import FouModel, path_from_increments, simulate_path
 
 # Default PASS thresholds for the normality study.
 CLT_FROBENIUS_TOL = 0.25
@@ -372,52 +366,6 @@ def run_coupling(
         exact_match=exact_match,
         passed=passed,
     )
-
-
-def wiener_variance_study(
-    basis, hurst: float, n_list, replicates: int, step: float, master_seed: int
-) -> dict:
-    """Empirical variance of n^{-H} * sum_k phi_i(t_k) dB_k per component.
-
-    The isometry estimate bounds each variance by the squared uniform bound
-    of the basis; the study also checks that the variance shows no
-    significant upward trend in n.
-    """
-    phi = period_basis(basis, step)
-    m = phi.shape[1]
-    bound = basis.bound**2
-    per_n = {}
-    for n in n_list:
-        draws = np.empty((replicates, basis.p))
-        for r in range(replicates):
-            seed = substream_seed(master_seed, n, r)
-            db = generate_fgn_circulant(FgnSpec(hurst, step, n * m, seed))
-            draws[r] = phi @ fold_periods(db, m)
-        scaled = n ** (-hurst) * draws
-        variance = scaled.var(axis=0, ddof=1)
-        se = variance * math.sqrt(2.0 / (replicates - 1))
-        per_n[int(n)] = {
-            "variance": [float(v) for v in variance],
-            "se": [float(v) for v in se],
-        }
-    ns = sorted(per_n)
-    trend_ok = True
-    for a, b in zip(ns, ns[1:]):
-        va = np.asarray(per_n[a]["variance"])
-        vb = np.asarray(per_n[b]["variance"])
-        sa = np.asarray(per_n[a]["se"])
-        sb = np.asarray(per_n[b]["se"])
-        if np.any(vb - va > 2.0 * np.sqrt(sa**2 + sb**2)):
-            trend_ok = False
-    within_bound = all(
-        v <= bound for n in ns for v in per_n[n]["variance"]
-    )
-    return {
-        "bound": float(bound),
-        "per_n": per_n,
-        "trend_ok": trend_ok,
-        "passed": bool(within_bound and trend_ok),
-    }
 
 
 def write_replicates_csv(report: ExperimentReport, filename) -> None:

@@ -278,7 +278,7 @@ def burn_in_periods(
     n_periods: int,
     m: int,
     stationary_start: bool,
-    keys: tuple = ("model.n_periods, or a study's n", "model.alpha"),
+    keys: tuple = ("model.n_periods", "model.alpha"),
 ) -> int:
     """Burn-in periods ahead of a path of ``n_periods`` periods of ``m``
     steps: none from a fixed start; from a stationary start enough that the

@@ -2,6 +2,8 @@
 
 Each one recomputes a quantity the package computes another way (or reads
 back a file the package writes), so the tests can cross-check the two.
+``wiener_variance_study`` is the one study that only a test runs
+(acceptance criterion 07).
 """
 
 from __future__ import annotations
@@ -13,7 +15,15 @@ from scipy.special import gammainc
 
 from perifou.estimator import DesignStats
 from perifou.experiments import ReplicateResult
-from perifou.model import FouModel, SamplePath, steady_mean_terms
+from perifou.fgn import FgnSpec, fgn_autocovariance, generate_fgn_circulant, substream_seed
+from perifou.model import (
+    FouModel,
+    SamplePath,
+    first_order_recursion,
+    fold_periods,
+    period_basis,
+    steady_mean_terms,
+)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _UNIT_NODES = 0.5 * (_GL_NODES + 1.0)
@@ -241,3 +251,115 @@ def write_sample_path_csv_rows(path, filename) -> None:
                 handle.write(f"{t:.17g},{x:.17g},{db}\n")
             else:
                 handle.write(f"{t:.17g},{x:.17g}\n")
+
+
+def series_fgn_autocovariance(hurst: float, lags) -> np.ndarray:
+    """rho_H(k) without the cancellation of its second difference: for k >= 8
+    the binomial series k^{2H} sum_{i>=1} C(2H, 2i) k^{-2i}, summed until the
+    next term is below 1e-17 relative at the smallest such lag, and the
+    second difference below 8."""
+    k = np.asarray(lags, dtype=float)
+    large = np.maximum(k, 8.0)
+    count = math.ceil(17.0 * math.log(10.0) / (2.0 * math.log(large.min(initial=8.0))))
+    coefficients, c = [], 1.0
+    for r in range(2 * count + 1):  # C(2H, r), kept at even r >= 2
+        if r >= 2 and r % 2 == 0:
+            coefficients.append(c)
+        c *= (2.0 * hurst - r) / (r + 1)
+    inverse_square = 1.0 / (large * large)
+    total = np.zeros_like(large)
+    for c in reversed(coefficients):
+        total = (total + c) * inverse_square
+    rho = large ** (2.0 * hurst) * total
+    rho[k < 8.0] = fgn_autocovariance(hurst, k[k < 8.0])
+    return rho
+
+
+def brute_lag_sums(alpha: float, hurst: float, step: float, starts=(0,)) -> list:
+    """sum_{j>=1} a^{j-1} step^{2H} rho_H(d + j) for each d in ``starts``, with
+    a = 1 - alpha*step, term by term until a^j < e^{-46}: the reference for
+    ``estimator.euler_lag_sum``.  One pass over the lags k serves every d, 2^20
+    lags to a chunk, numpy's pairwise sum within a chunk and math.fsum across;
+    rho_H is :func:`series_fgn_autocovariance`."""
+    lam = -math.log1p(-alpha * step)
+    stop = math.ceil(46.0 / lam)
+    end = stop + max(starts) + 1
+    chunks = {d: [] for d in starts}
+    for first in range(1, end, 1 << 20):
+        k = np.arange(first, min(first + (1 << 20), end), dtype=float)
+        rho = series_fgn_autocovariance(hurst, k)
+        for d in starts:
+            keep = (k > d) & (k <= d + stop)
+            decay = np.exp(-lam * (k[keep] - d - 1.0))
+            chunks[d].append(float(np.sum(decay * rho[keep])))
+    return [step ** (2.0 * hurst) * math.fsum(chunks[d]) for d in starts]
+
+
+def memory_quadratic_noise_variance(hurst: float, step: float, alpha: float, n_steps: int) -> float:
+    """``asymptotics.quadratic_noise_variance`` with c_ZB(d) = c_BB(d+1) + a c_ZB(d+1)
+    run backwards from zero, ln(1e-17) / ln(a) lags beyond the horizon, instead of
+    from ``euler_lag_sum`` at the horizon.  Its memory grows as 1/(alpha step):
+    405 MB at alpha = 1e-3, n_steps = 51200 and step 1/256."""
+    a = 1.0 - alpha * step
+    last = int(n_steps) - 1
+    memory = math.ceil(math.log(1e-17) / math.log1p(-alpha * step))
+    weight = step ** (2.0 * hurst)
+    # c_BB(d+1) for d = -last .. last + memory
+    c_bb_next = weight * fgn_autocovariance(hurst, np.abs(np.arange(1 - last, last + memory + 2)))
+    c_zb = first_order_recursion(c_bb_next[::-1], a)[::-1][: 2 * last + 1]
+    c_bb = weight * fgn_autocovariance(hurst, np.arange(last + 1))
+    var_z = (c_bb[0] + 2.0 * a * c_zb[last]) / (1.0 - a * a)
+    c_zz = np.empty(last + 1)
+    c_zz[0] = var_z
+    if last:
+        c_zz[1:] = first_order_recursion(c_zb[last:-1], a, var_z)
+    lags = np.arange(last + 1)
+    multiplicity = np.where(lags == 0, 1.0, 2.0) * (last + 1 - lags)
+    terms = c_zz * c_bb + c_zb[last:] * c_zb[last::-1]
+    return float(np.dot(multiplicity, terms))
+
+
+def wiener_variance_study(
+    basis, hurst: float, n_list, replicates: int, step: float, master_seed: int
+) -> dict:
+    """Empirical variance of n^{-H} * sum_k phi_i(t_k) dB_k per component.
+
+    The isometry estimate bounds each variance by the squared uniform bound
+    of the basis; the study also checks that the variance shows no
+    significant upward trend in n.
+    """
+    phi = period_basis(basis, step)
+    m = phi.shape[1]
+    bound = basis.bound**2
+    per_n = {}
+    for n in n_list:
+        draws = np.empty((replicates, basis.p))
+        for r in range(replicates):
+            seed = substream_seed(master_seed, n, r)
+            db = generate_fgn_circulant(FgnSpec(hurst, step, n * m, seed))
+            draws[r] = phi @ fold_periods(db, m)
+        scaled = n ** (-hurst) * draws
+        variance = scaled.var(axis=0, ddof=1)
+        se = variance * math.sqrt(2.0 / (replicates - 1))
+        per_n[int(n)] = {
+            "variance": [float(v) for v in variance],
+            "se": [float(v) for v in se],
+        }
+    ns = sorted(per_n)
+    trend_ok = True
+    for a, b in zip(ns, ns[1:]):
+        va = np.asarray(per_n[a]["variance"])
+        vb = np.asarray(per_n[b]["variance"])
+        sa = np.asarray(per_n[a]["se"])
+        sb = np.asarray(per_n[b]["se"])
+        if np.any(vb - va > 2.0 * np.sqrt(sa**2 + sb**2)):
+            trend_ok = False
+    within_bound = all(
+        v <= bound for n in ns for v in per_n[n]["variance"]
+    )
+    return {
+        "bound": float(bound),
+        "per_n": per_n,
+        "trend_ok": trend_ok,
+        "passed": bool(within_bound and trend_ok),
+    }

@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import normal_matrix, singular_pair_integral
+from oracles import normal_matrix, singular_pair_integral, wiener_variance_study
 from perifou import (
     BasisSet,
     DegenerateDesign,
@@ -34,7 +34,6 @@ from perifou import (
     run_consistency,
     run_coupling,
     simulate_path,
-    wiener_variance_study,
 )
 from perifou.estimator import DesignStats, normal_matrix_inverse
 from perifou.experiments import report_to_dict, write_qq_csv, write_replicates_csv

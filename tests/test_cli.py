@@ -642,9 +642,41 @@ def test_tiny_alpha_stationary_start_exits_2_before_drawing(
     assert "fGn increments" in err
     alpha_key = "coupling.alphas[0]" if command == "coupling" else "model.alpha"
     assert f"{alpha_key} = 1e-09" in err
-    horizon_key = "(coupling.n_periods)" if command == "coupling" else "(model.n_periods"
+    horizon_key = {
+        "coupling": "(coupling.n_periods)",
+        "mc-consistency": "(consistency.n_list[0])",
+        "mc-clt": "(clt.n)",
+    }.get(command, "(model.n_periods)")
     assert horizon_key in err and "model.step_denominator" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, horizon",
+    [("mc-clt", "12 periods (clt.n)"), ("mc-consistency", "4 periods (consistency.n_list[0])")],
+)
+def test_study_increment_cap_names_its_horizon_before_any_work(
+    config_file, tmp_path, capsys, monkeypatch, command, horizon
+):
+    """At m = 256, alpha = 1e-4 burns in 1.8e5 periods, past the 2^24
+    increment cap.  A study is refused under its own horizon key before
+    limit_summary and before any replicate; mc-clt used to reach the cap in
+    its first replicate, after limit_summary, and name model.n_periods."""
+    calls = []
+
+    def spy(name):
+        return lambda *args: calls.append(name)
+
+    for name in ("_run_replicate", "_map_jobs", "limit_summary"):
+        monkeypatch.setattr(experiments, name, spy(name))
+    out = tmp_path / "o"
+    settings = ["model.alpha=1e-4", "model.step_denominator=256"]
+    argv = [command, "--config", config_file(base_config()), "--out", str(out)]
+    assert main(argv + [arg for item in settings for arg in ("--set", item)]) == 2
+    err = _refusal(capsys, command)
+    assert "fGn increments" in err and horizon in err and "model.alpha = 0.0001" in err
+    assert "model.n_periods" not in err
+    assert calls == [] and not out.exists()
 
 
 def test_coupling_increment_cap_without_alphas_names_the_coupling_horizon(
@@ -844,16 +876,21 @@ def _modules_loaded_by(code: str, prefix: str) -> str:
         ("limits", []),
         ("estimate", []),
         ("estimate", ["estimate.alpha_for_correction=1"]),
+        ("estimate", ["estimate.alpha_for_correction=1e-4"]),
     ],
-    ids=["import", "limits", "csv-estimate-plug-in", "csv-estimate-alpha-1"],
+    ids=[
+        "import", "limits", "csv-estimate-plug-in", "csv-estimate-alpha-1",
+        "csv-estimate-alpha-1e-4",
+    ],
 )
 def test_cli_import_limits_and_csv_estimate_load_no_scipy(
     config_file, tmp_path, command, overrides
 ):
     """The package imports scipy only where it is used: limits and a CSV
     estimate run no recursion, and their quadrature and trace correction
-    are numpy alone.  Loading scipy costs most of a fresh process's
-    start-up."""
+    are numpy alone, at every alpha (an incomplete-gamma tail once loaded
+    scipy.special below alpha * step = 2e-5).  Loading scipy costs most of
+    a fresh process's start-up."""
     code = "import sys, perifou.cli"
     if command is not None:
         config = base_config()

@@ -8,16 +8,24 @@ import pytest
 import scipy.integrate
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincc
 
-from oracles import normal_matrix, response, skorokhod_correction
+from oracles import (
+    brute_lag_sums,
+    normal_matrix,
+    response,
+    series_fgn_autocovariance,
+    skorokhod_correction,
+)
 from perifou import BasisSet, DegenerateDesign, FouModel, InvalidInput, estimate, simulate_path
 from perifou.estimator import (
     DesignStats,
     EstimateResult,
     build_design,
     discrete_trace_correction,
+    euler_lag_sum,
     normal_matrix_inverse,
+    scaled_upper_gamma,
 )
 from perifou.fgn import fgn_autocovariance, substream_seed
 from perifou.model import SamplePath, fold_periods, period_grid
@@ -276,6 +284,43 @@ def test_discrete_trace_approaches_continuous_minus_cell_mass():
         cont = skorokhod_correction(alpha, hurst, horizon)
         cell = horizon * step ** (2 * hurst - 1) / 2
         assert abs(disc + cell - cont) <= 0.01 * cont
+
+
+@pytest.mark.parametrize("alpha_step", [0.5, 2.0**-8, 1e-3, 1e-4, 4.6e-6])  # the last: 10^7 lags
+@pytest.mark.parametrize("hurst", [0.55, 0.65, 0.8, 0.95])
+def test_euler_lag_sum_matches_brute_force(monkeypatch, hurst, alpha_step):
+    step = 1 / 256
+    alpha = alpha_step / step
+    at_0, at_5000 = brute_lag_sums(alpha, hurst, step, (0, 5000))
+    assert euler_lag_sum(alpha, hurst, step) == pytest.approx(at_0, rel=1e-10)
+    # fgn_autocovariance loses about eps k^2 relative at lag k, 3.3e-8 of the
+    # sum from lag 5000 on at H = 0.55; with a cancellation-free rho the
+    # kernel's own error shows, below 2e-14 at both starts
+    assert euler_lag_sum(alpha, hurst, step, 5000) == pytest.approx(at_5000, rel=1e-7)
+    monkeypatch.setattr("perifou.estimator.fgn_autocovariance", series_fgn_autocovariance)
+    assert euler_lag_sum(alpha, hurst, step) == pytest.approx(at_0, rel=1e-12)
+    assert euler_lag_sum(alpha, hurst, step, 5000) == pytest.approx(at_5000, rel=1e-12)
+
+
+def test_stationary_trace_correction_below_the_old_tail_threshold():
+    """The correction of ``perifou estimate`` on configs/acceptance.json with
+    estimate.alpha_for_correction = 1e-4 (12800 steps of 1/256): an analytic
+    tail below alpha * step = 2e-5, which lacked a factor step, once made it
+    13480.24."""
+    correction = discrete_trace_correction(1e-4, 0.65, 1 / 256, 12800, stationary=True)
+    assert correction == pytest.approx(457.54, abs=0.005)
+
+
+def test_scaled_upper_gamma_matches_scipy():
+    for a in (0.1, 0.3, 0.9, -1.1, -1.7):
+        for x in (1e-6, 0.5, 1.99, 2.0, 10.0, 200.0):
+            # scipy's gammaincc is the regularized upper gamma, for a > 0 only
+            if a > 0:
+                expected = math.exp(x) * x**-a * math.gamma(a) * gammaincc(a, x)
+                assert scaled_upper_gamma(a, x) == pytest.approx(expected, rel=1e-12)
+            # Gamma(a, x) = (Gamma(a + 1, x) - x^a e^{-x}) / a
+            recurrence = (x * scaled_upper_gamma(a + 1.0, x) - 1.0) / a
+            assert scaled_upper_gamma(a, x) == pytest.approx(recurrence, rel=1e-11)
 
 
 # ------------------------------------------------------------- estimation

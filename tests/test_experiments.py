@@ -20,9 +20,8 @@ from perifou import (
     run_clt,
     run_consistency,
     run_coupling,
-    wiener_variance_study,
 )
-from oracles import read_replicates_csv
+from oracles import read_replicates_csv, wiener_variance_study
 from perifou.experiments import (
     ReplicateResult,
     _skewness_and_excess_kurtosis,
