@@ -58,35 +58,13 @@ CLT_HURST_UPPER = 0.75
 
 @dataclass(frozen=True)
 class LimitSummary:
-    """C, Sigma_0 and the limit reference sigma^2 C Sigma_0 C with their
-    ingredients; ``c_inverse_gap`` is the Frobenius norm of Sigma_0 - C^{-1}."""
+    """C and the limit reference sigma^2 C Sigma_0 C, the two arrays later
+    code computes with, and ``report``: every limit object, JSON-ready under
+    its ``limits.json`` key and in file order."""
 
-    loadings: np.ndarray
-    precision: float
-    stationary_var: float
     c_matrix: np.ndarray
-    noise_cov: np.ndarray
     asym_cov: np.ndarray
-    alpha_h: float
-    clt_valid: bool
-    degenerate_limit: bool
-    c_inverse_gap: float
-
-    def to_report(self) -> dict:
-        return {
-            "lambda": [float(v) for v in self.loadings],
-            "gamma": float(self.precision),
-            "stationary_variance": float(self.stationary_var),
-            "alpha_h": float(self.alpha_h),
-            "C": self.c_matrix.tolist(),
-            "Sigma0": self.noise_cov.tolist(),
-            "asymptotic_covariance": self.asym_cov.tolist(),
-            "flags": {
-                "clt_valid": bool(self.clt_valid),
-                "degenerate_limit": bool(self.degenerate_limit),
-            },
-            "sigma0_minus_c_inverse_frobenius": self.c_inverse_gap,
-        }
+    report: dict
 
 
 def _steady_projection(model: FouModel, var: float) -> tuple:
@@ -288,7 +266,9 @@ def finite_horizon_covariance(
 
 
 def limit_summary(model: FouModel) -> LimitSummary:
-    """Assemble all limit objects once, with validity flags.
+    """Assemble all limit objects once, with validity flags, into the
+    ``limits.json`` report; ``sigma0_minus_c_inverse_frobenius`` is the
+    Frobenius norm of Sigma_0 - C^{-1}.
 
     ``degenerate_limit`` is set when the limit reference sigma^2 C Sigma_0 C
     is singular: when sigma = 0, or when h~ lies in the span of the basis.
@@ -314,15 +294,18 @@ def limit_summary(model: FouModel) -> LimitSummary:
         _require_finite(model, c, sigma0, asym)  # inv raises LinAlgError on NaN
         gap = math.hypot(*(sigma0 - np.linalg.inv(c)).ravel())  # norm() would square 1/gamma
         _require_finite(model, gap)
-    return LimitSummary(
-        loadings=lam,
-        precision=g,
-        stationary_var=var,
-        c_matrix=c,
-        noise_cov=sigma0,
-        asym_cov=asym,
-        alpha_h=model.hurst * (2.0 * model.hurst - 1.0),
-        clt_valid=model.hurst < CLT_HURST_UPPER,
-        degenerate_limit=model.sigma == 0.0 or outside == 0.0,
-        c_inverse_gap=gap,
-    )
+    report = {
+        "lambda": [float(v) for v in lam],
+        "gamma": g,
+        "stationary_variance": var,
+        "alpha_h": model.hurst * (2.0 * model.hurst - 1.0),
+        "C": c.tolist(),
+        "Sigma0": sigma0.tolist(),
+        "asymptotic_covariance": asym.tolist(),
+        "flags": {
+            "clt_valid": bool(model.hurst < CLT_HURST_UPPER),
+            "degenerate_limit": bool(model.sigma == 0.0 or outside == 0.0),
+        },
+        "sigma0_minus_c_inverse_frobenius": gap,
+    }
+    return LimitSummary(c_matrix=c, asym_cov=asym, report=report)

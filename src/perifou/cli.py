@@ -22,7 +22,7 @@ from pathlib import Path
 
 from perifou.asymptotics import CLT_HURST_UPPER, limit_summary
 from perifou.errors import DegenerateDesign, InvalidInput, PerifouError
-from perifou.estimator import estimate
+from perifou.estimator import MODES, estimate
 from perifou.experiments import (
     COUPLING_GAP_FLOOR,
     McConfig,
@@ -168,14 +168,18 @@ def build_model(section: dict) -> FouModel:
     """Construct the model from its config section, whose grid must have at
     least one step per period."""
     _at_least_1(section["step_denominator"], "model.step_denominator")
-    return FouModel(
-        hurst=section["hurst"],
-        alpha=section["alpha"],
-        mu=section["mu"],
-        sigma=section["sigma"],
-        basis=BasisSet.from_specs(section["basis"]),
-        xi0=section["xi0"],
-    )
+    basis = BasisSet.from_specs(section["basis"])
+    try:
+        return FouModel(
+            hurst=section["hurst"],
+            alpha=section["alpha"],
+            mu=section["mu"],
+            sigma=section["sigma"],
+            basis=basis,
+            xi0=section["xi0"],
+        )
+    except InvalidInput as exc:  # FouModel's messages start with the field name
+        raise InvalidInput(f"model.{exc}") from exc
 
 
 def _out_dir(args) -> Path:
@@ -191,6 +195,8 @@ def _write_json(payload: dict, filename: Path) -> None:
 
 
 def _simulate(model: FouModel, section: dict):
+    if section["seed"] < 0:
+        raise InvalidInput(f"model.seed must be >= 0, got {section['seed']}")
     return simulate_path(
         model,
         n_periods=_at_least_1(section["n_periods"], "model.n_periods"),
@@ -212,6 +218,8 @@ def _cmd_estimate(config: dict, args) -> int:
     model = build_model(config["model"])
     section = config["estimate"]
     mode = section["mode"]
+    if mode not in MODES:  # before a path is simulated or read
+        raise InvalidInput(f"estimate.mode must be one of {MODES}, got {mode!r}")
     model_section = config["model"]
     if section["path_csv"] == "":
         raise InvalidInput("estimate.path_csv is empty; null simulates a path")
@@ -246,13 +254,11 @@ def _cmd_estimate(config: dict, args) -> int:
 
 def _cmd_limits(config: dict, args) -> int:
     model = build_model(config["model"])
-    summary = limit_summary(model)
+    report = limit_summary(model).report
     out = _out_dir(args) / "limits.json"
-    _write_json(summary.to_report(), out)
-    flags = []
-    if not summary.clt_valid:
-        flags.append("clt_invalid")
-    if summary.degenerate_limit:
+    _write_json(report, out)
+    flags = [] if report["flags"]["clt_valid"] else ["clt_invalid"]
+    if report["flags"]["degenerate_limit"]:
         flags.append("degenerate_limit")
     print(f"limits: wrote {out}" + (f" [{', '.join(flags)}]" if flags else ""))
     return 0
@@ -261,7 +267,9 @@ def _cmd_limits(config: dict, args) -> int:
 def _mc_config(config: dict, args, section_name: str) -> McConfig:
     model = build_model(config["model"])
     if not model.hurst < CLT_HURST_UPPER:
-        raise InvalidInput(f"{section_name} requires hurst < {CLT_HURST_UPPER}, got {model.hurst}")
+        raise InvalidInput(
+            f"{section_name} requires model.hurst < {CLT_HURST_UPPER}, got {model.hurst}"
+        )
     section = config[section_name]
     if section is None:
         raise InvalidInput(f"config needs a '{section_name}' section")
@@ -271,6 +279,7 @@ def _mc_config(config: dict, args, section_name: str) -> McConfig:
     else:
         keys, n_list = ["clt.n"], [_at_least_1(section["n"], "clt.n")]
     m = config["model"]["step_denominator"]
+    euler_decay(model.alpha, 1.0 / m)  # refuse before limit_summary and any replicate
     for n, key in zip(n_list, keys):  # every replicate starts stationary; refuse before any runs
         burn_in_periods(model.alpha, n, m, True, (key, "model.alpha"))
     try:
@@ -278,7 +287,7 @@ def _mc_config(config: dict, args, section_name: str) -> McConfig:
             model=model,
             n_list=n_list,
             replicates=section["replicates"],
-            step=1.0 / config["model"]["step_denominator"],
+            step=1.0 / m,
             mode=section["mode"],
             master_seed=section["master_seed"],
             workers=args.workers or section["workers"],

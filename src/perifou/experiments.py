@@ -101,6 +101,7 @@ def _run_replicate(model: FouModel, step: float, mode: str, master_seed: int, jo
 
 
 def _map_jobs(config: McConfig, jobs) -> list:
+    """One ReplicateResult per (n, r) job, in job order, serially or on a pool."""
     job_fn = partial(
         _run_replicate, config.model, config.step, config.mode, config.master_seed
     )
@@ -187,7 +188,6 @@ def run_consistency(config: McConfig) -> ExperimentReport:
     start = time.perf_counter()
     jobs = [(n, r) for n in config.n_list for r in range(config.replicates)]
     rows = _map_jobs(config, jobs)
-    rows.sort(key=lambda row: (row.n, row.replicate))
     aggregates = aggregate_rows(config.model.theta, rows)
     passed = _consistency_passed(aggregates, config.n_list)
     return ExperimentReport(
@@ -248,8 +248,8 @@ def run_clt(config: McConfig) -> ExperimentReport:
             "the scaled-error study needs sigma > 0"
         )
     summary = limit_summary(config.model)
+    degenerate_limit = summary.report["flags"]["degenerate_limit"]
     rows = _map_jobs(config, [(n, r) for r in range(config.replicates)])
-    rows.sort(key=lambda row: (row.n, row.replicate))
     kept = [row for row in rows if row.theta_hat is not None]
     if len(kept) < 2:
         raise DegenerateDesign(
@@ -275,7 +275,7 @@ def run_clt(config: McConfig) -> ExperimentReport:
 
     finite_frob = mu_block_gap(finite)
     full_frob = None
-    if not summary.degenerate_limit:
+    if not degenerate_limit:
         full_frob = float(np.linalg.norm(scaled_cov - reference) / np.linalg.norm(reference))
 
     skew_values, excess_values = _skewness_and_excess_kurtosis(scaled)
@@ -290,7 +290,7 @@ def run_clt(config: McConfig) -> ExperimentReport:
 
     clt = {
         "scaled_error_covariance": scaled_cov.tolist(),
-        "reference_covariance": reference.tolist(),
+        "reference_covariance": summary.report["asymptotic_covariance"],
         "mu_block_rel_frobenius": mu_block_gap(reference),
         "full_rel_frobenius": full_frob,
         "finite_horizon_covariance": finite.tolist(),
@@ -299,7 +299,7 @@ def run_clt(config: McConfig) -> ExperimentReport:
         "excess_kurtosis": excess,
         "ecdf_distance": [_ecdf_distance(column) for column in standardized.T],
         "noise_scaled_variance": noise_var,
-        "degenerate_limit": summary.degenerate_limit,
+        "degenerate_limit": degenerate_limit,
     }
     passed = (
         finite_frob <= CLT_FROBENIUS_TOL
@@ -321,7 +321,6 @@ class CouplingReport:
     """Shared-noise gap between two starts of the same recursion."""
 
     alpha: float
-    gap0: float
     times: np.ndarray
     gaps: np.ndarray
     slope: float | None
@@ -359,7 +358,6 @@ def run_coupling(
         passed = abs(slope + model.alpha) <= COUPLING_SLOPE_TOL * model.alpha
     return CouplingReport(
         alpha=model.alpha,
-        gap0=gap0,
         times=times,
         gaps=gaps,
         slope=slope,

@@ -77,11 +77,6 @@ class BasisSet:
     def p(self) -> int:
         return len(self.functions)
 
-    @property
-    def bound(self) -> float:
-        """Uniform bound on |phi_i|: 1 for the constant alone, sqrt2 otherwise."""
-        return max(1.0 if f.kind == "const" else _SQRT2 for f in self.functions)
-
     @classmethod
     def from_specs(cls, specs) -> "BasisSet":
         """Build from dicts like {"kind": "sin", "k": 2} or {"kind": "const"}."""

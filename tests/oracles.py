@@ -319,6 +319,12 @@ def memory_quadratic_noise_variance(hurst: float, step: float, alpha: float, n_s
     return float(np.dot(multiplicity, terms))
 
 
+def basis_bound(basis) -> float:
+    """Uniform bound on |phi_i| over a basis: 1 for the constant alone,
+    sqrt2 otherwise."""
+    return max(1.0 if f.kind == "const" else math.sqrt(2.0) for f in basis.functions)
+
+
 def wiener_variance_study(
     basis, hurst: float, n_list, replicates: int, step: float, master_seed: int
 ) -> dict:
@@ -330,7 +336,7 @@ def wiener_variance_study(
     """
     phi = period_basis(basis, step)
     m = phi.shape[1]
-    bound = basis.bound**2
+    bound = basis_bound(basis) ** 2
     per_n = {}
     for n in n_list:
         draws = np.empty((replicates, basis.p))

@@ -1,5 +1,5 @@
 """What code outside the package relies on: the README quick start, the
-README's account of clt_report.json, the names the benchmark harness in
+README's account of clt_report.json and limits.json, the names the benchmark harness in
 perfbench/ imports and traces, and its bit-for-bit replay check."""
 
 import importlib
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from perifou import BasisSet, FouModel, McConfig, run_clt
+from perifou import BasisSet, FouModel, McConfig, limit_summary, run_clt
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -80,4 +80,15 @@ def test_readme_documents_every_clt_report_key():
     )
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     missing = [key for key in run_clt(config).clt if f"`{key}`" not in readme]
+    assert missing == []
+
+
+def test_readme_documents_every_limits_key():
+    """limits.json gains keys as the limit theory grows; each key and each
+    flag must be named in README.md, in backticks."""
+    basis = BasisSet.from_specs([{"kind": "sin", "k": 1}, {"kind": "cos", "k": 1}])
+    model = FouModel(hurst=0.65, alpha=1.0, mu=(1.0, 2.0), sigma=0.5, basis=basis)
+    report = limit_summary(model).report
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [key for key in [*report, *report["flags"]] if f"`{key}`" not in readme]
     assert missing == []

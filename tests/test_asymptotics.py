@@ -260,19 +260,19 @@ def test_pair_integral_rejects_bad_hurst():
 
 def test_loadings_constant_basis():
     model = FouModel(hurst=0.6, alpha=0.8, mu=(1.3,), sigma=1.0, basis=const_basis())
-    np.testing.assert_allclose(limit_summary(model).loadings, [1.3 / 0.8], atol=1e-10)
+    np.testing.assert_allclose(limit_summary(model).report["lambda"], [1.3 / 0.8], atol=1e-10)
 
 
 def test_loadings_zero_for_zero_amplitudes():
     model = FouModel(hurst=0.6, alpha=1.0, mu=(0.0,), sigma=1.0, basis=sine_basis())
-    np.testing.assert_array_equal(limit_summary(model).loadings, [0.0])
+    assert limit_summary(model).report["lambda"] == [0.0]
 
 
 def test_loadings_sine_closed_form():
     # mu * alpha / (alpha^2 + 4 pi^2); at mu = alpha = 1 this is
     # 1/(1 + 4 pi^2) = 0.0247045230...
     model = FouModel(hurst=0.6, alpha=1.0, mu=(1.0,), sigma=1.0, basis=sine_basis())
-    value = limit_summary(model).loadings[0]
+    value = limit_summary(model).report["lambda"][0]
     assert value == pytest.approx(1.0 / (1.0 + 4.0 * math.pi**2), abs=1e-10)
     assert value == pytest.approx(0.024704523031857640, abs=1e-12)
 
@@ -301,8 +301,9 @@ def test_stationary_variance_alpha_power_law():
 def test_precision_zero_mean_model():
     model = FouModel(hurst=0.6, alpha=1.0, mu=(0.0,), sigma=1.0, basis=sine_basis())
     expected = 1.0 / (0.6 * math.gamma(1.2))
-    assert limit_summary(model).precision == pytest.approx(expected, rel=1e-10)
-    assert limit_summary(model).precision == pytest.approx(1.8152073684305605, rel=1e-10)
+    gamma = limit_summary(model).report["gamma"]
+    assert gamma == pytest.approx(expected, rel=1e-10)
+    assert gamma == pytest.approx(1.8152073684305605, rel=1e-10)
 
 
 def test_precision_constant_basis_independent_of_amplitude():
@@ -310,7 +311,7 @@ def test_precision_constant_basis_independent_of_amplitude():
     values = []
     for mu in (0.5, 2.0, 7.0):
         model = FouModel(hurst=0.6, alpha=0.8, mu=(mu,), sigma=1.0, basis=const_basis())
-        values.append(limit_summary(model).precision)
+        values.append(limit_summary(model).report["gamma"])
     target = 1.0 / stationary_variance(0.8, 1.0, 0.6)
     np.testing.assert_allclose(values, target, rtol=1e-10)
 
@@ -328,7 +329,7 @@ def test_precision_positive_for_random_models():
             sigma=float(rng.uniform(0.1, 2.0)),
             basis=basis,
         )
-        assert limit_summary(model).precision > 0.0
+        assert limit_summary(model).report["gamma"] > 0.0
 
 
 def test_bessel_inequality():
@@ -345,7 +346,7 @@ def test_bessel_inequality():
             sigma=1.0,
             basis=basis,
         )
-        lam = limit_summary(model).loadings
+        lam = np.array(limit_summary(model).report["lambda"])
         h_energy = float(np.dot(weights01, steady_mean(model, nodes01) ** 2))
         assert float(lam @ lam) <= h_energy + 1e-10
 
@@ -356,14 +357,12 @@ def test_bessel_inequality():
 def test_zero_mean_model_degenerates():
     model = FouModel(hurst=0.6, alpha=1.0, mu=(0.0,), sigma=1.0, basis=sine_basis())
     summary = limit_summary(model)
-    assert summary.degenerate_limit
-    assert summary.clt_valid
+    report = summary.report
+    assert report["flags"] == {"clt_valid": True, "degenerate_limit": True}
     # C block-diagonal, Sigma0 = blockdiag(Gbar, 0), alpha entry of the
     # covariance vanishes
-    np.testing.assert_allclose(
-        summary.c_matrix, np.diag([1.0, summary.precision]), atol=1e-12
-    )
-    assert summary.noise_cov[1, 1] == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(summary.c_matrix, np.diag([1.0, report["gamma"]]), atol=1e-12)
+    assert report["Sigma0"][1][1] == pytest.approx(0.0, abs=1e-12)
     assert summary.asym_cov[1, 1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -388,8 +387,7 @@ def test_acceptance_model_covariance_symmetric_psd():
     # h~ lies in the sin/cos span, so the alpha variance is a genuine zero
     variances = np.diag(summary.asym_cov)
     assert abs(variances[-1]) <= 1e-12 * variances.max()
-    assert summary.degenerate_limit
-    assert summary.clt_valid
+    assert summary.report["flags"] == {"clt_valid": True, "degenerate_limit": True}
 
 
 def test_sine_basis_limit_is_not_degenerate():
@@ -397,7 +395,7 @@ def test_sine_basis_limit_is_not_degenerate():
     model = FouModel(hurst=0.65, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
     summary = limit_summary(model)
     np.testing.assert_allclose(np.diag(summary.asym_cov), [0.161, 0.118], atol=1e-3)
-    assert not summary.degenerate_limit
+    assert not summary.report["flags"]["degenerate_limit"]
 
 
 @pytest.mark.parametrize("alpha", [1.0, 50.0, 200.0])
@@ -408,14 +406,14 @@ def test_degenerate_limit_is_decided_exactly(alpha):
     # the cosine part of h~.
     in_span = replace(acceptance_model(), alpha=alpha)
     sine_only = FouModel(hurst=0.65, alpha=alpha, mu=(1.0,), sigma=0.5, basis=sine_basis())
-    assert limit_summary(in_span).degenerate_limit
-    assert not limit_summary(sine_only).degenerate_limit
+    assert limit_summary(in_span).report["flags"]["degenerate_limit"]
+    assert not limit_summary(sine_only).report["flags"]["degenerate_limit"]
 
 
 def test_c_matrix_block_structure():
     model = acceptance_model()
     summary = limit_summary(model)
-    lam, g, c = summary.loadings, summary.precision, summary.c_matrix
+    lam, g, c = np.array(summary.report["lambda"]), summary.report["gamma"], summary.c_matrix
     np.testing.assert_allclose(c[:2, :2], np.eye(2) + g * np.outer(lam, lam), atol=1e-12)
     np.testing.assert_allclose(c[:2, 2], g * lam, atol=1e-12)
     assert c[2, 2] == pytest.approx(g, rel=1e-12)
@@ -425,13 +423,13 @@ def test_clt_validity_flag_tracks_hurst():
     basis = sine_basis()
     near = FouModel(hurst=0.74, alpha=1.0, mu=(1.0,), sigma=1.0, basis=basis)
     beyond = FouModel(hurst=0.8, alpha=1.0, mu=(1.0,), sigma=1.0, basis=basis)
-    assert limit_summary(near).clt_valid
-    assert not limit_summary(beyond).clt_valid
+    assert limit_summary(near).report["flags"]["clt_valid"]
+    assert not limit_summary(beyond).report["flags"]["clt_valid"]
 
 
 def test_report_carries_c_inverse_diagnostic():
     summary = limit_summary(acceptance_model())
-    report = summary.to_report()
+    report = summary.report
     assert report["sigma0_minus_c_inverse_frobenius"] > 0.0
     variances = np.diag(summary.asym_cov)
     assert abs(variances[-1]) <= 1e-12 * variances.max()
@@ -507,7 +505,7 @@ def test_grid_loadings_approach_continuous_limit_with_step():
     # ... and the grid loadings carry only an O(step) discretization bias
     # relative to the analytic Lambda
     model = acceptance_model()
-    lam = limit_summary(model).loadings
+    lam = np.array(limit_summary(model).report["lambda"])
     gaps = []
     for step in (1 / 128, 1 / 256):
         gaps.append(np.max(np.abs(_steady_orbit_loadings(model, step) - lam)))

@@ -537,6 +537,56 @@ def test_range_refusal_names_its_key(config_file, tmp_path, capsys, argv, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, override, key",
+    [
+        ("simulate", "model.hurst=0.3", "model.hurst must lie in (1/2, 1)"),
+        ("limits", "model.sigma=-1", "model.sigma must be nonnegative"),
+        ("estimate", "model.mu=[1]", "model.mu has 1 entries"),
+        ("simulate", "model.seed=-1", "model.seed must be >= 0"),
+        ("estimate", "estimate.mode=bayes", "estimate.mode must be one of"),
+        ("mc-consistency", "model.hurst=0.8", "requires model.hurst < 0.75"),
+    ],
+    ids=["hurst", "sigma", "mu", "seed", "estimate-mode", "study-hurst"],
+)
+def test_model_range_refusal_names_its_key_before_any_work(
+    config_file, tmp_path, capsys, monkeypatch, command, override, key
+):
+    """FouModel and FgnSpec name only their field, and estimate() its
+    argument: the CLI names the config key, before a path is simulated,
+    a limit object computed or an out dir made."""
+    monkeypatch.setattr("perifou.cli.simulate_path", lambda *args, **kw: pytest.fail("ran"))
+    monkeypatch.setattr("perifou.cli.limit_summary", lambda *args: pytest.fail("ran"))
+    monkeypatch.setattr(experiments, "_map_jobs", lambda *args: pytest.fail("ran"))
+    out = tmp_path / "o"
+    argv = [command, "--config", config_file(base_config()), "--out", str(out)]
+    assert main(argv + ["--set", override]) == 2
+    assert key in _refusal(capsys, command)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mc-clt", "mc-consistency"])
+def test_study_euler_step_refusal_before_any_work(
+    config_file, tmp_path, capsys, monkeypatch, command
+):
+    """alpha * step >= 1 is refused before limit_summary and before any
+    replicate; mc-clt used to compute the limit objects first and fail in
+    its first replicate."""
+    calls = []
+
+    def spy(name):
+        return lambda *args: calls.append(name)
+
+    for name in ("_run_replicate", "_map_jobs", "limit_summary"):
+        monkeypatch.setattr(experiments, name, spy(name))
+    out = tmp_path / "o"
+    argv = [command, "--config", config_file(base_config()), "--out", str(out)]
+    assert main(argv + ["--set", "model.alpha=300"]) == 2
+    err = _refusal(capsys, command)
+    assert "model.alpha = 300 " in err and "model.step_denominator" in err
+    assert calls == [] and not out.exists()
+
+
 @pytest.mark.parametrize("alpha", ["1e-17", "1e-300"])
 def test_correction_alpha_that_rounds_the_decay_to_1_exits_2(tmp_path, capsys, alpha):
     """Below about 5.6e-17 / step, a = 1 - alpha*step rounds to 1 although

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc
 
 from oracles import (
+    basis_bound,
     brute_lag_sums,
     normal_matrix,
     response,
@@ -80,7 +81,7 @@ def test_folded_sums_match_full_grid_sums(subset, n, m, stationary, seed):
         # relative to the sum of absolute terms, the scale of the rounding
         return np.all(np.abs(folded - full) <= 1e-12 * terms)
 
-    bound = basis.bound
+    bound = basis_bound(basis)
     design = result.design
     assert close(design.gram, step * phi @ phi.T, n * bound**2)
     assert close(n * design.loadings, step * phi @ x_left, step * bound * np.abs(x_left).sum())

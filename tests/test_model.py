@@ -7,7 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import mean_function, steady_mean, write_sample_path_csv_rows, zero_start_mean
+from oracles import (
+    basis_bound,
+    mean_function,
+    steady_mean,
+    write_sample_path_csv_rows,
+    zero_start_mean,
+)
 from perifou import BasisSet, FouModel, InvalidInput, simulate_path
 from perifou import model as model_module
 from perifou.cli import main
@@ -81,8 +87,8 @@ def test_standard_basis_validates():
         [{"kind": "const"}, {"kind": "sin", "k": 1}, {"kind": "cos", "k": 2}]
     )
     assert basis.p == 3
-    assert basis.bound == pytest.approx(SQRT2)
-    assert BasisSet.from_specs([{"kind": "const"}]).bound == 1.0
+    assert basis_bound(basis) == pytest.approx(SQRT2)
+    assert basis_bound(BasisSet.from_specs([{"kind": "const"}])) == 1.0
 
 
 # ---------------------------------------------------------------- model
