@@ -240,6 +240,16 @@ def discrete_trace_correction(
     return float(np.einsum("i,i", n_steps - lags, terms))  # not np.dot: see build_design
 
 
+def _require_finite(path: SamplePath, sigma: float, *values) -> None:
+    """Raise InvalidInput unless every entry of ``values``, functionals of
+    ``path`` in the normal equations, is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise InvalidInput(
+            "the normal equations overflow double precision on this path: "
+            f"max |x| = {np.abs(path.x).max():g} at model.sigma = {sigma:g}"
+        )
+
+
 def estimate(
     path: SamplePath,
     mode: str = "naive_pathwise",
@@ -264,23 +274,26 @@ def estimate(
     if mode not in MODES:
         raise InvalidInput(f"mode must be one of {MODES}, got {mode!r}")
     model = path.model
+    if sigma is None:
+        sigma = model.sigma
     m = path.steps_per_period
-    design = build_design(path)
     phi = period_basis(model.basis, path.step)
     x_left = path.x[:-1]
-    # The response P is the functional of dx that the noise vector R is of
-    # db.  einsum, not np.dot: see build_design
-    response, noise_vector = (
-        None if dz is None
-        else np.append(phi @ fold_periods(dz, m), -float(np.einsum("i,i", x_left, dz)))
-        for dz in (np.diff(path.x), path.driver_increments)
-    )
+    # Overflow is refused by _require_finite below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        design = build_design(path)
+        # The response P is the functional of dx that the noise vector R is
+        # of db.  einsum, not np.dot: see build_design
+        response, noise_vector = (
+            None if dz is None
+            else np.append(phi @ fold_periods(dz, m), -float(np.einsum("i,i", x_left, dz)))
+            for dz in (np.diff(path.x), path.driver_increments)
+        )
+    _require_finite(path, sigma, design.loadings, design.residual, response)
     inverse = normal_matrix_inverse(design)
 
     correction, source = 0.0, None
     if mode == "oracle_divergence":
-        if sigma is None:
-            sigma = model.sigma
         source = "given" if alpha_for_correction is not None else "plug-in"
         if alpha_for_correction is None:
             alpha_for_correction = max(float((inverse @ response)[-1]), _PLUG_IN_FLOOR)
@@ -296,7 +309,11 @@ def estimate(
             path.x.size - 1,
             stationary=path.stationary_start,
         )
-        response[-1] += sigma**2 * correction
+        try:
+            response[-1] += sigma**2 * correction
+        except OverflowError:  # sigma**2 beyond double precision
+            response[-1] = math.inf
+        _require_finite(path, sigma, response)
 
     theta_hat = inverse @ response
 

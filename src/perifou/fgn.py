@@ -14,7 +14,6 @@ would, to rounding.  All draws are deterministic functions of the seed.
 from __future__ import annotations
 
 import ctypes
-import threading
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
@@ -30,15 +29,6 @@ EIGENVALUE_TOLERANCE = 1e-10
 CHOLESKY_COUNT_GUARD = 1 << 13
 
 _MASK64 = (1 << 64) - 1
-
-# Each thread's draw buffers (normals, half spectrum and inverse transform)
-# for its last embedding size.  Allocated afresh, these 4 MB at M = 2^17 made
-# glibc trim its heap after a draw and fault ~1500 pages back in at the next.
-# Their first allocation also fixes glibc's heap thresholds for the process
-# (_keep_heap_warm), so that the transform's own scratch stays mapped too;
-# the process pool of a Monte Carlo study forks after the first replicate,
-# so its workers inherit both the settings and a warm heap.
-_DRAW_BUFFERS = threading.local()
 
 # glibc mallopt parameters, from malloc.h.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -149,8 +139,10 @@ def _keep_heap_warm() -> None:
 
     glibc raises its trim threshold only to twice the largest mapped block
     freed so far (about 2 MB here), so after each draw at M = 2^17 it gave
-    back ~1.9 MB of ``irfft`` scratch, which the next draw faulted in again
-    (~480 pages per n = 200 replicate).
+    back the draw's arrays and ~1.9 MB of ``irfft`` scratch, which the next
+    draw faulted in again (~480 pages per n = 200 replicate for the scratch
+    alone).  The process pool of a Monte Carlo study forks after the first
+    replicate, so its workers inherit the setting.
     Setting either threshold turns off glibc's adjustment of both, so both
     are set: blocks below 16 MB come from the heap, and up to 64 MB of free
     heap top is kept.  A C library without ``mallopt`` is left alone.
@@ -188,21 +180,17 @@ def generate_fgn_circulant(spec: FgnSpec) -> np.ndarray:
     weights = _half_spectrum_weights(spec.hurst, spec.count)
     half = weights.size - 1
     size = 2 * half
-    z, spectrum, draw = getattr(_DRAW_BUFFERS, "last", (np.empty(0), None, None))
-    if z.size != 2 * size:
-        _keep_heap_warm()
-        # imag[0] and imag[half] of the spectrum are never written and stay 0
-        spectrum = np.zeros(half + 1, dtype=complex)
-        z, draw = np.empty(2 * size), np.empty(size)
-        _DRAW_BUFFERS.last = z, spectrum, draw
-    rng.standard_normal(out=z)  # the same stream as two calls of size M
-    z1, z2 = z[:size], z[size:]
-    spectrum.real = z1[: half + 1]
-    spectrum.real[1:half] += z1[:half:-1]
-    np.subtract(z2[:half:-1], z2[1:half], out=spectrum.imag[1:half])
+    _keep_heap_warm()
+    # imag[0] and imag[half] of the spectrum are never written and stay 0
+    spectrum, z = np.zeros(half + 1, dtype=complex), np.empty(size)
+    rng.standard_normal(out=z)  # z1, then z2: the same stream as one call of size 2M
+    spectrum.real = z[: half + 1]
+    spectrum.real[1:half] += z[:half:-1]
+    rng.standard_normal(out=z)
+    np.subtract(z[:half:-1], z[1:half], out=spectrum.imag[1:half])
     spectrum *= weights
-    np.fft.irfft(spectrum, n=size, out=draw)
-    return scale * draw[: spec.count]
+    np.fft.irfft(spectrum, n=size, out=z)
+    return scale * z[: spec.count]
 
 
 def generate_fgn_cholesky(spec: FgnSpec) -> np.ndarray:

@@ -10,9 +10,11 @@ against the exact discrete algebra.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -27,9 +29,11 @@ _MAX_FREQUENCY = 1 << 53
 # Burn-in length for stationary starts: e^{-alpha * periods} < this.
 BURN_IN_FORGETTING = 1e-8
 
-# Most fGn increments one path may draw, burn-in included.  At the cap the
-# circulant sampler holds about 1.2 GB; a stationary start at alpha = 1e-9
-# would ask for about 280 000 times as many increments.
+# Most fGn increments one path may draw, burn-in included.  At the cap
+# (M = 2^25) a path peaks near 1.2 GB, four times the 290 MB measured at
+# 2^22 increments, and keeps 134 MB of cached sampler weights afterwards;
+# a stationary start at alpha = 1e-9 would ask for about 280 000 times as
+# many increments.
 MAX_PATH_INCREMENTS = 1 << 24
 
 
@@ -154,8 +158,12 @@ class SamplePath:
         if not np.all(np.isfinite(grid)):
             raise InvalidInput("path grid has non-finite times")
         m = _check_step(self.step)
-        expected = np.arange(grid.size) / m
-        if np.any(np.abs(grid - expected) > 1e-9 * np.maximum(expected, 1.0)):
+        expected = np.arange(grid.size, dtype=float)
+        expected /= m
+        tolerance = np.maximum(expected, 1.0)
+        tolerance *= 1e-9
+        expected -= grid
+        if np.any(np.abs(expected, out=expected) > tolerance):
             raise InvalidInput(f"path grid is not t_k = k/{m} starting at t = 0")
         if (grid.size - 1) % m:
             raise InvalidInput(f"path spans {(grid.size - 1) / m} periods, not a whole number")
@@ -261,11 +269,15 @@ def _euler(model: FouModel, increments: np.ndarray, x0: float, step: float) -> n
     The recursion is stable only for alpha * step < 1.
     """
     a = euler_decay(model.alpha, step)
-    n_steps = increments.size
-    period_mean = _period_mean(model, step)
-    forcing = np.tile(period_mean, n_steps // period_mean.size + 1)[:n_steps]
-    drive = forcing * step + model.sigma * increments
-    return np.concatenate(([x0], first_order_recursion(drive, a, x0)))
+    x = np.empty(increments.size + 1)
+    x[0] = x0
+    drive = np.multiply(model.sigma, increments, out=x[1:])
+    forcing = _period_mean(model, step) * step
+    periods = drive[: drive.size - drive.size % forcing.size].reshape(-1, forcing.size)
+    periods += forcing  # whole periods, by broadcasting; then the part period
+    drive[periods.size :] += forcing[: drive.size - periods.size]
+    x[1:] = first_order_recursion(drive, a, x0)
+    return x
 
 
 def burn_in_periods(
@@ -380,6 +392,7 @@ def steady_euler_orbit(model: FouModel, step: float) -> np.ndarray:
 
 
 _CSV_BLOCK_ROWS = 4096  # rows per %-format in write_sample_path_csv, about 0.3 MB of text
+_CSV_READ_CHARS = 1 << 20  # characters per read in read_sample_path_csv
 
 
 def write_sample_path_csv(path: SamplePath, filename) -> None:
@@ -407,6 +420,27 @@ def _parse_row(line: str, width: int) -> list:
     return [float(p) for p in (parts[:2] if parts[2:] == [""] else parts)]
 
 
+def _rows_but_last(handle, held: list):
+    """Yield the non-blank lines left in ``handle``, read a chunk at a time,
+    all but the last one, which ``held`` receives as [line number, line];
+    ``handle`` is past line 1."""
+    number, tail = 1, ""
+    while True:
+        chunk = handle.read(_CSV_READ_CHARS)
+        lines = (tail + chunk).split("\n")
+        tail = lines.pop() if chunk else ""  # a line the next chunk may go on with
+        end = len(lines)
+        while end and not lines[end - 1].strip():
+            end -= 1
+        if end:
+            yield from held[1:]
+            yield from filter(str.strip, lines[: end - 1])
+            held[:] = number + end, lines[end - 1]
+        number += len(lines)
+        if not chunk:
+            return
+
+
 def read_sample_path_csv(
     filename, model: FouModel, stationary_start: bool = False
 ) -> SamplePath:
@@ -417,29 +451,36 @@ def read_sample_path_csv(
     in-memory pipeline bit for bit.  ``stationary_start`` must restate how
     the path was generated; the file format does not carry it.  A header,
     row or cell that does not parse, or an empty ``db`` before the last
-    row, raises InvalidInput naming the line.
+    row, raises InvalidInput naming the line.  The rows are parsed as they
+    are read, so the text is never held whole unless a row fails.
     """
-    where = "line 1"
+    where, held = "line 1", []
     try:
-        with open(filename, "r", encoding="utf-8") as handle:
-            lines = handle.read().rstrip().split("\n")  # trailing blank lines dropped
-        header = lines[0].strip().split(",")
-        if header not in (["t", "x"], ["t", "x", "db"]):
-            raise InvalidInput(f"header {header} is neither t,x nor t,x,db")
-        width, body = len(header), list(filter(str.strip, lines[1:-1]))
-        try:
-            rows = np.empty((0, width)) if not body else np.loadtxt(
-                body, delimiter=",", comments=None, ndmin=2
-            ).reshape(len(body), width)  # a wrong column count fails the reshape
-        except ValueError:  # on failure only: name the first line at fault
-            for k, line in enumerate(lines[1:-1], start=2):
-                where = f"line {k}"
-                if line.strip() and len(_parse_row(line, width)) < width:
-                    raise InvalidInput("db is empty")  # the handler below names the line
-            where = f"lines 2-{len(lines) - 1}"  # float() takes a cell loadtxt refused
-            raise
-        where = f"line {len(lines)}"
-        last = _parse_row(lines[-1], width) if len(lines) > 1 else []
+        with open(filename, "r", encoding="utf-8") as stream:
+            # a pipe is read whole, so that a failure can read it again
+            handle = stream if stream.seekable() else io.StringIO(stream.read())
+            header = handle.readline().strip().split(",")
+            if header not in (["t", "x"], ["t", "x", "db"]):
+                raise InvalidInput(f"header {header} is neither t,x nor t,x,db")
+            width, body = len(header), _rows_but_last(handle, held)
+            try:
+                first = next(body, None)  # loadtxt warns on an empty body
+                rows = np.empty((0, width)) if first is None else np.loadtxt(
+                    chain([first], body), delimiter=",", comments=None, ndmin=2
+                )
+                if rows.shape[1] != width:
+                    raise ValueError(f"{rows.shape[1]} fields under a {width}-column header")
+            except ValueError:  # on failure only: read it all, name the first line at fault
+                handle.seek(0)
+                lines = handle.read().rstrip().split("\n")  # trailing blank lines dropped
+                for k, line in enumerate(lines[1:-1], start=2):
+                    where = f"line {k}"
+                    if line.strip() and len(_parse_row(line, width)) < width:
+                        raise InvalidInput("db is empty")  # the handler below names the line
+                where = f"lines 2-{len(lines) - 1}"  # float() takes a cell loadtxt refused
+                raise
+        where = f"line {held[0] if held else 1}"
+        last = _parse_row(held[1], width) if held else []
     except ValueError as exc:  # UTF-8 decoding, loadtxt, float() and InvalidInput above
         raise InvalidInput(f"path CSV {filename}, {where}: {exc}") from None
     return SamplePath(

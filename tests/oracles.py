@@ -3,16 +3,22 @@
 Each one recomputes a quantity the package computes another way (or reads
 back a file the package writes), so the tests can cross-check the two.
 ``wiener_variance_study`` is the one study that only a test runs
-(acceptance criterion 07).
+(acceptance criterion 07), and ``fresh_interpreter_prints`` runs the
+memory and page-fault measurements in a process of their own.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.special import gammainc
 
+import perifou
 from perifou.estimator import DesignStats
 from perifou.experiments import ReplicateResult
 from perifou.fgn import FgnSpec, fgn_autocovariance, generate_fgn_circulant, substream_seed
@@ -236,6 +242,26 @@ def read_replicates_csv(filename) -> list:
                 )
             )
     return rows
+
+
+def fresh_interpreter_prints(code: str) -> list:
+    """Run ``code`` in a new Python process with this package on its path;
+    return the numbers on the last line it prints.
+
+    Memory and page-fault counts need a fresh interpreter: a large transient
+    freed earlier in the test process moves glibc's dynamic thresholds and
+    leaves caches behind.
+    """
+    src = str(Path(perifou.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return [float(v) for v in proc.stdout.splitlines()[-1].split()]
 
 
 def write_sample_path_csv_rows(path, filename) -> None:

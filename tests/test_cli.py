@@ -280,6 +280,45 @@ def test_aliased_basis_estimate_exits_2_without_writing(tmp_path, capsys):
     assert not (out / "estimate.json").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["model.xi0=1e308", "model.stationary_start=false", "estimate.alpha_for_correction=1"],
+        ["model.mu=[1e307,1]", "estimate.alpha_for_correction=1"],
+        ["model.xi0=1e308", "model.stationary_start=false"],
+    ],
+    ids=["huge_start", "huge_mean", "huge_start_plug_in"],
+)
+def test_estimate_on_an_overflowing_path_exits_2_without_writing(overrides, tmp_path, capsys):
+    """The path is finite but x^2 is not, so the design and response sums
+    overflow; NaN was written, or the NaN plug-in alpha was blamed."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"
+    out = tmp_path / "est"
+    argv = ["estimate", "--config", str(config), "--out", str(out)]
+    assert main(argv + [arg for item in overrides for arg in ("--set", item)]) == 2
+    line = _refusal(capsys, "estimate")
+    assert "overflow double precision" in line and "alpha_for_correction" not in line
+    assert not (out / "estimate.json").exists()
+
+
+@pytest.mark.parametrize("from_csv", [False, True], ids=["simulated", "path_csv"])
+def test_estimate_whose_sigma_squared_overflows_exits_2(from_csv, tmp_path, capsys):
+    """sigma = 1e200 overflows the simulated path's sums; on a path read
+    from a file it overflows sigma^2 in the trace correction, which raised
+    OverflowError."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"
+    overrides = ["model.sigma=1e200", "estimate.alpha_for_correction=1"]
+    if from_csv:
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        overrides.append(f"estimate.path_csv={tmp_path / 'path.csv'}")
+    out = tmp_path / "est"
+    argv = ["estimate", "--config", str(config), "--out", str(out)]
+    assert main(argv + [arg for item in overrides for arg in ("--set", item)]) == 2
+    assert "model.sigma = 1e+200" in _refusal(capsys, "estimate")
+    assert not (out / "estimate.json").exists()
+
+
 def test_limits_at_zero_sigma_with_steady_mean_in_span_exits_2(tmp_path, capsys):
     """The limit residual variance is then exactly 0, and gamma and C would
     be its reciprocal (about -4.5e15 when rounding noise was refused late)."""

@@ -3,16 +3,11 @@
 import ctypes
 import json
 import math
-import os
-import subprocess
-import sys
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import perifou
 from perifou import (
     BasisSet,
     FouModel,
@@ -21,7 +16,7 @@ from perifou import (
     run_consistency,
     run_coupling,
 )
-from oracles import read_replicates_csv, wiener_variance_study
+from oracles import fresh_interpreter_prints, read_replicates_csv, wiener_variance_study
 from perifou.experiments import (
     ReplicateResult,
     _skewness_and_excess_kurtosis,
@@ -359,8 +354,9 @@ def _has_mallopt() -> bool:
 
 needs_mallopt = pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
 
-# Run in a fresh interpreter: a large transient freed earlier in the same
-# process raises glibc's dynamic thresholds and would hide a trimmed heap.
+# Run in a fresh interpreter (fresh_interpreter_prints): a large transient
+# freed earlier in the same process raises glibc's dynamic thresholds and
+# would hide a trimmed heap.
 _FAULTS_PREAMBLE = """
 import resource
 from functools import partial
@@ -371,19 +367,6 @@ model = FouModel(hurst=0.65, alpha=1.0, mu=(1.0, 2.0), sigma=0.5, basis=basis)
 def faults(who):
     return resource.getrusage(who).ru_minflt
 """
-
-
-def _fresh_interpreter_prints(code: str) -> int:
-    src = str(Path(perifou.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", _FAULTS_PREAMBLE + code],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    )
-    return int(proc.stdout.split()[-1])
 
 
 @needs_mallopt
@@ -399,7 +382,7 @@ for r in range(3, 23):
     run((200, r))
 print(faults(resource.RUSAGE_SELF) - before)
 """
-    assert _fresh_interpreter_prints(code) <= 5 * 20
+    assert fresh_interpreter_prints(_FAULTS_PREAMBLE + code)[-1] <= 5 * 20
 
 
 @needs_mallopt
@@ -417,4 +400,4 @@ def child_faults(replicates):
     return faults(resource.RUSAGE_CHILDREN) - before
 print(child_faults(60) - child_faults(20))
 """
-    assert _fresh_interpreter_prints(code) <= 50 * 40
+    assert fresh_interpreter_prints(_FAULTS_PREAMBLE + code)[-1] <= 50 * 40

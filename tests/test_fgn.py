@@ -176,9 +176,10 @@ def test_circulant_matches_complex_fft_construction(hurst, count):
 
 
 def _fresh_array_draw(spec):
-    """The folded half-spectrum draw with every array allocated afresh and
-    scipy's inverse transform: what the sampler computed before it reused
-    its buffers and moved to numpy.fft."""
+    """The folded half-spectrum draw with every array allocated afresh, the
+    2M normals drawn in one call and scipy's inverse transform: what the
+    sampler computed before it moved to numpy.fft, drew z1 and z2 in two
+    calls and transformed into the block of normals."""
     size = _embedding_size(spec.count)
     half = size // 2
     rho = fgn_autocovariance(spec.hurst, np.arange(half + 1))
@@ -195,9 +196,9 @@ def _fresh_array_draw(spec):
     return spec.step**spec.hurst * scipy.fft.irfft(spectrum, n=size)[: spec.count]
 
 
-def test_reused_draw_buffers_reproduce_fresh_array_draws_bit_for_bit():
-    # the embedding size changes between draws, so the buffers are rebuilt
-    # and reused in turn
+def test_draws_reproduce_fresh_array_draws_bit_for_bit():
+    # the embedding size changes between draws and comes back, so a draw
+    # that kept state from the last one would show here
     for count in (3, 56064, 17, 56064, 2, 3840, 3840, 5):
         spec = FgnSpec(0.7, 1 / 256, count, 31 * count)
         assert generate_fgn_circulant(spec).tobytes() == _fresh_array_draw(spec).tobytes()

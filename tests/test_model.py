@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from oracles import (
     basis_bound,
+    fresh_interpreter_prints,
     mean_function,
     steady_mean,
     write_sample_path_csv_rows,
@@ -194,6 +197,35 @@ def test_path_increment_cap_counts_burn_in(monkeypatch):
         simulate_path(model, 25, 1 / 64, seed=0)
     with pytest.raises(InvalidInput, match="19 burn-in periods"):
         simulate_path(model, 6, 1 / 64, seed=0, stationary_start=True)
+
+
+_LONG_PATH_MEMORY = """
+import tracemalloc
+import scipy.signal  # the first recursion imports it; its import is not the path's memory
+from perifou import BasisSet, FouModel, simulate_path
+from perifou.fgn import _half_spectrum_weights
+basis = BasisSet.from_specs([{"kind": "sin", "k": 1}, {"kind": "cos", "k": 1}])
+model = FouModel(hurst=0.65, alpha=1.0, mu=(1.0, 2.0), sigma=0.5, basis=basis)
+tracemalloc.start()
+path = simulate_path(model, 2000, 1 / 256, seed=7, stationary_start=True)
+peak = tracemalloc.get_traced_memory()[1]
+del path
+held = tracemalloc.get_traced_memory()[0]
+count = (2000 + 19) * 256
+print(count, peak, held, _half_spectrum_weights(0.65, count).nbytes)
+"""
+
+
+def test_long_path_peaks_below_nine_arrays_and_then_holds_only_the_weights():
+    """One n = 2000 path at m = 256 draws N = 516 864 increments (19 burn-in
+    periods) from an embedding of M = 2^20.  A draw holds one M-length
+    block of normals and the half spectrum while it runs, and afterwards
+    only the cached weights; draw buffers kept from draw to draw peaked at
+    15.4 * 8N and held 37.8 MB after the path was dropped."""
+    count, peak, held, weights = fresh_interpreter_prints(_LONG_PATH_MEMORY)
+    assert weights == 8 * (2**19 + 1)
+    assert peak <= 9 * 8 * count
+    assert held <= weights + 2**20
 
 
 def p7_model():
@@ -481,6 +513,52 @@ def test_path_csv_reads_crlf_and_blank_lines_bit_exact(tmp_path):
     assert np.array_equal(back.grid, path.grid)
     assert np.array_equal(back.x, path.x)
     assert np.array_equal(back.driver_increments, path.driver_increments)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+def test_path_csv_from_a_pipe_reads_and_names_the_line_at_fault(tmp_path):
+    """A pipe cannot seek back to be scanned again after a failed parse."""
+    model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
+    path = _hand_path(model, 4, 2)
+    write_sample_path_csv(path, tmp_path / "path.csv")
+    good = (tmp_path / "path.csv").read_bytes()
+    bad = good.replace(b"\n0.5,", b"\n0.5,abc,", 1)
+    for text, line in ((good, None), (bad, 4)):
+        read_end, write_end = os.pipe()
+        os.write(write_end, text)
+        os.close(write_end)
+        try:
+            if line is None:
+                back = read_sample_path_csv(f"/dev/fd/{read_end}", model)
+                assert np.array_equal(back.x, path.x)
+            else:
+                with pytest.raises(InvalidInput, match=rf"fd/{read_end}, line {line}:"):
+                    read_sample_path_csv(f"/dev/fd/{read_end}", model)
+        finally:
+            os.close(read_end)
+
+
+def test_path_csv_read_peaks_below_four_times_its_arrays(tmp_path):
+    """The reader parses the rows a chunk at a time; holding the 28 MB text
+    of this n = 2000 file, a stripped copy and one str per row traced 8 times
+    the 12 MB of arrays it returns."""
+    model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
+    target = tmp_path / "long.csv"
+    write_sample_path_csv(_hand_path(model, 256, 2000), target)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        back = read_sample_path_csv(target, model)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    arrays = back.grid.nbytes + back.x.nbytes + back.driver_increments.nbytes
+    assert arrays == 3 * 8 * (256 * 2000 + 1) - 8
+    assert peak <= 4 * arrays
 
 
 @pytest.mark.parametrize("text", ["t,x,db\n", "t,x\n\n", "t,x,db\n\n\n0,0,\n"])
