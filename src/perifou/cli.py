@@ -3,10 +3,11 @@ limit matrices, and run Monte Carlo studies.
 
 One JSON configuration file is shared by all subcommands, with a mandatory
 ``model`` section and optional per-subcommand sections.  ``_SCHEMA`` gives
-every key its JSON type and default; unknown, missing and mistyped keys are
-rejected rather than ignored or coerced, because a misspelled ``hurst`` or
-a seed of 1.9 run as 1 would invalidate a whole study.  ``--set
-section.key=value`` overrides behave exactly as if the file had been edited.
+every key its JSON type, default and range; unknown, missing, mistyped and
+out-of-range keys are rejected at load rather than ignored or coerced,
+because a misspelled ``hurst`` or a seed of 1.9 run as 1 would invalidate a
+whole study.  ``--set section.key=value`` overrides behave exactly as if the
+file had been edited.
 
 Exit status: 0 on success, 1 when a study reports FAIL, 2 on configuration,
 input or I/O errors.
@@ -35,6 +36,7 @@ from perifou.experiments import (
     write_replicates_csv,
 )
 from perifou.model import (
+    BasisFunction,
     BasisSet,
     FouModel,
     burn_in_periods,
@@ -46,14 +48,19 @@ from perifou.model import (
 
 _REQUIRED = object()
 
-# Every key as (type, default).  float takes any finite JSON number, int and
-# bool only their own JSON type; [t] is a nonempty array of t and a dict is
-# a nested object.  A key whose default is None also takes null.
+# Every key as (type, default) or (type, default, range).  float takes any
+# finite JSON number, int and bool only their own JSON type; [t] or
+# [t, range] is a nonempty array of t and a dict is a nested object.  A key
+# whose default is None also takes null.  A range is (predicate, text),
+# refused as "<key> must <text>, got <value>" once the type is right.
+_AT_LEAST_1 = (lambda v: v >= 1, "be >= 1")
+_MODE = (MODES.__contains__, f"be one of {MODES}")
+_INCREASING = (lambda v: all(a < b for a, b in zip(v, v[1:])), "be strictly increasing")
 _MC_KEYS = {
-    "replicates": (int, _REQUIRED),
-    "mode": (str, "oracle_divergence"),
+    "replicates": (int, _REQUIRED, (lambda v: v >= 2, "be >= 2")),
+    "mode": (str, "oracle_divergence", _MODE),
     "master_seed": (int, _REQUIRED),
-    "workers": (int, 1),
+    "workers": (int, 1, _AT_LEAST_1),
 }
 _SCHEMA = {
     "model": (
@@ -64,27 +71,27 @@ _SCHEMA = {
             "sigma": (float, _REQUIRED),
             "basis": ([{"kind": (str, _REQUIRED), "k": (int, 0)}], _REQUIRED),
             "xi0": (float, 0.0),
-            "step_denominator": (int, 256),
-            "n_periods": (int, 10),
-            "seed": (int, 0),
+            "step_denominator": (int, 256, _AT_LEAST_1),
+            "n_periods": (int, 10, _AT_LEAST_1),
+            "seed": (int, 0, (lambda v: v >= 0, "be >= 0")),
             "stationary_start": (bool, False),
         },
         _REQUIRED,
     ),
     "estimate": (
         {
-            "mode": (str, "oracle_divergence"),
-            "path_csv": (str, None),
+            "mode": (str, "oracle_divergence", _MODE),
+            "path_csv": (str, None, (bool, "be nonempty (null simulates a path)")),
             "alpha_for_correction": (float, None),
         },
         {},
     ),
-    "consistency": ({"n_list": ([int], _REQUIRED), **_MC_KEYS}, None),
-    "clt": ({"n": (int, _REQUIRED), **_MC_KEYS}, None),
+    "consistency": ({"n_list": ([int, _AT_LEAST_1], _REQUIRED, _INCREASING), **_MC_KEYS}, None),
+    "clt": ({"n": (int, _REQUIRED, _AT_LEAST_1), **_MC_KEYS}, None),
     "coupling": (
         {
-            "alphas": ([float], None),
-            "n_periods": (int, 12),
+            "alphas": ([float, (lambda v: v > 0.0, "be positive")], None),
+            "n_periods": (int, 12, _AT_LEAST_1),
             "gap0": (float, 1.0),
             "master_seed": (int, 0),
         },
@@ -93,9 +100,10 @@ _SCHEMA = {
 }
 
 
-def _typed(value, kind, where: str):
-    """``value`` checked against the schema entry ``kind``, with numbers of
-    float keys converted to float and defaults filled in."""
+def _typed(value, kind, where: str, bound=None):
+    """``value`` checked against the schema entry ``kind`` and its range
+    ``bound``, with numbers of float keys converted to float and defaults
+    filled in."""
     if isinstance(kind, dict):
         if type(value) is not dict:
             raise InvalidInput(f"{where} must be a JSON object, got {value!r}")
@@ -103,22 +111,27 @@ def _typed(value, kind, where: str):
         if unknown:
             raise InvalidInput(f"unknown key(s) in {where or 'config'}: {unknown}")
         typed = {}
-        for key, (sub, default) in kind.items():
+        for key, (sub, default, *bound) in kind.items():
             name = f"{where}.{key}".lstrip(".")
             if key not in value and default is _REQUIRED:
                 raise InvalidInput(f"missing key {name}")
             item = value.get(key, default)
-            typed[key] = None if item is None and default is None else _typed(item, sub, name)
+            null = item is None and default is None
+            typed[key] = None if null else _typed(item, sub, name, *bound)
         return typed
     if isinstance(kind, list):
         if type(value) is not list or not value:
             raise InvalidInput(f"{where} must be a nonempty list, got {value!r}")
-        return [_typed(item, kind[0], f"{where}[{i}]") for i, item in enumerate(value)]
-    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
-        return float(value)
-    if kind is not float and type(value) is kind:
-        return value
-    raise InvalidInput(f"{where} must be {kind.__name__}, got {value!r}")
+        typed = [_typed(item, kind[0], f"{where}[{i}]", *kind[1:]) for i, item in enumerate(value)]
+    elif kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        typed = float(value)
+    elif kind is not float and type(value) is kind:
+        typed = value
+    else:
+        raise InvalidInput(f"{where} must be {kind.__name__}, got {value!r}")
+    if bound is not None and not bound[0](typed):
+        raise InvalidInput(f"{where} must {bound[1]}, got {value!r}")
+    return typed
 
 
 def load_config(path, overrides=()) -> dict:
@@ -156,30 +169,30 @@ def _apply_override(config: dict, item: str) -> None:
     node[keys[-1]] = value
 
 
-def _at_least_1(value: int, key: str) -> int:
-    """``value``, read from the config key ``key``; InvalidInput naming the
-    key unless it is >= 1."""
-    if value < 1:
-        raise InvalidInput(f"{key} must be >= 1, got {value}")
-    return value
+def _keyed(prefix: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; an InvalidInput gets ``prefix`` before its message."""
+    try:
+        return make(*args, **kwargs)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{prefix}{exc}") from exc
 
 
 def build_model(section: dict) -> FouModel:
-    """Construct the model from its config section, whose grid must have at
-    least one step per period."""
-    _at_least_1(section["step_denominator"], "model.step_denominator")
-    basis = BasisSet.from_specs(section["basis"])
-    try:
-        return FouModel(
-            hurst=section["hurst"],
-            alpha=section["alpha"],
-            mu=section["mu"],
-            sigma=section["sigma"],
-            basis=basis,
-            xi0=section["xi0"],
-        )
-    except InvalidInput as exc:  # FouModel's messages start with the field name
-        raise InvalidInput(f"model.{exc}") from exc
+    """Construct the model from its config section."""
+    functions = [
+        _keyed(f"model.basis[{i}]: ", BasisFunction, spec["kind"], spec.get("k", 0))
+        for i, spec in enumerate(section["basis"])
+    ]
+    return _keyed(  # FouModel's messages start with the field name
+        "model.",
+        FouModel,
+        hurst=section["hurst"],
+        alpha=section["alpha"],
+        mu=section["mu"],
+        sigma=section["sigma"],
+        basis=_keyed("model.basis: ", BasisSet, tuple(functions)),
+        xi0=section["xi0"],
+    )
 
 
 def _out_dir(args) -> Path:
@@ -195,11 +208,9 @@ def _write_json(payload: dict, filename: Path) -> None:
 
 
 def _simulate(model: FouModel, section: dict):
-    if section["seed"] < 0:
-        raise InvalidInput(f"model.seed must be >= 0, got {section['seed']}")
     return simulate_path(
         model,
-        n_periods=_at_least_1(section["n_periods"], "model.n_periods"),
+        n_periods=section["n_periods"],
         step=1.0 / section["step_denominator"],
         seed=section["seed"],
         stationary_start=section["stationary_start"],
@@ -218,11 +229,7 @@ def _cmd_estimate(config: dict, args) -> int:
     model = build_model(config["model"])
     section = config["estimate"]
     mode = section["mode"]
-    if mode not in MODES:  # before a path is simulated or read
-        raise InvalidInput(f"estimate.mode must be one of {MODES}, got {mode!r}")
     model_section = config["model"]
-    if section["path_csv"] == "":
-        raise InvalidInput("estimate.path_csv is empty; null simulates a path")
     if section["path_csv"] is not None:
         path = read_sample_path_csv(
             section["path_csv"], model, stationary_start=model_section["stationary_start"]
@@ -274,26 +281,23 @@ def _mc_config(config: dict, args, section_name: str) -> McConfig:
     if section is None:
         raise InvalidInput(f"config needs a '{section_name}' section")
     if section_name == "consistency":
-        keys = [f"consistency.n_list[{i}]" for i in range(len(section["n_list"]))]
-        n_list = [_at_least_1(n, key) for n, key in zip(section["n_list"], keys)]
+        n_list = section["n_list"]
+        keys = [f"consistency.n_list[{i}]" for i in range(len(n_list))]
     else:
-        keys, n_list = ["clt.n"], [_at_least_1(section["n"], "clt.n")]
+        n_list, keys = [section["n"]], ["clt.n"]
     m = config["model"]["step_denominator"]
     euler_decay(model.alpha, 1.0 / m)  # refuse before limit_summary and any replicate
     for n, key in zip(n_list, keys):  # every replicate starts stationary; refuse before any runs
         burn_in_periods(model.alpha, n, m, True, (key, "model.alpha"))
-    try:
-        return McConfig(
-            model=model,
-            n_list=n_list,
-            replicates=section["replicates"],
-            step=1.0 / m,
-            mode=section["mode"],
-            master_seed=section["master_seed"],
-            workers=args.workers or section["workers"],
-        )
-    except InvalidInput as exc:  # McConfig's messages start with the field name
-        raise InvalidInput(f"{section_name}.{exc}") from exc
+    return McConfig(
+        model=model,
+        n_list=n_list,
+        replicates=section["replicates"],
+        step=1.0 / m,
+        mode=section["mode"],
+        master_seed=section["master_seed"],
+        workers=args.workers or section["workers"],
+    )
 
 
 def _cmd_mc_consistency(config: dict, args) -> int:
@@ -331,7 +335,7 @@ def _cmd_mc_clt(config: dict, args) -> int:
 def _cmd_coupling(config: dict, args) -> int:
     model = build_model(config["model"])
     section = config["coupling"]
-    horizon = _at_least_1(section["n_periods"], "coupling.n_periods")
+    horizon = section["n_periods"]
     gap0 = section["gap0"]
     master_seed = section["master_seed"]
     m = config["model"]["step_denominator"]
@@ -339,8 +343,6 @@ def _cmd_coupling(config: dict, args) -> int:
     alphas = section["alphas"] or [model.alpha]
     for i, alpha in enumerate(alphas):  # refuse before any run
         key = f"coupling.alphas[{i}]" if section["alphas"] else "model.alpha"
-        if not alpha > 0.0:
-            raise InvalidInput(f"{key} must be positive, got {alpha:g}")
         euler_decay(alpha, step, key)
         burn_in_periods(alpha, horizon, m, True, ("coupling.n_periods", key))
     reports = [

@@ -94,9 +94,7 @@ def _run_replicate(model: FouModel, step: float, mode: str, master_seed: int, jo
         result = estimate(path, mode=mode, sigma=model.sigma, alpha_for_correction=alpha_ref)
     except DegenerateDesign:
         return ReplicateResult(n, r, seed, None)
-    noise = None
-    if result.noise_vector is not None:
-        noise = tuple(float(v) for v in result.noise_vector)
+    noise = tuple(float(v) for v in result.noise_vector)  # a simulated path carries its driver
     return ReplicateResult(n, r, seed, tuple(float(v) for v in result.theta_hat), noise)
 
 
@@ -283,10 +281,8 @@ def run_clt(config: McConfig) -> ExperimentReport:
     excess = [float(v) for v in excess_values]
     standardized = (scaled - scaled.mean(axis=0)) / scaled.std(axis=0, ddof=1)
 
-    noise_var = None
-    if all(row.noise_vector is not None for row in kept):
-        noise = np.array([row.noise_vector for row in kept])
-        noise_var = [float(v) for v in (n ** (-hurst) * noise).var(axis=0, ddof=1)]
+    noise = np.array([row.noise_vector for row in kept])
+    noise_var = [float(v) for v in (n ** (-hurst) * noise).var(axis=0, ddof=1)]
 
     clt = {
         "scaled_error_covariance": scaled_cov.tolist(),

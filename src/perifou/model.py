@@ -382,13 +382,13 @@ def steady_euler_orbit(model: FouModel, step: float) -> np.ndarray:
 
     From rest the chain reaches x_m = sum_j a^{m-1-j} L(t_j) step after one
     period (a = 1 - alpha*step); the periodic orbit starts at
-    x_m / (1 - a^m).
+    x_0 = x_m / (1 - a^m), and x_1..x_{m-1} follow by the same recursion.
     """
     m = _check_step(step)
-    a = 1.0 - model.alpha * step
+    a = euler_decay(model.alpha, step)
     forcing = _period_mean(model, step) * step
     x0 = first_order_recursion(forcing, a)[-1] / (1.0 - a**m)
-    return _euler(model, np.zeros(m), x0, step)[:-1]
+    return np.append(x0, first_order_recursion(forcing, a, x0)[:-1])
 
 
 _CSV_BLOCK_ROWS = 4096  # rows per %-format in write_sample_path_csv, about 0.3 MB of text

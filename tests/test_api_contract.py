@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from perifou import BasisSet, FouModel, McConfig, limit_summary, run_clt
+from perifou.cli import _SCHEMA
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,4 +92,21 @@ def test_readme_documents_every_limits_key():
     report = limit_summary(model).report
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     missing = [key for key in [*report, *report["flags"]] if f"`{key}`" not in readme]
+    assert missing == []
+
+
+def test_readme_documents_every_config_key():
+    """Each _SCHEMA key must have a row in README.md's key table that
+    names it in backticks and carries the text of its range, and of its
+    entries' range for a list, in backticks."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = [line for line in readme.splitlines() if line.startswith("| `")]
+    missing = []
+    for section, (keys, _default) in _SCHEMA.items():
+        for key, (kind, _key_default, *bound) in keys.items():
+            name = f"{section}.{key}"
+            ranges = bound + (kind[1:] if isinstance(kind, list) else [])
+            texts = [f"`{name}`"] + [f"`{text.removeprefix('be ')}`" for _, text in ranges]
+            if not any(all(text in row for text in texts) for row in rows):
+                missing.append(name)
     assert missing == []

@@ -559,9 +559,9 @@ def test_euler_step_refusal_names_its_keys(
     ids=["replicates", "mode", "workers", "n_list", "workers-flag", "alpha-neg", "alpha-0"],
 )
 def test_range_refusal_names_its_key(config_file, tmp_path, capsys, argv, key):
-    """McConfig names only its field, and FouModel only alpha: the CLI
-    names the config key.  A negative --workers is refused by the parser,
-    after its usage lines."""
+    """McConfig names only its field, and FouModel only alpha: the config
+    key is named by the schema, at load.  A negative --workers is refused
+    by the parser, after its usage lines."""
     out = tmp_path / "o"
     argv = argv + ["--config", config_file(base_config()), "--out", str(out)]
     try:
@@ -576,6 +576,41 @@ def test_range_refusal_names_its_key(config_file, tmp_path, capsys, argv, key):
     assert not out.exists()
 
 
+_MODES = "('naive_pathwise', 'oracle_divergence')"
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("model.step_denominator=0", "model.step_denominator must be >= 1, got 0"),
+        ("model.n_periods=0", "model.n_periods must be >= 1, got 0"),
+        ("model.seed=-1", "model.seed must be >= 0, got -1"),
+        ("estimate.mode=bayes", f"estimate.mode must be one of {_MODES}, got 'bayes'"),
+        ("estimate.path_csv=", "estimate.path_csv must be nonempty (null simulates a path), got ''"),
+        ("clt.n=0", "clt.n must be >= 1, got 0"),
+        ("clt.replicates=1", "clt.replicates must be >= 2, got 1"),
+        ("clt.mode=foo", f"clt.mode must be one of {_MODES}, got 'foo'"),
+        ("clt.workers=0", "clt.workers must be >= 1, got 0"),
+        ("consistency.n_list=[0,5]", "consistency.n_list[0] must be >= 1, got 0"),
+        ("consistency.n_list=[10,5]", "consistency.n_list must be strictly increasing, got [10, 5]"),
+        ("coupling.n_periods=0", "coupling.n_periods must be >= 1, got 0"),
+        ("coupling.alphas=[0]", "coupling.alphas[0] must be positive, got 0"),
+    ],
+)
+def test_every_single_key_range_is_refused_at_load(
+    config_file, tmp_path, capsys, monkeypatch, override, message
+):
+    """limits reads none of these keys and still refuses each, as it
+    refuses a mistyped key: a range is checked where the config is loaded,
+    not by the command that reads the key."""
+    monkeypatch.setattr("perifou.cli.limit_summary", lambda *args: pytest.fail("ran"))
+    out = tmp_path / "o"
+    argv = ["limits", "--config", config_file(base_config()), "--out", str(out)]
+    assert main(argv + ["--set", override]) == 2
+    assert _refusal(capsys, "limits") == f"perifou limits: InvalidInput: {message}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, override, key",
     [
@@ -585,15 +620,34 @@ def test_range_refusal_names_its_key(config_file, tmp_path, capsys, argv, key):
         ("simulate", "model.seed=-1", "model.seed must be >= 0"),
         ("estimate", "estimate.mode=bayes", "estimate.mode must be one of"),
         ("mc-consistency", "model.hurst=0.8", "requires model.hurst < 0.75"),
+        (
+            "limits",
+            'model.basis=[{"kind":"tan","k":1},{"kind":"cos","k":1}]',
+            "model.basis[0]: unknown basis kind 'tan'",
+        ),
+        (
+            "limits",
+            'model.basis=[{"kind":"cos","k":1},{"kind":"sin","k":0}]',
+            "model.basis[1]: sin basis function needs 1 <= k <= 2^53, got 0",
+        ),
+        (
+            "limits",
+            'model.basis=[{"kind":"sin","k":1},{"kind":"sin","k":1}]',
+            "model.basis: duplicate basis functions break orthonormality",
+        ),
     ],
-    ids=["hurst", "sigma", "mu", "seed", "estimate-mode", "study-hurst"],
+    ids=[
+        "hurst", "sigma", "mu", "seed", "estimate-mode", "study-hurst",
+        "basis-kind", "basis-k", "basis-duplicate",
+    ],
 )
 def test_model_range_refusal_names_its_key_before_any_work(
     config_file, tmp_path, capsys, monkeypatch, command, override, key
 ):
-    """FouModel and FgnSpec name only their field, and estimate() its
-    argument: the CLI names the config key, before a path is simulated,
-    a limit object computed or an out dir made."""
+    """FouModel and FgnSpec name only their field, BasisFunction and
+    BasisSet none, and estimate() its argument: the CLI names the config
+    key, before a path is simulated, a limit object computed or an out dir
+    made."""
     monkeypatch.setattr("perifou.cli.simulate_path", lambda *args, **kw: pytest.fail("ran"))
     monkeypatch.setattr("perifou.cli.limit_summary", lambda *args: pytest.fail("ran"))
     monkeypatch.setattr(experiments, "_map_jobs", lambda *args: pytest.fail("ran"))
@@ -797,8 +851,8 @@ def test_coupling_increment_cap_without_alphas_names_the_coupling_horizon(
 def test_horizon_below_1_names_its_key(
     config_file, tmp_path, capsys, monkeypatch, command, key, value
 ):
-    """Each horizon is checked where the CLI reads it: mc-clt refuses
-    before the limit objects."""
+    """Each horizon is refused under its own key when the config is
+    loaded: mc-clt refuses before the limit objects."""
     monkeypatch.setattr(experiments, "limit_summary", lambda *args: pytest.fail("ran"))
     out = tmp_path / "o"
     argv = [command, "--config", config_file(base_config()), "--out", str(out)]
@@ -873,11 +927,11 @@ def test_load_config_fills_defaults_and_converts_floats(config_file):
 
 def _schema_entries():
     """(path into base_config(), type, default) for every section, key and
-    basis-entry key of the schema."""
+    basis-entry key of the schema; a key's range is left out."""
     entries = []
     for section, (keys, default) in _SCHEMA.items():
         entries.append(((section,), keys, default))
-        for key, (kind, key_default) in keys.items():
+        for key, (kind, key_default, *_range) in keys.items():
             entries.append(((section, key), kind, key_default))
     basis_keys = _SCHEMA["model"][0]["basis"][0][0]
     for key, (kind, default) in basis_keys.items():
