@@ -170,10 +170,11 @@ def _apply_override(config: dict, item: str) -> None:
 
 
 def _keyed(prefix: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``; an InvalidInput gets ``prefix`` before its message."""
+    """``make(*args, **kwargs)``; an InvalidInput or OSError becomes an InvalidInput with
+    ``prefix`` before its message."""
     try:
         return make(*args, **kwargs)
-    except InvalidInput as exc:
+    except (InvalidInput, OSError) as exc:
         raise InvalidInput(f"{prefix}{exc}") from exc
 
 
@@ -230,10 +231,9 @@ def _cmd_estimate(config: dict, args) -> int:
     section = config["estimate"]
     mode = section["mode"]
     model_section = config["model"]
-    if section["path_csv"] is not None:
-        path = read_sample_path_csv(
-            section["path_csv"], model, stationary_start=model_section["stationary_start"]
-        )
+    csv, start = section["path_csv"], model_section["stationary_start"]
+    if csv is not None:
+        path = _keyed("estimate.path_csv: ", read_sample_path_csv, csv, model, start)
     else:
         path = _simulate(model, model_section)
     out = _out_dir(args) / "estimate.json"

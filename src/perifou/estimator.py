@@ -185,16 +185,22 @@ def scaled_upper_gamma(a: float, z):
     return fraction
 
 
+def _last_lag(lam: float) -> int:
+    """The lag J where both lag sums stop: past it the decay a^{j-1} = e^{-lam (j-1)} is
+    below 1e-18, and a sum in double precision no longer moves."""
+    return math.ceil(math.log(1e18) / lam)
+
+
 def euler_lag_sum(alpha: float, hurst: float, step: float, start: int = 0) -> float:
     """T(d) = sum_{j>=1} a^{j-1} c_BB(d + j) = Cov(Z_k, dB_{k+d}) at d = ``start``, for the
     stationary Euler noise Z_{k+1} = a Z_k + dB_k, a = 1 - alpha*step = e^{-lam}, and fGn of
-    covariance c_BB(k) = step^{2H} rho_H(k).  The first min(K, lags until a^j < 1e-18) terms
-    are summed as they stand; the rest by the midpoint Euler-Maclaurin rule int_{K+1/2}^inf f
+    covariance c_BB(k) = step^{2H} rho_H(k).  The first min(K, :func:`_last_lag`) terms are
+    summed as they stand; the rest by the midpoint Euler-Maclaurin rule int_{K+1/2}^inf f
     + f'(K+1/2)/24 on rho_H(k) = H b k^{b-1} (1 + (b-1)(b-2) / (12 k^2)), b = 2H - 1, whose
     integrals are a^{K-1/2} u^s e^x x^{-s} Gamma(s, x) at u = K + 1/2 + d, x = lam u, s = b and
     b - 2 (:func:`scaled_upper_gamma`; scaled, so no factor e^{lam d} overflows or cancels)."""
     lam, a = -math.log1p(-alpha * step), 1.0 - alpha * step
-    lags = np.arange(1, min(_EXPLICIT_LAGS, math.ceil(math.log(1e18) / lam)) + 1)
+    lags = np.arange(1, min(_EXPLICIT_LAGS, _last_lag(lam)) + 1)
     total = float(np.sum(a ** (lags - 1.0) * fgn_autocovariance(hurst, lags + start)))
     if lags.size == _EXPLICIT_LAGS:
         b, u = 2.0 * hurst - 1.0, _EXPLICIT_LAGS + 0.5 + start
@@ -211,17 +217,16 @@ def discrete_trace_correction(
 ) -> float:
     """Exact mean of the forward sum of X against its driver, per unit sigma.
 
-    For the Euler chain with decay factor a = 1 - alpha*step,
-    E[sum_k X_k dB_k] = sigma * sum_k sum_{m>=1} a^{m-1} rho_H(m) step^{2H}
-    with the inner sum running over the available history of row k: the
-    whole past for stationary starts (N :func:`euler_lag_sum`), lags m <= k for fixed starts.
-    Subtracting this makes the discretized quadratic response mean-zero,
-    matching the divergence-integral convention on the grid exactly; the
-    continuous-time trace term (``skorokhod_correction`` in the tests'
-    ``oracles.py``) overshoots it by the same-cell kernel mass
-    T*step^{2H-1}/2, which vanishes only slowly.
-    Cached, because every oracle replicate of a study asks for the same
-    value.
+    For the Euler chain with decay factor a = 1 - alpha*step, E[sum_k X_k dB_k] =
+    sigma * sum_k sum_{m>=1} a^{m-1} rho_H(m) step^{2H} with the inner sum running over the
+    available history of row k: the whole past for stationary starts (N :func:`euler_lag_sum`),
+    lags m <= k for fixed starts, that is sum_{m<N} (N - m) a^{m-1} c_BB(m) over
+    m <= min(N - 1, J), J of :func:`_last_lag` as in the kernel: O(1/(alpha step)) time and
+    memory, not O(N).  Subtracting this makes the discretized quadratic response mean-zero,
+    matching the divergence-integral convention on the grid exactly; the continuous-time trace
+    term (``skorokhod_correction`` in the tests' ``oracles.py``) overshoots it by the same-cell
+    kernel mass T*step^{2H-1}/2, which vanishes only slowly.  Cached, because every oracle
+    replicate of a study asks for the same value.
     """
     if not 0.5 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
@@ -232,11 +237,8 @@ def discrete_trace_correction(
         raise ValueError(f"alpha*step must lie in (0, 1), got {alpha * step}")
     if stationary:
         return n_steps * euler_lag_sum(alpha, hurst, step)
-    weight = step ** (2.0 * hurst)
-    lags = np.arange(1, n_steps)
-    if lags.size == 0:
-        return 0.0
-    terms = a ** (lags - 1.0) * fgn_autocovariance(hurst, lags) * weight
+    lags = np.arange(1, min(n_steps, _last_lag(-math.log1p(-alpha * step)) + 1))
+    terms = a ** (lags - 1.0) * fgn_autocovariance(hurst, lags) * step ** (2.0 * hurst)
     return float(np.einsum("i,i", n_steps - lags, terms))  # not np.dot: see build_design
 
 

@@ -221,20 +221,18 @@ def _skewness_and_excess_kurtosis(samples: np.ndarray):
 def run_clt(config: McConfig) -> ExperimentReport:
     """Scaled-error study at a single horizon n.
 
-    Computes e_r = n^{1-H} (theta_hat_r - theta) and compares its empirical
-    covariance with the exact finite-horizon covariance
-    sigma^2 C Cov(n^{-H} R_n) C of :func:`finite_horizon_covariance`; the
-    mu-block gap to it and the moment bounds decide PASS.  The gap to the
-    limit reference sigma^2 C Sigma_0 C is reported as well: only the
-    period means survive the n^{-H} scaling, so for mean-zero basis
-    functions that reference is not what the study measures.  Also reports
-    moment and ECDF diagnostics per component and the empirical variance of
-    the scaled noise vector n^{-H} R_n (bounded in L^2).  Raises
-    InvalidInput when sigma is 0, before the limit objects or any
-    replicate: every replicate is then the same path, so the scaled errors
-    have no spread to compare.  Raises DegenerateDesign when fewer than two
-    replicates have an identifiable design.  A basis frequency the limit
-    objects cannot resolve raises InvalidInput before any replicate runs.
+    Computes e_r = n^{1-H} (theta_hat_r - theta) and compares its empirical covariance with the
+    exact finite-horizon covariance sigma^2 C Cov(n^{-H} R_n) C of
+    :func:`finite_horizon_covariance`; the mu-block gap to it and the moment bounds decide PASS.
+    The gap to the limit reference sigma^2 C Sigma_0 C is reported as well: only the period
+    means survive the n^{-H} scaling, so for mean-zero basis functions that reference is not
+    what the study measures.  Also reports moment and ECDF diagnostics per component and the
+    empirical variance of the scaled noise vector n^{-H} R_n (bounded in L^2).  Raises
+    InvalidInput when sigma is 0, before the limit objects or any replicate: every replicate is
+    then the same path, so the scaled errors have no spread to compare.  Raises DegenerateDesign
+    when fewer than two replicates have an identifiable design.  A basis frequency the grid
+    aliases passes the limit objects; ``estimator.normal_matrix_inverse`` refuses it
+    (InvalidInput) inside the first replicate, so no report returns.
     """
     if len(config.n_list) != 1:
         raise ValueError("run_clt expects a single horizon in n_list")
@@ -333,7 +331,8 @@ def run_coupling(
     sub-seed (master_seed, horizon, 0), replays the recursion from a start
     offset by ``gap0`` with the same increments, and fits the slope of
     log gap against time at whole periods.  PASS when the fitted slope is
-    within COUPLING_SLOPE_TOL of -alpha (relatively).
+    within COUPLING_SLOPE_TOL of -alpha (relatively), or when every gap on the
+    grid is exactly 0 (``exact_match``: the replay is the path).
     """
     seed = substream_seed(master_seed, horizon, 0)
     stationary = simulate_path(model, horizon, step, seed, stationary_start=True)
@@ -345,10 +344,9 @@ def run_coupling(
     times = np.arange(1, horizon + 1, dtype=float)
     gaps = gaps_full[(np.arange(1, horizon + 1) * m)]
 
-    exact_match = gap0 == 0.0
+    exact_match = not gaps_full.any()
     usable = gaps > COUPLING_GAP_FLOOR
-    slope = None
-    passed = exact_match
+    slope, passed = None, exact_match
     if not exact_match and usable.sum() >= 3:
         slope = float(np.polyfit(times[usable], np.log(gaps[usable]), 1)[0])
         passed = abs(slope + model.alpha) <= COUPLING_SLOPE_TOL * model.alpha

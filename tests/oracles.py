@@ -321,6 +321,15 @@ def brute_lag_sums(alpha: float, hurst: float, step: float, starts=(0,)) -> list
     return [step ** (2.0 * hurst) * math.fsum(chunks[d]) for d in starts]
 
 
+def every_lag_trace_correction(alpha: float, hurst: float, step: float, n_steps: int) -> float:
+    """The fixed-start ``estimator.discrete_trace_correction`` summed over every lag
+    1 .. N-1, sum_j (N - j) a^{j-1} c_BB(j), with the package's arithmetic lag by lag:
+    the reference for the lag cut at a^{j-1} < 1e-18.  Its arrays are N long."""
+    lags = np.arange(1, n_steps)
+    terms = (1.0 - alpha * step) ** (lags - 1.0) * fgn_autocovariance(hurst, lags)
+    return float(np.einsum("i,i", n_steps - lags, terms * step ** (2.0 * hurst)))
+
+
 def memory_quadratic_noise_variance(hurst: float, step: float, alpha: float, n_steps: int) -> float:
     """``asymptotics.quadratic_noise_variance`` with c_ZB(d) = c_BB(d+1) + a c_ZB(d+1)
     run backwards from zero, ln(1e-17) / ln(a) lags beyond the horizon, instead of

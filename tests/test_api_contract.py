@@ -1,9 +1,10 @@
 """What code outside the package relies on: the README quick start, the
-README's account of clt_report.json and limits.json, the names the benchmark harness in
+README's account of the JSON artifacts and config keys, the names the benchmark harness in
 perfbench/ imports and traces, and its bit-for-bit replay check."""
 
 import importlib
 import importlib.util
+import json
 import random
 import re
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from perifou import BasisSet, FouModel, McConfig, limit_summary, run_clt
-from perifou.cli import _SCHEMA
+from perifou.cli import _SCHEMA, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -110,3 +111,52 @@ def test_readme_documents_every_config_key():
             if not any(all(text in row for text in texts) for row in rows):
                 missing.append(name)
     assert missing == []
+
+
+_SMALL_CONFIG = {
+    "model": {
+        "hurst": 0.65, "alpha": 1.0, "mu": [1.0, 2.0], "sigma": 0.5,
+        "basis": [{"kind": "sin", "k": 1}, {"kind": "cos", "k": 1}],
+        "step_denominator": 16, "n_periods": 4, "seed": 1, "stationary_start": True,
+    },
+    "consistency": {"n_list": [2, 4], "replicates": 4, "master_seed": 1},
+    "coupling": {"alphas": [1.0], "n_periods": 4},
+}
+
+
+def _artifact(tmp_path, command: str, name: str, overrides=()) -> dict:
+    """The JSON file ``name`` that ``perifou command`` writes on _SMALL_CONFIG."""
+    config, out = tmp_path / "config.json", tmp_path / command
+    config.write_text(json.dumps(_SMALL_CONFIG))
+    argv = [command, "--config", str(config), "--out", str(out)]
+    assert main(argv + [arg for item in overrides for arg in ("--set", item)]) in (0, 1)
+    return json.loads((out / name).read_text())
+
+
+def _undocumented(keys) -> list:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [key for key in keys if f"`{key}`" not in readme]
+
+
+def test_readme_documents_every_estimate_key(tmp_path):
+    """estimate.json, both the report and the degenerate one (a constant
+    path against the constant basis), names each key in README.md."""
+    report = _artifact(tmp_path, "estimate", "estimate.json")
+    constant = tmp_path / "constant.csv"
+    constant.write_text("t,x\n" + "".join(f"{k / 16!r},1\n" for k in range(17)))
+    degenerate = _artifact(
+        tmp_path, "estimate", "estimate.json",
+        ['model.basis=[{"kind": "const"}]', "model.mu=[1]", f"estimate.path_csv={constant}"],
+    )
+    assert degenerate["degenerate"] is True and "step" in report and "reason" in degenerate
+    assert _undocumented([*report, *degenerate]) == []
+
+
+def test_readme_documents_every_consistency_report_key(tmp_path):
+    report = _artifact(tmp_path, "mc-consistency", "consistency_report.json")
+    assert _undocumented([*report, *report["aggregates"]["2"]]) == []
+
+
+def test_readme_documents_every_coupling_report_key(tmp_path):
+    report = _artifact(tmp_path, "coupling", "coupling_report.json")
+    assert _undocumented([*report, *report["runs"][0]]) == []

@@ -873,6 +873,22 @@ def test_empty_path_csv_exits_2_without_simulating(config_file, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["directory", "missing.csv"])
+def test_unreadable_path_csv_names_its_key(config_file, tmp_path, capsys, target):
+    """A directory or a missing file used to exit 2 as a bare
+    IsADirectoryError or FileNotFoundError, with the path but not the key."""
+    target = tmp_path / target
+    if target.suffix == "":
+        target.mkdir()
+    out = tmp_path / "o"
+    argv = ["estimate", "--config", config_file(base_config()), "--out", str(out)]
+    assert main(argv + ["--set", f"estimate.path_csv={target}"]) == 2
+    err = _refusal(capsys, "estimate")
+    assert err.startswith("perifou estimate: InvalidInput: estimate.path_csv: [Errno ")
+    assert str(target) in err
+    assert not (out / "estimate.json").exists()
+
+
 def test_coupling_increment_cap_names_its_alphas_entry_before_any_run(
     config_file, tmp_path, capsys, monkeypatch
 ):

@@ -1,6 +1,8 @@
 """Least-squares estimator: sums, normal equations, corrections, identities."""
 
 import math
+import time
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,6 +15,7 @@ from scipy.special import gammainc, gammaincc
 from oracles import (
     basis_bound,
     brute_lag_sums,
+    every_lag_trace_correction,
     normal_matrix,
     response,
     series_fgn_autocovariance,
@@ -260,6 +263,42 @@ def test_discrete_trace_matches_brute_double_sum():
             brute += a ** (k - 1 - j) * fgn_autocovariance(hurst, k - j) * step ** (2 * hurst)
     ours = discrete_trace_correction(alpha, hurst, step, n_steps, stationary=False)
     assert ours == pytest.approx(brute, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [255.0, 4.0, 1.0, 0.1, 0.01, 1e-4])
+@pytest.mark.parametrize("hurst", [0.55, 0.65, 0.74, 0.95])
+def test_fixed_start_trace_stops_at_the_kernel_cut_bit_for_bit(hurst, alpha):
+    """The lags past a^{j-1} < 1e-18 do not move the last bit of the sum; at
+    alpha = 4 that cut is lag 2632, below N = 51200 and 2^18."""
+    sizes = [1, 2, 12, 51200, 2**18]
+    ours = [discrete_trace_correction(alpha, hurst, 1 / 256, n, stationary=False) for n in sizes]
+    assert ours == [every_lag_trace_correction(alpha, hurst, 1 / 256, n) for n in sizes]
+
+
+def test_fixed_start_trace_at_2_22_steps_is_short_and_small():
+    """alpha = 1, m = 256: 10590 lags instead of 2^22, whose arrays took
+    0.56-0.63 s and a 201 MB tracemalloc peak."""
+    args = (1.0, 0.65, 1 / 256, 2**22, False)
+    elapsed = []
+    for _ in range(3):
+        discrete_trace_correction.cache_clear()
+        start = time.perf_counter()
+        discrete_trace_correction(*args)
+        elapsed.append(time.perf_counter() - start)
+    discrete_trace_correction.cache_clear()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        discrete_trace_correction(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert min(elapsed) <= 5e-3
+    assert peak <= 1e6
 
 
 def test_discrete_trace_matches_simulated_mean():

@@ -17,6 +17,7 @@ from perifou import (
     run_coupling,
 )
 from oracles import fresh_interpreter_prints, read_replicates_csv, wiener_variance_study
+from perifou import experiments
 from perifou.experiments import (
     ReplicateResult,
     _skewness_and_excess_kurtosis,
@@ -26,6 +27,7 @@ from perifou.experiments import (
     write_qq_csv,
     write_replicates_csv,
 )
+from perifou.model import path_from_increments
 
 
 def sine_basis():
@@ -281,6 +283,19 @@ def test_coupling_identical_starts_reported_exact():
     assert report.exact_match
     assert report.passed
     assert np.max(report.gaps) == 0.0
+
+
+def test_coupling_zero_offset_is_exact_only_when_every_gap_is_zero(monkeypatch):
+    """exact_match used to be gap0 == 0, so a replay one ulp off the path
+    was reported exact and PASS."""
+    def nudged(*args):
+        path = path_from_increments(*args)
+        path.x[5] = np.nextafter(path.x[5], np.inf)
+        return path
+
+    monkeypatch.setattr(experiments, "path_from_increments", nudged)
+    report = run_coupling(**coupling_config(1.0), gap0=0.0)
+    assert not report.exact_match and not report.passed and report.slope is None
 
 
 def test_coupling_slope_matches_mean_reversion():
