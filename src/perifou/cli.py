@@ -23,7 +23,7 @@ from pathlib import Path
 
 from perifou.asymptotics import CLT_HURST_UPPER, limit_summary
 from perifou.errors import DegenerateDesign, InvalidInput, PerifouError
-from perifou.estimator import MODES, estimate
+from perifou.estimator import MODES, estimate, refuse_aliasing
 from perifou.experiments import (
     COUPLING_GAP_FLOOR,
     McConfig,
@@ -41,6 +41,7 @@ from perifou.model import (
     FouModel,
     burn_in_periods,
     euler_decay,
+    period_basis,
     read_sample_path_csv,
     simulate_path,
     write_sample_path_csv,
@@ -287,6 +288,8 @@ def _mc_config(config: dict, args, section_name: str) -> McConfig:
         n_list, keys = [section["n"]], ["clt.n"]
     m = config["model"]["step_denominator"]
     euler_decay(model.alpha, 1.0 / m)  # refuse before limit_summary and any replicate
+    phi = period_basis(model.basis, 1.0 / m)
+    refuse_aliasing((1.0 / m) * (phi @ phi.T))
     for n, key in zip(n_list, keys):  # every replicate starts stationary; refuse before any runs
         burn_in_periods(model.alpha, n, m, True, (key, "model.alpha"))
     return McConfig(

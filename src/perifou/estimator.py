@@ -121,6 +121,19 @@ def build_design(path: SamplePath) -> DesignStats:
     return DesignStats(gram=gram, loadings=loadings, residual=residual, n_periods=n)
 
 
+def refuse_aliasing(period_gram: np.ndarray) -> None:
+    """Raise InvalidInput when ``period_gram``, the basis Gram block of one
+    period on the grid, departs from I_p by more than ALIASING_TOLERANCE:
+    the grid cannot carry a basis frequency (e.g. sin 2 pi 8 t on t = j/16)."""
+    aliasing = np.abs(period_gram - np.eye(period_gram.shape[0])).max()
+    if aliasing > ALIASING_TOLERANCE:
+        raise InvalidInput(
+            f"model.basis is not orthonormal on the grid of model.step_denominator: "
+            f"max |gram/n - I| = {aliasing:.3g} > {ALIASING_TOLERANCE:.0e}; "
+            "a basis frequency aliases on this grid"
+        )
+
+
 def normal_matrix_inverse(design: DesignStats) -> np.ndarray:
     """Closed-form inverse of the normal matrix.
 
@@ -128,19 +141,12 @@ def normal_matrix_inverse(design: DesignStats) -> np.ndarray:
     g = 1/residual, by block (Schur) inversion of [[I, -L], [-L^t, b/n]];
     valid because the basis Gram block equals n * I_p up to discretization
     error.  Note the positive off-diagonal blocks: the two minus signs of
-    Q cancel there.  Raises InvalidInput when the Gram block departs from
-    n * I_p by more than ALIASING_TOLERANCE (a frequency the grid cannot
-    carry, e.g. sin 2 pi 8 t on t = j/16), and DegenerateDesign when the
+    Q cancel there.  Raises InvalidInput (:func:`refuse_aliasing`) when the
+    Gram block departs from n * I_p, and DegenerateDesign when the
     residual variance is at most DEGENERACY_THRESHOLD times the path's
     mean square b/n = residual + |L|^2.
     """
-    aliasing = np.abs(design.gram / design.n_periods - np.eye(design.gram.shape[0])).max()
-    if aliasing > ALIASING_TOLERANCE:
-        raise InvalidInput(
-            f"model.basis is not orthonormal on the grid of model.step_denominator: "
-            f"max |gram/n - I| = {aliasing:.3g} > {ALIASING_TOLERANCE:.0e}; "
-            "a basis frequency aliases on this grid"
-        )
+    refuse_aliasing(design.gram / design.n_periods)
     mean_square = design.residual + float(np.dot(design.loadings, design.loadings))
     if design.residual <= DEGENERACY_THRESHOLD * mean_square:
         raise DegenerateDesign(

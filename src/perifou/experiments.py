@@ -126,7 +126,8 @@ def aggregate_rows(theta: np.ndarray, rows) -> dict:
     """Per-n summary of the estimation errors.
 
     Pure function of the replicate table, so aggregates recomputed from the
-    emitted CSV reproduce the report bit for bit.
+    emitted CSV reproduce the report bit for bit.  ``se`` is None unless
+    two replicates are included, and every statistic is None if none is.
     """
     theta = np.asarray(theta, dtype=float)
     per_n: dict = {}
@@ -152,14 +153,14 @@ def aggregate_rows(theta: np.ndarray, rows) -> dict:
         mean = errors.mean(axis=0) + theta
         bias = errors.mean(axis=0)
         rmse = np.sqrt((errors**2).mean(axis=0))
-        se = errors.std(axis=0, ddof=1) / math.sqrt(count)
+        se = errors.std(axis=0, ddof=1) / math.sqrt(count) if count > 1 else None
         per_n[n] = {
             "included": count,
             "excluded": excluded,
             "mean": [float(v) for v in mean],
             "bias": [float(v) for v in bias],
             "rmse": [float(v) for v in rmse],
-            "se": [float(v) for v in se],
+            "se": None if se is None else [float(v) for v in se],
         }
     return per_n
 
@@ -231,8 +232,8 @@ def run_clt(config: McConfig) -> ExperimentReport:
     InvalidInput when sigma is 0, before the limit objects or any replicate: every replicate is
     then the same path, so the scaled errors have no spread to compare.  Raises DegenerateDesign
     when fewer than two replicates have an identifiable design.  A basis frequency the grid
-    aliases passes the limit objects; ``estimator.normal_matrix_inverse`` refuses it
-    (InvalidInput) inside the first replicate, so no report returns.
+    aliases is refused (InvalidInput) by ``estimator.normal_matrix_inverse`` inside the first
+    replicate; ``perifou mc-clt`` and ``mc-consistency`` refuse it before any study work.
     """
     if len(config.n_list) != 1:
         raise ValueError("run_clt expects a single horizon in n_list")

@@ -10,11 +10,9 @@ against the exact discrete algebra.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -412,33 +410,24 @@ def write_sample_path_csv(path: SamplePath, filename) -> None:
         handle.write(f"{path.grid[-1]:.17g},{path.x[-1]:.17g}{',' if has_driver else ''}\n")
 
 
-def _parse_row(line: str, width: int) -> list:
-    """One ``t,x[,db]`` row as floats; an empty ``db`` is left out."""
-    parts = line.strip().split(",")
-    if len(parts) != width:
-        raise InvalidInput(f"{len(parts)} fields under a {width}-column header")
-    return [float(p) for p in (parts[:2] if parts[2:] == [""] else parts)]
-
-
-def _rows_but_last(handle, held: list):
-    """Yield the non-blank lines left in ``handle``, read a chunk at a time,
-    all but the last one, which ``held`` receives as [line number, line];
-    ``handle`` is past line 1."""
-    number, tail = 1, ""
-    while True:
-        chunk = handle.read(_CSV_READ_CHARS)
-        lines = (tail + chunk).split("\n")
-        tail = lines.pop() if chunk else ""  # a line the next chunk may go on with
-        end = len(lines)
-        while end and not lines[end - 1].strip():
-            end -= 1
-        if end:
-            yield from held[1:]
-            yield from filter(str.strip, lines[: end - 1])
-            held[:] = number + end, lines[end - 1]
-        number += len(lines)
-        if not chunk:
-            return
+def _parse_rows(lines: list, first: int, width: int) -> np.ndarray:
+    """The non-blank ``lines``, numbered from ``first``, as a (rows, width)
+    array, by one ``loadtxt`` call; if it refuses them, each line is parsed
+    alone, and the first one refused raises InvalidInput naming it."""
+    body = [line for line in lines if line.strip()]
+    if not body:  # loadtxt warns on no rows
+        return np.empty((0, width))
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        if table.shape[1] != width:
+            raise ValueError(f"{table.shape[1]} fields, not {width}")
+        return table
+    except ValueError as exc:
+        if len(lines) == 1:
+            raise InvalidInput(f"line {first}: {str(exc).replace('row 0, ', '')}") from None
+        for number, line in enumerate(lines, start=first):
+            _parse_rows([line], number, width)
+        raise
 
 
 def read_sample_path_csv(
@@ -451,42 +440,41 @@ def read_sample_path_csv(
     in-memory pipeline bit for bit.  ``stationary_start`` must restate how
     the path was generated; the file format does not carry it.  A header,
     row or cell that does not parse, or an empty ``db`` before the last
-    row, raises InvalidInput naming the line.  The rows are parsed as they
-    are read, so the text is never held whole unless a row fails.
+    row, raises InvalidInput naming the line; a byte that is not UTF-8
+    names the first line of the chunk it came in.  The text is read once,
+    a chunk at a time, and each chunk is parsed as it comes: at n = 2000
+    the read peaks at twice the arrays it returns.
     """
-    where, held = "line 1", []
+    number, held, parts = 1, (1, ""), []  # held: the last non-blank line so far, numbered
     try:
-        with open(filename, "r", encoding="utf-8") as stream:
-            # a pipe is read whole, so that a failure can read it again
-            handle = stream if stream.seekable() else io.StringIO(stream.read())
+        with open(filename, "r", encoding="utf-8") as handle:
             header = handle.readline().strip().split(",")
             if header not in (["t", "x"], ["t", "x", "db"]):
-                raise InvalidInput(f"header {header} is neither t,x nor t,x,db")
-            width, body = len(header), _rows_but_last(handle, held)
-            try:
-                first = next(body, None)  # loadtxt warns on an empty body
-                rows = np.empty((0, width)) if first is None else np.loadtxt(
-                    chain([first], body), delimiter=",", comments=None, ndmin=2
-                )
-                if rows.shape[1] != width:
-                    raise ValueError(f"{rows.shape[1]} fields under a {width}-column header")
-            except ValueError:  # on failure only: read it all, name the first line at fault
-                handle.seek(0)
-                lines = handle.read().rstrip().split("\n")  # trailing blank lines dropped
-                for k, line in enumerate(lines[1:-1], start=2):
-                    where = f"line {k}"
-                    if line.strip() and len(_parse_row(line, width)) < width:
-                        raise InvalidInput("db is empty")  # the handler below names the line
-                where = f"lines 2-{len(lines) - 1}"  # float() takes a cell loadtxt refused
-                raise
-        where = f"line {held[0] if held else 1}"
-        last = _parse_row(held[1], width) if held else []
-    except ValueError as exc:  # UTF-8 decoding, loadtxt, float() and InvalidInput above
-        raise InvalidInput(f"path CSV {filename}, {where}: {exc}") from None
-    return SamplePath(
-        grid=np.append(rows[:, 0], last[:1]),
-        x=np.append(rows[:, 1], last[1:2]),
-        driver_increments=np.append(rows[:, 2], last[2:]) if width == 3 else None,
-        model=model,
-        stationary_start=stationary_start,
+                raise InvalidInput(f"line 1: header {header} is neither t,x nor t,x,db")
+            width, number, tail, chunk = len(header), 2, "", None
+            while chunk != "":  # the lines of tail + chunk are numbered from number
+                chunk = handle.read(_CSV_READ_CHARS)
+                lines = (tail + chunk).split("\n")
+                tail = lines.pop() if chunk else ""  # a line the next chunk may go on with
+                end = len(lines)
+                while end and not lines[end - 1].strip():
+                    end -= 1
+                if end:  # the last non-blank line is held back: it may be the last row
+                    parts.append(_parse_rows([held[1]], held[0], width))
+                    parts.append(_parse_rows(lines[: end - 1], number, width))
+                    held = number + end - 1, lines[end - 1]
+                number += len(lines)
+                del lines  # before the next read: one chunk's lines at a time
+        text = held[1].rstrip()
+        short = width == 3 and text.endswith(",")
+        last = _parse_rows([text[:-1] if short else text], held[0], width - short).ravel()
+    except InvalidInput as exc:
+        raise InvalidInput(f"path CSV {filename}, {exc}") from None
+    except UnicodeDecodeError as exc:  # its position is in the text layer's buffer, not the file
+        where, byte = f"at or after line {number}", exc.object[exc.start]
+        raise InvalidInput(f"path CSV {filename}, {where}: byte {byte:#04x} is not UTF-8") from None
+    grid, x, *db = (
+        np.concatenate([part[:, j] for part in parts] + [last[j : j + 1]]) for j in range(width)
     )
+    del parts  # before the grid contract's checks allocate
+    return SamplePath(grid, x, db[0] if db else None, model, stationary_start)

@@ -263,6 +263,36 @@ def test_mc_clt_at_zero_sigma_refuses_before_any_replicate(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["mc-clt", "mc-consistency"])
+def test_aliased_basis_refuses_a_study_before_any_work(
+    config_file, tmp_path, capsys, monkeypatch, command
+):
+    """sin 2 pi 8 t vanishes on t = j/16, so no replicate could estimate
+    mu_1: the study refuses before the limit objects, the pool and any
+    replicate."""
+    calls = []
+
+    def spy(name):
+        return lambda *args: calls.append(name)
+
+    for name in ("_run_replicate", "_map_jobs", "limit_summary"):
+        monkeypatch.setattr(experiments, name, spy(name))
+    cfg = config_file(base_config())
+    out = tmp_path / "study"
+    settings = [
+        'model.basis=[{"kind":"sin","k":8},{"kind":"cos","k":1}]',
+        "model.step_denominator=16",
+        "clt.workers=4",
+        "consistency.workers=4",
+    ]
+    argv = [command, "--config", cfg, "--out", str(out)]
+    assert main(argv + [arg for item in settings for arg in ("--set", item)]) == 2
+    refusal = _refusal(capsys, command)
+    assert "model.basis" in refusal and "model.step_denominator" in refusal
+    assert calls == []
+    assert not out.exists()
+
+
 def test_aliased_basis_estimate_exits_2_without_writing(tmp_path, capsys):
     """sin 2 pi 8 t vanishes on t = j/16, so the grid cannot carry mu_1."""
     config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"

@@ -143,6 +143,17 @@ def test_exclusion_accounting():
     assert agg[4]["included"] + agg[4]["excluded"] == len(rows)
 
 
+def test_one_included_replicate_has_no_standard_error():
+    """A standard error needs two replicates: with one kept and one
+    degenerate, se is None and no RuntimeWarning is raised."""
+    theta = np.array([1.0, 0.5])
+    rows = [ReplicateResult(2, 0, 0, (1.1, 0.6)), ReplicateResult(2, 1, 1, None)]
+    agg = aggregate_rows(theta, rows)[2]
+    assert (agg["included"], agg["excluded"], agg["se"]) == (1, 1, None)
+    assert agg["bias"] == pytest.approx([0.1, 0.1], abs=1e-15)
+    assert agg["rmse"] == pytest.approx([0.1, 0.1], abs=1e-15)
+
+
 def test_aggregate_values_match_manual_computation():
     theta = np.array([1.0])
     rows = [

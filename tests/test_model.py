@@ -486,14 +486,14 @@ def _set_cell(lineno, column, value):
         (_set_cell(8194, 2, "0.5,0.5"), InvalidInput, "line 8194:"),
         (lambda lines: lines.insert(2, "# a comment"), InvalidInput, "line 3:"),
         (_set_cell(5, 2, ""), InvalidInput, "line 5:"),
-        (_set_cell(6000, 2, "1_0"), InvalidInput, "lines 2-8193:"),
+        (_set_cell(6000, 2, "1_0"), InvalidInput, "line 6000:"),
     ],
     ids=["bad_cell_mid", "bad_cell_last", "extra_field_last", "comment", "empty_db_mid", "float_only"],
 )
 def test_path_csv_bulk_read_names_the_line_at_fault(edit, error, where, tmp_path):
     """A row the bulk parse refuses is found again line by line, and named
-    once.  A cell float() takes but loadtxt refuses (an underscore) names
-    the row range."""
+    once; so is a cell that float() would take but loadtxt refuses (an
+    underscore)."""
     target, model, _ = _edited_path_csv(tmp_path, edit)
     with pytest.raises(error, match=rf"^path CSV \S*edited\.csv, {where}") as caught:
         read_sample_path_csv(target, model)
@@ -515,9 +515,82 @@ def test_path_csv_reads_crlf_and_blank_lines_bit_exact(tmp_path):
     assert np.array_equal(back.driver_increments, path.driver_increments)
 
 
+def _chunked_csv(tmp_path, size, text):
+    """``text`` written with CRLF line ends, and the numbers of the lines
+    around the chunk boundary nearest the middle of the body, for chunks of
+    ``size`` characters read after the header: the last line whole before
+    it ("held", the held-back line), the line across it ("across") and the
+    first line that starts after it ("first")."""
+    target = tmp_path / f"chunked_{size}.csv"
+    target.write_bytes(text.replace("\n", "\r\n").encode())
+    body = text[text.index("\n") + 1 :]
+    starts = np.cumsum([0] + [len(line) + 1 for line in body.split("\n")])
+    boundary = (len(body) // 2) // size * size
+    across = int(np.searchsorted(starts, boundary, side="right")) + 1  # body line i is line i + 2
+    first = int(np.searchsorted(starts, boundary)) + 2
+    return target, {"held": across - 1, "across": across, "first": first}
+
+
+@pytest.mark.parametrize("size", [7, 64, 4096])
+def test_path_csv_reads_across_chunk_boundaries_bit_exact(size, tmp_path, monkeypatch):
+    """Blank lines and CRLF land on chunk boundaries, and the last row,
+    whose db is empty, starts a chunk of its own."""
+    monkeypatch.setattr(model_module, "_CSV_READ_CHARS", size)
+    model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
+    path = _hand_path(model, 64, 3)
+    write_sample_path_csv(path, tmp_path / "path.csv")
+    lines = (tmp_path / "path.csv").read_text().split("\n")
+    rng = np.random.default_rng(size)
+    for at in sorted(rng.integers(1, len(lines) - 2, size=40), reverse=True):
+        lines.insert(at, " " * int(rng.integers(0, 3)))
+    body_before_last = len("\n".join(lines[1:-2])) + 1  # where the last row would start
+    lines.insert(-2, " " * (-(body_before_last + 1) % size))
+    text = "\n".join(lines)
+    assert (len(text) - len(lines[0]) - 1 - len(lines[-2]) - 1) % size == 0
+    target, _ = _chunked_csv(tmp_path, size, text)
+    back = read_sample_path_csv(target, model)
+    assert np.array_equal(back.grid, path.grid)
+    assert np.array_equal(back.x, path.x)
+    assert np.array_equal(back.driver_increments, path.driver_increments)
+
+
+@pytest.mark.parametrize("where", ["held", "across", "first", "last_row"])
+@pytest.mark.parametrize("size", [7, 64, 4096])
+def test_path_csv_names_a_bad_cell_at_a_chunk_boundary(size, where, tmp_path, monkeypatch):
+    """A cell loadtxt refuses is named on the last line a chunk holds
+    whole, on the line across the boundary, on the first line the next
+    chunk starts, and in the last row."""
+    monkeypatch.setattr(model_module, "_CSV_READ_CHARS", size)
+    model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
+    write_sample_path_csv(_hand_path(model, 64, 3), tmp_path / "path.csv")
+    text = (tmp_path / "path.csv").read_text()
+    lines = text.split("\n")
+    number = {**_chunked_csv(tmp_path, size, text)[1], "last_row": len(lines) - 1}[where]
+    cells = lines[number - 1].split(",")
+    cells[1] = "z" * len(cells[1])  # the same length, so the chunks do not move
+    lines[number - 1] = ",".join(cells)
+    target, _ = _chunked_csv(tmp_path, size, "\n".join(lines))
+    with pytest.raises(InvalidInput, match=rf"chunked_{size}\.csv, line {number}: could not"):
+        read_sample_path_csv(target, model)
+
+
+def test_path_csv_names_a_bad_byte_near_the_line_it_is_on(tmp_path, monkeypatch):
+    """A byte that is not UTF-8 is named by the first line of the chunk it
+    was decoded in: at or before its own line, by at most the chunk and
+    the 8 KB the text layer decodes ahead (rows here are over 40 bytes)."""
+    monkeypatch.setattr(model_module, "_CSV_READ_CHARS", 4096)
+    target, model, _ = _edited_path_csv(tmp_path, _set_cell(5001, 1, "0.25e0"))
+    target.write_bytes(target.read_bytes().replace(b",0.25e0,", b",0.25e0\xff,"))
+    with pytest.raises(InvalidInput, match=r"edited\.csv, at or after line \d+: byte 0xff is") as caught:
+        read_sample_path_csv(target, model)
+    line = int(str(caught.value).split("at or after line ")[1].split(":")[0])
+    assert 5001 - (4096 + 8192) // 40 <= line <= 5001
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
 def test_path_csv_from_a_pipe_reads_and_names_the_line_at_fault(tmp_path):
-    """A pipe cannot seek back to be scanned again after a failed parse."""
+    """A pipe cannot seek back: a refused line is named from the chunk in
+    memory, without a second read."""
     model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
     path = _hand_path(model, 4, 2)
     write_sample_path_csv(path, tmp_path / "path.csv")
