@@ -291,8 +291,13 @@ def limit_summary(model: FouModel) -> LimitSummary:
         c = block_inverse(lam, g)
         sigma0 = noise_covariance_limit(model)
         asym = model.sigma**2 * (c @ sigma0 @ c)
-        _require_finite(model, c, sigma0, asym)  # inv raises LinAlgError on NaN
-        gap = math.hypot(*(sigma0 - np.linalg.inv(c)).ravel())  # norm() would square 1/gamma
+        _require_finite(model, c, sigma0, asym)
+        # C^{-1} = [[I, -Lambda], [-Lambda^t, 1/gamma + |Lambda|^2]], which block_inverse
+        # inverts: exact, where inv(C) found C singular once gamma Lambda^2 swamped 1
+        c_inverse = np.eye(lam.size + 1)
+        c_inverse[:-1, -1] = c_inverse[-1, :-1] = -lam
+        c_inverse[-1, -1] = residual + float(np.dot(lam, lam))
+        gap = math.hypot(*(sigma0 - c_inverse).ravel())  # norm() would square 1/gamma
         _require_finite(model, gap)
     report = {
         "lambda": [float(v) for v in lam],

@@ -209,6 +209,14 @@ def _write_json(payload: dict, filename: Path) -> None:
         handle.write("\n")
 
 
+def _refuse_before_any_path(model: FouModel, m: int) -> None:
+    """The Euler decay and refuse_aliasing on one period of the grid of step
+    1/m, checked before limit objects, replicates or any path."""
+    euler_decay(model.alpha, 1.0 / m)
+    phi = period_basis(model.basis, 1.0 / m)
+    refuse_aliasing((1.0 / m) * (phi @ phi.T))
+
+
 def _simulate(model: FouModel, section: dict):
     return simulate_path(
         model,
@@ -233,9 +241,10 @@ def _cmd_estimate(config: dict, args) -> int:
     mode = section["mode"]
     model_section = config["model"]
     csv, start = section["path_csv"], model_section["stationary_start"]
-    if csv is not None:
+    if csv is not None:  # the grid is in the file; normal_matrix_inverse refuses aliasing
         path = _keyed("estimate.path_csv: ", read_sample_path_csv, csv, model, start)
     else:
+        _refuse_before_any_path(model, model_section["step_denominator"])
         path = _simulate(model, model_section)
     out = _out_dir(args) / "estimate.json"
     try:
@@ -287,9 +296,7 @@ def _mc_config(config: dict, args, section_name: str) -> McConfig:
     else:
         n_list, keys = [section["n"]], ["clt.n"]
     m = config["model"]["step_denominator"]
-    euler_decay(model.alpha, 1.0 / m)  # refuse before limit_summary and any replicate
-    phi = period_basis(model.basis, 1.0 / m)
-    refuse_aliasing((1.0 / m) * (phi @ phi.T))
+    _refuse_before_any_path(model, m)
     for n, key in zip(n_list, keys):  # every replicate starts stationary; refuse before any runs
         burn_in_periods(model.alpha, n, m, True, (key, "model.alpha"))
     return McConfig(

@@ -110,9 +110,9 @@ def _map_jobs(config: McConfig, jobs) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     # The first job runs before the fork, so the workers inherit what it
-    # loads and sets up (scipy.signal, the sampler's cached weights, glibc's
-    # heap thresholds and a warm heap, the cached period values of the
-    # basis) instead of each doing it again.  The pool forks all of its
+    # sets up (the sampler's cached weights, glibc's heap thresholds and a
+    # warm heap, the cached period values of the basis) instead of each
+    # doing it again.  The pool forks all of its
     # workers up front, so it gets no more of them than there are jobs left.
     first = job_fn(jobs[0])
     rest = jobs[1:]

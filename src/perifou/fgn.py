@@ -14,6 +14,7 @@ would, to rounding.  All draws are deterministic functions of the seed.
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
@@ -29,6 +30,19 @@ EIGENVALUE_TOLERANCE = 1e-10
 CHOLESKY_COUNT_GUARD = 1 << 13
 
 _MASK64 = (1 << 64) - 1
+
+# fgn_autocovariance's binomial series: lag n keeps terms while C(2H, 2i) n^{-2i}
+# can exceed 1e-17 of the first, ceil(ln(1e17) / (2 ln n)) terms, 29 at lag 2.
+_SERIES_DIGITS = 17.0 * math.log(10.0) / 2.0
+_SERIES_TERMS = math.ceil(_SERIES_DIGITS / math.log(2.0))
+_SERIES_ENDS = [math.inf, math.inf] + [
+    math.exp(_SERIES_DIGITS / (i - 1)) for i in range(2, _SERIES_TERMS + 1)
+]
+_SERIES_CHUNK = 1 << 14
+
+
+def _series_terms(lag: float) -> int:
+    return math.ceil(_SERIES_DIGITS / math.log(lag))
 
 # glibc mallopt parameters, from malloc.h.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -82,17 +96,53 @@ def fgn_autocovariance(hurst: float, lag):
     rho_H(n) = ((n+1)^{2H} + |n-1|^{2H} - 2 n^{2H}) / 2.  For a grid with
     spacing ``step`` the caller scales by ``step**(2H)``.  Accepts a scalar
     or an array of nonnegative lags.
+
+    That second difference loses about eps n^2 relative at lag n, so it is
+    taken only below lag 2, and at lag 1 as expm1((2H-1) log 2).  From lag
+    2 on rho_H is the binomial series n^{2H-2} sum_{i>=1} C(2H, 2i) n^{2-2i},
+    whose terms all have one sign, summed by Horner's rule to the last term
+    above 1e-17 relative at that lag; so each value depends on (H, n) alone
+    and lies within a few eps of the exact one.  Lags are taken in chunks
+    that stay in cache, and most need two or three terms.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
     lags = np.asarray(lag, dtype=float)
     if np.any(lags < 0):
         raise ValueError("lags must be nonnegative")
-    two_h = 2.0 * hurst
-    rho = 0.5 * ((lags + 1.0) ** two_h + np.abs(lags - 1.0) ** two_h - 2.0 * lags**two_h)
+    two_h, flat = 2.0 * hurst, lags.reshape(-1)
+    coefficients, c = [], 1.0
+    for r in range(2 * _SERIES_TERMS + 1):  # C(2H, r), kept at even r >= 2
+        if r >= 2 and r % 2 == 0:
+            coefficients.append(c)
+        c *= (two_h - r) / (r + 1)
+    rho = np.empty(flat.size)
+    for first in range(0, flat.size, _SERIES_CHUNK):
+        n = np.maximum(flat[first : first + _SERIES_CHUNK], 2.0)
+        inverse_square = np.multiply(n, n)
+        np.reciprocal(inverse_square, out=inverse_square)
+        total, most, least = np.zeros(n.size), _series_terms(n.min()), _series_terms(n.max())
+        if most > least:  # Horner's steps i > least, on the lags below _SERIES_ENDS[i] alone
+            few = np.flatnonzero(n < _SERIES_ENDS[least + 1])
+            head, small, square = np.zeros(few.size), n[few], inverse_square[few]
+            for i in range(most, least, -1):
+                head *= square
+                head += np.where(small < _SERIES_ENDS[i], coefficients[i - 1], 0.0)
+            total[few] = head
+        for i in range(least, 0, -1):
+            total *= inverse_square
+            total += coefficients[i - 1]
+        out = rho[first : first + _SERIES_CHUNK]
+        np.power(n, two_h - 2.0, out=out)
+        out *= total
+    below = flat < 2.0
+    if below.any():
+        n = flat[below]
+        rho[below] = 0.5 * ((n + 1.0) ** two_h + np.abs(n - 1.0) ** two_h - 2.0 * n**two_h)
+        rho[flat == 1.0] = math.expm1((two_h - 1.0) * math.log(2.0))
     if np.isscalar(lag):
-        return float(rho)
-    return rho
+        return float(rho[0])
+    return rho.reshape(lags.shape)
 
 
 def fgn_covariance(hurst: float, count: int, step: float = 1.0) -> np.ndarray:
@@ -107,27 +157,35 @@ def _embedding_eigenvalues(hurst: float, count: int) -> np.ndarray:
     circulant embedding, of size M >= 2*(count-1).
 
     The first row is symmetric, so lambda_k = lambda_{M-k} and the real FFT
-    of the row gives the whole spectrum.
+    of the row gives the whole spectrum.  Each array is dropped once the
+    next is made, and the spectrum's real part is copied out, so at most
+    the row and its transform are held at once.
     """
     size = 1 << max(1, 2 * (count - 1) - 1).bit_length()
-    rho = fgn_autocovariance(hurst, np.arange(size // 2 + 1))
-    return np.fft.rfft(np.concatenate([rho, rho[-2:0:-1]])).real
+    rho = fgn_autocovariance(hurst, np.arange(size // 2 + 1, dtype=float))
+    row = np.concatenate([rho, rho[-2:0:-1]])
+    del rho
+    spectrum = np.fft.rfft(row)
+    del row
+    return spectrum.real.copy()
 
 
 @lru_cache(maxsize=32)
 def _half_spectrum_weights(hurst: float, count: int) -> np.ndarray:
     """Weights w_k = M * sqrt(lambda_k / M) of the folded half spectrum,
     halved for 0 < k < M/2, after checking that no eigenvalue is
-    materially negative."""
-    eig = _embedding_eigenvalues(hurst, count)
-    floor = -EIGENVALUE_TOLERANCE * eig.max()
-    if eig.min() < floor:
+    materially negative.  Built in place in the eigenvalues' array."""
+    weights = _embedding_eigenvalues(hurst, count)
+    floor = -EIGENVALUE_TOLERANCE * weights.max()
+    if weights.min() < floor:
         raise NonnegativeEmbeddingFailure(
-            f"circulant eigenvalue {eig.min():.3e} below tolerance {floor:.3e} "
+            f"circulant eigenvalue {weights.min():.3e} below tolerance {floor:.3e} "
             f"(hurst={hurst}, count={count})"
         )
-    half = eig.size - 1
-    weights = np.sqrt(np.maximum(eig, 0.0) * (2 * half))
+    half = weights.size - 1
+    np.maximum(weights, 0.0, out=weights)
+    weights *= 2 * half
+    np.sqrt(weights, out=weights)
     weights[1:half] *= 0.5
     weights.setflags(write=False)
     return weights

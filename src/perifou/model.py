@@ -34,6 +34,9 @@ BURN_IN_FORGETTING = 1e-8
 # many increments.
 MAX_PATH_INCREMENTS = 1 << 24
 
+# A block of first_order_recursion spans at most this / |log a| steps, so a^{-j} < 2^64.
+_BLOCK_SCALE = 64.0 * math.log(2.0)
+
 
 @dataclass(frozen=True)
 class BasisFunction:
@@ -233,18 +236,62 @@ def _period_mean(model: FouModel, step: float) -> np.ndarray:
     return total
 
 
-def first_order_recursion(drive: np.ndarray, a: float, y0: float = 0.0) -> np.ndarray:
-    """y_k = a * y_{k-1} + drive_k for k = 0..len(drive)-1, with y_{-1} = y0.
+def first_order_recursion(
+    drive: np.ndarray, a: float, y0: float = 0.0, period: int | None = None
+) -> np.ndarray:
+    """y_k = a * y_{k-1} + drive_k for k = 0..len(drive)-1, with y_{-1} = y0
+    and a > 0.
 
-    Evaluated in C by ``scipy.signal.lfilter``, the package's only use of
-    that module.  It is imported here rather than at module level because
-    loading it (with the ``scipy.special`` and ``scipy.stats`` it pulls in)
-    takes about four times as long as importing the whole package on numpy,
-    and commands that run no recursion should not pay it.
+    Evaluated block by block in numpy.  A block starts at every multiple
+    of ``period`` (default: the whole drive), and within a period every
+    ``_BLOCK_SCALE`` / |log a| steps, so that a^{-j} stays below 2^64 in
+    it.  Entered from c, block entry j is y_j = a^j (sum_{i<=j} a^{-i}
+    drive_i + c a): a scaled ``cumsum`` and two whole-array passes, with
+    each block's last value carried into the next by a loop over blocks
+    in the same float operations.  So a recursion restarted at a multiple
+    of ``period`` from the value it held there repeats the rest bit for
+    bit.  The error is of the order of the plain loop's, a few eps * max|y|
+    unless a is within about 1e-6 of 1, and a drive within 2^{-64} of
+    overflowing is scaled by a power of two first, which changes no bit of
+    the result.
     """
-    from scipy.signal import lfilter
-
-    return lfilter([1.0], [1.0, -a], drive, zi=[a * y0])[0]
+    drive = np.asarray(drive, dtype=float)
+    n = drive.size
+    if n == 0:
+        return np.empty(0)
+    period = n if period is None else period
+    lam = abs(math.log(a))
+    width = max(1, min(period, int(_BLOCK_SCALE / lam) if lam else period))
+    per_period = -(-period // width)  # blocks in one period; the last may be short
+    span = per_period * width
+    periods = -(-n // period)
+    # a block's scaled sums reach 2^64 width max|drive, y0|: where that could pass
+    # 2^1023, recur on the inputs scaled by a power of two, which is exact
+    excess = math.frexp(max(drive.max(), -drive.min(), abs(y0)))[1] + width.bit_length() - 957
+    if excess > 0:
+        scaled = first_order_recursion(np.ldexp(drive, -excess), a, math.ldexp(y0, -excess), period)
+        return np.ldexp(scaled, excess)
+    powers = a ** np.arange(width, dtype=float)
+    if span == period and periods * period == n:
+        y = drive.reshape(-1, width) / powers
+    else:  # zeros after each period's end and the drive's end, which no kept entry sees
+        padded = np.zeros((periods, span))
+        whole = n // period
+        padded[:whole, :period] = drive[: whole * period].reshape(whole, period)
+        padded[whole:, : n - whole * period] = drive[whole * period :]
+        y = padded.reshape(-1, width)
+        y /= powers
+    np.cumsum(y, axis=1, out=y)
+    ends = np.full(per_period, width - 1)
+    ends[-1] = period - 1 - (per_period - 1) * width
+    sums = y.reshape(periods, per_period, width)[:, np.arange(per_period), ends].ravel()
+    entries, carry = [], float(y0) * a  # entries[b] = c a for block b
+    for total, power in zip(sums.tolist(), powers[ends].tolist() * periods):
+        entries.append(carry)
+        carry = (total + carry) * power * a
+    y += np.array(entries)[:, None]
+    y *= powers
+    return y.reshape(periods, span)[:, :period].reshape(-1)[:n]
 
 
 def euler_decay(alpha: float, step: float, alpha_key: str = "model.alpha") -> float:
@@ -263,8 +310,10 @@ def _euler(model: FouModel, increments: np.ndarray, x0: float, step: float) -> n
     """Run x_{k+1} = x_k + (L(t_k) - alpha x_k) step + sigma dB_k.
 
     The grid phase starts at 0 mod 1, which covers burn-in segments as well
-    because they span whole periods.  Evaluated as a linear recursion in C.
-    The recursion is stable only for alpha * step < 1.
+    because they span whole periods.  Evaluated by
+    :func:`first_order_recursion` in blocks that restart at every period,
+    so a replay from a period's first x with the same increments is the
+    same path bit for bit.  The recursion is stable only for alpha * step < 1.
     """
     a = euler_decay(model.alpha, step)
     x = np.empty(increments.size + 1)
@@ -274,7 +323,7 @@ def _euler(model: FouModel, increments: np.ndarray, x0: float, step: float) -> n
     periods = drive[: drive.size - drive.size % forcing.size].reshape(-1, forcing.size)
     periods += forcing  # whole periods, by broadcasting; then the part period
     drive[periods.size :] += forcing[: drive.size - periods.size]
-    x[1:] = first_order_recursion(drive, a, x0)
+    x[1:] = first_order_recursion(drive, a, x0, forcing.size)
     return x
 
 

@@ -279,41 +279,18 @@ def write_sample_path_csv_rows(path, filename) -> None:
                 handle.write(f"{t:.17g},{x:.17g}\n")
 
 
-def series_fgn_autocovariance(hurst: float, lags) -> np.ndarray:
-    """rho_H(k) without the cancellation of its second difference: for k >= 8
-    the binomial series k^{2H} sum_{i>=1} C(2H, 2i) k^{-2i}, summed until the
-    next term is below 1e-17 relative at the smallest such lag, and the
-    second difference below 8."""
-    k = np.asarray(lags, dtype=float)
-    large = np.maximum(k, 8.0)
-    count = math.ceil(17.0 * math.log(10.0) / (2.0 * math.log(large.min(initial=8.0))))
-    coefficients, c = [], 1.0
-    for r in range(2 * count + 1):  # C(2H, r), kept at even r >= 2
-        if r >= 2 and r % 2 == 0:
-            coefficients.append(c)
-        c *= (2.0 * hurst - r) / (r + 1)
-    inverse_square = 1.0 / (large * large)
-    total = np.zeros_like(large)
-    for c in reversed(coefficients):
-        total = (total + c) * inverse_square
-    rho = large ** (2.0 * hurst) * total
-    rho[k < 8.0] = fgn_autocovariance(hurst, k[k < 8.0])
-    return rho
-
-
 def brute_lag_sums(alpha: float, hurst: float, step: float, starts=(0,)) -> list:
     """sum_{j>=1} a^{j-1} step^{2H} rho_H(d + j) for each d in ``starts``, with
     a = 1 - alpha*step, term by term until a^j < e^{-46}: the reference for
     ``estimator.euler_lag_sum``.  One pass over the lags k serves every d, 2^20
-    lags to a chunk, numpy's pairwise sum within a chunk and math.fsum across;
-    rho_H is :func:`series_fgn_autocovariance`."""
+    lags to a chunk, numpy's pairwise sum within a chunk and math.fsum across."""
     lam = -math.log1p(-alpha * step)
     stop = math.ceil(46.0 / lam)
     end = stop + max(starts) + 1
     chunks = {d: [] for d in starts}
     for first in range(1, end, 1 << 20):
         k = np.arange(first, min(first + (1 << 20), end), dtype=float)
-        rho = series_fgn_autocovariance(hurst, k)
+        rho = fgn_autocovariance(hurst, k)
         for d in starts:
             keep = (k > d) & (k <= d + stop)
             decay = np.exp(-lam * (k[keep] - d - 1.0))

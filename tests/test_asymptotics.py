@@ -437,6 +437,24 @@ def test_report_carries_c_inverse_diagnostic():
     assert len(report["C"]) == 3
 
 
+def test_c_inverse_diagnostic_where_c_is_numerically_singular():
+    """C^{-1} = [[I, -Lambda], [-Lambda^t, 1/gamma + |Lambda|^2]] in closed
+    form matches inv(C) on the acceptance model.  At alpha = 1e9 and
+    sigma = 0, Lambda = 1e-9 and gamma = 2.5e34, so 1 + gamma Lambda^2
+    rounds away the 1 and inv(C) raised LinAlgError: a traceback from
+    limits."""
+    summary = limit_summary(acceptance_model())
+    sigma0 = np.array(summary.report["Sigma0"])
+    gap = math.hypot(*(sigma0 - np.linalg.inv(summary.c_matrix)).ravel())
+    assert summary.report["sigma0_minus_c_inverse_frobenius"] == pytest.approx(gap, rel=1e-12)
+    fast = FouModel(hurst=0.75, alpha=1e9, mu=(1.0,), sigma=0.0, basis=sine_basis())
+    report = limit_summary(fast).report
+    exact = np.array(report["Sigma0"]) - [[1.0, -1e-9], [-1e-9, 1e-18]]
+    assert report["sigma0_minus_c_inverse_frobenius"] == pytest.approx(
+        math.hypot(*exact.ravel()), rel=1e-12
+    )
+
+
 def test_scaled_wiener_sum_variance_exact_rates():
     # exact covariances of the discrete Wiener sums (Toeplitz quadratic
     # forms, no sampling): for a constant integrand the n^{-H} scaling has
@@ -555,7 +573,6 @@ def test_quadratic_noise_variance_matches_the_memory_recursion(hurst, n_steps, a
 def test_quadratic_noise_variance_memory_does_not_grow_as_alpha_falls():
     """O(N + 4096) at any alpha: the recursion from zero beyond the horizon
     peaked at 405 MB at alpha = 1e-3 (n = 200, m = 256)."""
-    quadratic_noise_variance(0.65, 1 / 256, 1.0, 2)  # loads scipy.signal outside the trace
     tracemalloc.start()
     try:
         quadratic_noise_variance(0.65, 1 / 256, 1e-3, 200 * 256)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perifou
-from perifou import experiments
+from perifou import cli, experiments
 from perifou.cli import _COMMANDS, _REQUIRED, _SCHEMA, load_config, main
 from perifou.errors import InvalidInput
 
@@ -291,6 +291,32 @@ def test_aliased_basis_refuses_a_study_before_any_work(
     assert "model.basis" in refusal and "model.step_denominator" in refusal
     assert calls == []
     assert not out.exists()
+
+
+def test_aliased_basis_refuses_a_simulated_estimate_before_the_path(
+    tmp_path, capsys, monkeypatch
+):
+    """sin 2 pi 128 t vanishes on t = j/256: one period's Gram block refuses
+    the basis before the path is simulated.  A path CSV holds its grid only
+    in the file, so an estimate from one still refuses, in
+    normal_matrix_inverse."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+    def no_path(*args, **kwargs):
+        raise AssertionError("simulate_path ran")
+
+    monkeypatch.setattr(cli, "simulate_path", no_path)
+    out = tmp_path / "est"
+    argv = ["estimate", "--config", str(config), "--out", str(out), "--set"]
+    argv.append('model.basis=[{"kind":"sin","k":128},{"kind":"cos","k":1}]')
+    assert main(argv) == 2
+    assert "model.basis" in _refusal(capsys, "estimate")
+    assert not out.exists()
+    assert main(argv + ["--set", f"estimate.path_csv={tmp_path / 'path.csv'}"]) == 2
+    assert "model.basis" in _refusal(capsys, "estimate")
+    assert not (out / "estimate.json").exists()
 
 
 def test_aliased_basis_estimate_exits_2_without_writing(tmp_path, capsys):
@@ -1066,30 +1092,52 @@ def _modules_loaded_by(code: str, prefix: str) -> str:
         ("estimate", []),
         ("estimate", ["estimate.alpha_for_correction=1"]),
         ("estimate", ["estimate.alpha_for_correction=1e-4"]),
+        ("simulate", []),
+        ("estimate", ["estimate.path_csv=null"]),
+        ("coupling", []),
+        ("mc-consistency", ["consistency.workers=1"]),
     ],
     ids=[
         "import", "limits", "csv-estimate-plug-in", "csv-estimate-alpha-1",
-        "csv-estimate-alpha-1e-4",
+        "csv-estimate-alpha-1e-4", "simulate", "simulated-estimate", "coupling",
+        "mc-consistency",
     ],
 )
 def test_cli_import_limits_and_csv_estimate_load_no_scipy(
     config_file, tmp_path, command, overrides
 ):
-    """The package imports scipy only where it is used: limits and a CSV
-    estimate run no recursion, and their quadrature and trace correction
-    are numpy alone, at every alpha (an incomplete-gamma tail once loaded
-    scipy.special below alpha * step = 2e-5).  Loading scipy costs most of
-    a fresh process's start-up."""
+    """The package imports scipy only where it is used: the Euler recursion
+    and the trace correction are numpy alone, at every alpha (an
+    incomplete-gamma tail once loaded scipy.special below alpha * step =
+    2e-5, and scipy.signal's lfilter once ran the recursion).  Loading scipy
+    costs most of a fresh process's start-up."""
     code = "import sys, perifou.cli"
     if command is not None:
-        config = base_config()
-        if command == "estimate":
-            assert main(["simulate", "--config", config_file(config), "--out", str(tmp_path)]) == 0
-            config["estimate"]["path_csv"] = str(tmp_path / "path.csv")
-        argv = [command, "--config", config_file(config), "--out", str(tmp_path / "o")]
-        argv += [arg for item in overrides for arg in ("--set", item)]
+        argv = _cli_argv(config_file, tmp_path, command, overrides)
         code += f"\nassert perifou.cli.main({argv!r}) == 0"
     assert _modules_loaded_by(code, "scipy") == "[]"
+
+
+def test_mc_clt_loads_only_scipy_special(config_file, tmp_path):
+    """The CLT report's normal CDF and quantile are scipy.special's ndtr and
+    ndtri; nothing loads scipy.signal or scipy.stats.  (At n = 12 the study
+    may FAIL, exit 1; the imports are the same.)"""
+    argv = _cli_argv(config_file, tmp_path, "mc-clt", ["clt.workers=1"])
+    code = f"import sys, perifou.cli\nassert perifou.cli.main({argv!r}) in (0, 1)"
+    loaded = _modules_loaded_by(code, "scipy")
+    assert "'scipy.special'" in loaded
+    assert "scipy.signal" not in loaded and "scipy.stats" not in loaded
+
+
+def _cli_argv(config_file, tmp_path, command, overrides) -> list:
+    """argv of ``command`` on the base config; an estimate reads a CSV
+    simulated here unless an override says otherwise."""
+    config = base_config()
+    if command == "estimate":
+        assert main(["simulate", "--config", config_file(config), "--out", str(tmp_path)]) == 0
+        config["estimate"]["path_csv"] = str(tmp_path / "path.csv")
+    argv = [command, "--config", config_file(config), "--out", str(tmp_path / "o")]
+    return argv + [arg for item in overrides for arg in ("--set", item)]
 
 
 @pytest.mark.parametrize("command", [None, "limits"], ids=["import", "limits"])

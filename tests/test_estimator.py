@@ -18,7 +18,6 @@ from oracles import (
     every_lag_trace_correction,
     normal_matrix,
     response,
-    series_fgn_autocovariance,
     skorokhod_correction,
 )
 from perifou import BasisSet, DegenerateDesign, FouModel, InvalidInput, estimate, simulate_path
@@ -328,16 +327,12 @@ def test_discrete_trace_approaches_continuous_minus_cell_mass():
 
 @pytest.mark.parametrize("alpha_step", [0.5, 2.0**-8, 1e-3, 1e-4, 4.6e-6])  # the last: 10^7 lags
 @pytest.mark.parametrize("hurst", [0.55, 0.65, 0.8, 0.95])
-def test_euler_lag_sum_matches_brute_force(monkeypatch, hurst, alpha_step):
+def test_euler_lag_sum_matches_brute_force(hurst, alpha_step):
     step = 1 / 256
     alpha = alpha_step / step
     at_0, at_5000 = brute_lag_sums(alpha, hurst, step, (0, 5000))
-    assert euler_lag_sum(alpha, hurst, step) == pytest.approx(at_0, rel=1e-10)
-    # fgn_autocovariance loses about eps k^2 relative at lag k, 3.3e-8 of the
-    # sum from lag 5000 on at H = 0.55; with a cancellation-free rho the
-    # kernel's own error shows, below 2e-14 at both starts
-    assert euler_lag_sum(alpha, hurst, step, 5000) == pytest.approx(at_5000, rel=1e-7)
-    monkeypatch.setattr("perifou.estimator.fgn_autocovariance", series_fgn_autocovariance)
+    # rho_H is free of cancellation, so the kernel's own error shows, below
+    # 2e-14 at both starts (the second difference cost 3.3e-8 from lag 5000)
     assert euler_lag_sum(alpha, hurst, step) == pytest.approx(at_0, rel=1e-12)
     assert euler_lag_sum(alpha, hurst, step, 5000) == pytest.approx(at_5000, rel=1e-12)
 

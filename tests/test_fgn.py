@@ -3,13 +3,16 @@
 import math
 import sys
 import threading
+import tracemalloc
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.fft
 import scipy.linalg
 
+import perifou.fgn as fgn_module
 from perifou import FactorizationFailure
 from perifou.fgn import (
     FgnSpec,
@@ -46,6 +49,59 @@ def test_autocovariance_matches_arbitrary_precision(hurst, lag):
         exact = ((n + 1) ** h2 + abs(n - 1) ** h2 - 2 * n**h2) / 2
     ours = fgn_autocovariance(hurst, lag)
     assert abs(ours - float(exact)) <= 1e-10 * abs(float(exact))
+
+
+@pytest.mark.parametrize("hurst", [0.55, 0.65, 0.74, 0.95])
+def test_autocovariance_within_1e_15_of_40_digits_up_to_lag_2_pow_24(hurst):
+    """The second difference lost about eps n^2 relative at lag n: 1e-4 of
+    rho at lag 2^20.  The binomial series keeps every lag within a few eps."""
+    lags = np.round(np.geomspace(1, 2**24, 200))
+    with mpmath.workdps(40):
+        two_h = 2 * mpmath.mpf(hurst)
+        exact = np.array(
+            [float(((n + 1) ** two_h + (n - 1) ** two_h - 2 * n**two_h) / 2) for n in lags.tolist()]
+        )
+    ours = fgn_autocovariance(hurst, lags)
+    assert np.max(np.abs(ours / exact - 1.0)) <= 1e-15
+
+
+def test_autocovariance_depends_on_the_lag_alone():
+    """Each lag's series length is set by that lag, so a value does not
+    depend on the other lags of the call, their order or their number."""
+    lags = np.arange(40000, dtype=float)
+    rho = fgn_autocovariance(0.65, lags)
+    order = np.random.default_rng(3).permutation(lags.size)
+    np.testing.assert_array_equal(fgn_autocovariance(0.65, lags[order]), rho[order])
+    for n in (0, 1, 2, 7, 8, 9, 680, 681, 17783, 39999):
+        assert fgn_autocovariance(0.65, n) == rho[n]
+
+
+def test_smallest_circulant_eigenvalue_at_h_074_and_m_2_pow_22():
+    """The embedding's spectrum falls with frequency, so its smallest
+    eigenvalue is the alternating sum of the row, here from math.fsum of
+    the series rho.  The second difference put it 1.0e-3 low, away from
+    the Nyquist frequency."""
+    eig = fgn_module._embedding_eigenvalues(0.74, 2**21 + 1)
+    assert eig.size == 2**21 + 1 and eig.argmin() == 2**21
+    assert abs(eig.min() - 0.49519661420017375) <= 1e-10
+
+
+def test_circulant_weights_peak_at_the_row_and_its_transform():
+    """The weights are built in the eigenvalues' array, and rho, the row and
+    the complex spectrum are each dropped once the next array exists: the
+    stage peaks at the M-length row and its half spectrum, as the draw holds
+    its block of normals and its half spectrum.  It took about five
+    rho-length temporaries and the concatenated row beside rho."""
+    count = 2**17 + 1
+    size = _embedding_size(count)
+    tracemalloc.start()
+    try:
+        weights = fgn_module._half_spectrum_weights.__wrapped__(0.65, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weights.size == size // 2 + 1
+    assert peak <= 2.25 * 8 * size
 
 
 def test_autocovariance_rejects_negative_lag():
@@ -133,7 +189,6 @@ def test_circulant_and_cholesky_agree_in_law():
 
 def test_circulant_rejects_negative_embedding(monkeypatch):
     # fGn embeddings are nonnegative definite, so force the failure branch
-    import perifou.fgn as fgn_module
     from perifou import NonnegativeEmbeddingFailure
 
     spec = FgnSpec(hurst=0.7, step=1.0, count=3, seed=0)

@@ -6,6 +6,7 @@ import os
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -34,6 +35,7 @@ from perifou.model import (
 )
 
 SQRT2 = math.sqrt(2.0)
+EPS = np.finfo(float).eps
 
 
 def sine_basis():
@@ -201,7 +203,6 @@ def test_path_increment_cap_counts_burn_in(monkeypatch):
 
 _LONG_PATH_MEMORY = """
 import tracemalloc
-import scipy.signal  # the first recursion imports it; its import is not the path's memory
 from perifou import BasisSet, FouModel, simulate_path
 from perifou.fgn import _half_spectrum_weights
 basis = BasisSet.from_specs([{"kind": "sin", "k": 1}, {"kind": "cos", "k": 1}])
@@ -256,7 +257,7 @@ def test_euler_forcing_from_cached_basis_is_bit_identical(m):
     np.testing.assert_array_equal(model_module._period_mean(model, step), period_mean)
     forcing = np.tile(period_mean, 6)[: increments.size]
     drive = forcing * step + model.sigma * increments
-    expected = np.concatenate(([0.3], first_order_recursion(drive, 1.0 - step, 0.3)))
+    expected = np.concatenate(([0.3], first_order_recursion(drive, 1.0 - step, 0.3, m)))
     np.testing.assert_array_equal(_euler(model, increments, 0.3, step), expected)
 
 
@@ -710,14 +711,61 @@ def test_path_csv_parse_errors_name_file_and_line(text, line, tmp_path):
         read_sample_path_csv(target, model)
 
 
+def _exact_recursion(drive, a: float, y0: float) -> np.ndarray:
+    """y_k = a y_{k-1} + drive_k in 40-digit arithmetic, rounded once at the end."""
+    with mpmath.workdps(40):
+        y, out, a = mpmath.mpf(y0), [], mpmath.mpf(a)
+        for value in drive.tolist():
+            y = a * y + value
+            out.append(float(y))
+    return np.array(out)
+
+
+def _assert_near_exact(values, drive, a, y0):
+    exact = _exact_recursion(drive, a, y0)
+    assert np.max(np.abs(values - exact)) <= 16 * EPS * np.max(np.abs(exact))
+
+
 @pytest.mark.parametrize("count", [1, 2, 257, 3840])
 @pytest.mark.parametrize("a", [0.5, 1.0 - 1.0 / 256.0])
 @pytest.mark.parametrize("y0", [0.0, 0.3])
 def test_first_order_recursion_matches_python_loop(count, a, y0):
+    """Against the loop in 40 digits: within a few eps of max|y|, as a loop
+    in doubles is."""
     drive = np.random.default_rng(count).standard_normal(count)
-    expected = []
-    y = y0
-    for value in drive:
-        y = a * y + value
-        expected.append(y)
-    assert np.array_equal(first_order_recursion(drive, a, y0), np.array(expected))
+    _assert_near_exact(first_order_recursion(drive, a, y0), drive, a, y0)
+
+
+@pytest.mark.parametrize("count", [5, 6, 7, 100, 1000])
+@pytest.mark.parametrize("period", [None, 6, 16])
+def test_first_order_recursion_at_a_fast_decay_in_short_blocks(count, period):
+    """At a = 1e-3 a block spans 6 steps (a^{-j} below 2^64), so most
+    lengths leave a short block at a period's end or the drive's end."""
+    drive = np.random.default_rng(count).standard_normal(count)
+    _assert_near_exact(first_order_recursion(drive, 1e-3, 0.3, period), drive, 1e-3, 0.3)
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.2, 1.0 - 1.0 / 256.0])
+def test_first_order_recursion_near_the_largest_double(a):
+    """A block scales its drive by up to 2^64 before the cumsum, so a drive
+    that could overflow there is first scaled by a power of two: exactly,
+    so the values are those of the plain recursion times 2^1000."""
+    drive = np.random.default_rng(7).standard_normal(600)
+    plain = first_order_recursion(drive, a, 0.3, 256)
+    huge = first_order_recursion(np.ldexp(drive, 1000), a, math.ldexp(0.3, 1000), 256)
+    np.testing.assert_array_equal(huge, np.ldexp(plain, 1000))
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.5, 1.0 - 1.0 / 256.0])
+@pytest.mark.parametrize("count", [256 * 3, 256 * 3 + 100])
+@pytest.mark.parametrize("y0", [0.0, -2.5])
+def test_first_order_recursion_partial_and_replayed_periods(a, count, y0):
+    """Lengths that are not a whole number of periods keep the accuracy, and
+    the recursion restarted at a period boundary from the value it held
+    there repeats the rest bit for bit."""
+    drive = np.random.default_rng(count).standard_normal(count)
+    full = first_order_recursion(drive, a, y0, 256)
+    _assert_near_exact(full, drive, a, y0)
+    for start in (256, 512):
+        replay = first_order_recursion(drive[start:], a, full[start - 1], 256)
+        np.testing.assert_array_equal(replay, full[start:])
