@@ -160,3 +160,14 @@ def test_readme_documents_every_consistency_report_key(tmp_path):
 def test_readme_documents_every_coupling_report_key(tmp_path):
     report = _artifact(tmp_path, "coupling", "coupling_report.json")
     assert _undocumented([*report, *report["runs"][0]]) == []
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_numpy_is_the_only_runtime_dependency():
+    """No command loads scipy, so installing the package needs numpy alone;
+    the tests keep scipy as an oracle, in the ``test`` extra."""
+    import tomllib
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == ["numpy>=2.0"]
+    assert "scipy>=1.10" in project["optional-dependencies"]["test"]

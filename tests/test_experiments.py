@@ -5,6 +5,7 @@ import json
 import math
 from dataclasses import fields
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,7 +20,9 @@ from perifou import (
 from oracles import fresh_interpreter_prints, read_replicates_csv, wiener_variance_study
 from perifou import experiments
 from perifou.experiments import (
+    ExperimentReport,
     ReplicateResult,
+    _normal_cdf,
     _skewness_and_excess_kurtosis,
     aggregate_rows,
     report_to_dict,
@@ -234,6 +237,63 @@ def test_clt_report_fields_and_qq(tmp_path):
     assert len(lines) == 1 + 3 * 40
     cells = [float(cell) for line in lines[1:] for cell in line.split(",")]
     assert all(math.isfinite(cell) for cell in cells)
+
+
+NORMAL_GRID = np.linspace(-8.0, 8.0, 1601)
+
+
+def _qq_columns(tmp_path, replicates):
+    """The quantile and theoretical columns of ``write_qq_csv`` for a report
+    whose finite-horizon standard deviations are 1, so that the theoretical
+    column is the standard normal quantile at each plotting position."""
+    model = FouModel(hurst=0.65, alpha=1.0, mu=(0.0,), sigma=0.5, basis=sine_basis())
+    config = small_config(model=model, n_list=(4,), replicates=replicates)
+    rows = [ReplicateResult(4, r, r, (0.01 * r, 1.0)) for r in range(replicates)]
+    clt = {"finite_horizon_covariance": np.eye(2).tolist()}
+    target = tmp_path / "qq.csv"
+    write_qq_csv(ExperimentReport(config, rows, {}, True, clt=clt), target)
+    cells = [line.split(",") for line in target.read_text().splitlines()[1:]]
+    first = [cell for cell in cells if cell[0] == "1"]
+    return np.array([float(c[1]) for c in first]), np.array([float(c[3]) for c in first])
+
+
+def test_normal_cdf_matches_mpmath_to_1e_14_relative():
+    """The CDF behind ecdf_distance is 0.5 erfc(-z / sqrt 2): no cancellation
+    in either tail.  Rounding z / sqrt 2 costs about z^2 ulps relative, which
+    sets the 1e-14 at |z| = 8."""
+    with mpmath.workdps(40):
+        reference = np.array([float(mpmath.ncdf(mpmath.mpf(z))) for z in NORMAL_GRID.tolist()])
+    rel = np.abs(_normal_cdf(NORMAL_GRID) - reference) / reference
+    assert rel.max() <= 1e-14
+
+
+@pytest.mark.parametrize("replicates", [2, 3, 200, 500])
+def test_qq_theoretical_quantiles_match_mpmath(tmp_path, replicates):
+    """statistics.NormalDist's quantile (Wichura's AS 241) at the plotting
+    positions (i - 1/2) / R is exact to double precision; an odd R puts one
+    position at exactly 1/2, whose quantile is 0."""
+    quantiles, theoretical = _qq_columns(tmp_path, replicates)
+    assert np.array_equal(quantiles, (np.arange(1, replicates + 1) - 0.5) / replicates)
+    with mpmath.workdps(40):
+        reference = np.array([
+            float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(q) - 1)) for q in quantiles.tolist()
+        ])
+    assert np.all(np.abs(theoretical - reference) <= 1e-15 * np.maximum(1.0, np.abs(reference)))
+    if replicates % 2:
+        assert theoretical[replicates // 2] == 0.0
+
+
+def test_normal_cdf_and_quantile_moved_little_from_scipy_special(tmp_path):
+    """The CDF and the quantile were scipy.special's ndtr and ndtri; math.erfc
+    and statistics.NormalDist moved them by less than 2e-14 (relative for the
+    CDF, times max(1, |x|) for the quantile)."""
+    from scipy.special import ndtr, ndtri
+
+    old = ndtr(NORMAL_GRID)
+    assert np.max(np.abs(_normal_cdf(NORMAL_GRID) - old) / old) <= 2e-14
+    quantiles, theoretical = _qq_columns(tmp_path, 500)
+    old = ndtri(quantiles)
+    assert np.all(np.abs(theoretical - old) <= 2e-14 * np.maximum(1.0, np.abs(old)))
 
 
 def test_clt_constant_basis_mu_variance_matches_reference():
