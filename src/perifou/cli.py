@@ -197,10 +197,25 @@ def build_model(section: dict) -> FouModel:
     )
 
 
+def _refuse_out(out: Path) -> None:
+    """Refuse an --out that is, or lies under, something other than a
+    directory, before any work; nothing is created."""
+    for place in (out, *out.parents):
+        if place.exists():
+            if not place.is_dir():
+                raise InvalidInput(f"{place} exists and is not a directory")
+            return
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _keyed("--out: ", out.mkdir, parents=True, exist_ok=True)
     return out
+
+
+def _write(writer, *args) -> None:
+    """``writer(*args)``, an artifact write under --out, whose OSError names --out."""
+    _keyed("--out: ", writer, *args)
 
 
 def _write_json(payload: dict, filename: Path) -> None:
@@ -209,12 +224,17 @@ def _write_json(payload: dict, filename: Path) -> None:
         handle.write("\n")
 
 
+def _refuse_aliased_basis(model: FouModel, m: int, grid: str) -> None:
+    """refuse_aliasing on one period of the grid of step 1/m, named ``grid``."""
+    phi = period_basis(model.basis, 1.0 / m)
+    refuse_aliasing((1.0 / m) * (phi @ phi.T), grid)
+
+
 def _refuse_before_any_path(model: FouModel, m: int) -> None:
     """The Euler decay and refuse_aliasing on one period of the grid of step
     1/m, checked before limit objects, replicates or any path."""
     euler_decay(model.alpha, 1.0 / m)
-    phi = period_basis(model.basis, 1.0 / m)
-    refuse_aliasing((1.0 / m) * (phi @ phi.T))
+    _refuse_aliased_basis(model, m, "the grid of model.step_denominator")
 
 
 def _simulate(model: FouModel, section: dict):
@@ -230,7 +250,7 @@ def _simulate(model: FouModel, section: dict):
 def _cmd_simulate(config: dict, args) -> int:
     path = _simulate(build_model(config["model"]), config["model"])
     out = _out_dir(args) / "path.csv"
-    write_sample_path_csv(path, out)
+    _write(write_sample_path_csv, path, out)
     print(f"simulate: wrote {out} ({path.x.size} rows)")
     return 0
 
@@ -241,8 +261,10 @@ def _cmd_estimate(config: dict, args) -> int:
     mode = section["mode"]
     model_section = config["model"]
     csv, start = section["path_csv"], model_section["stationary_start"]
-    if csv is not None:  # the grid is in the file; normal_matrix_inverse refuses aliasing
+    if csv is not None:  # the grid is in the file
         path = _keyed("estimate.path_csv: ", read_sample_path_csv, csv, model, start)
+        m = path.steps_per_period
+        _refuse_aliased_basis(model, m, f"the grid of estimate.path_csv (step 1/{m})")
     else:
         _refuse_before_any_path(model, model_section["step_denominator"])
         path = _simulate(model, model_section)
@@ -252,7 +274,8 @@ def _cmd_estimate(config: dict, args) -> int:
             path, mode=mode, sigma=model.sigma, alpha_for_correction=section["alpha_for_correction"]
         )
     except DegenerateDesign as exc:
-        _write_json(
+        _write(
+            _write_json,
             {"mode": mode, "degenerate": True, "reason": str(exc), "theta_hat": None},
             out,
         )
@@ -260,7 +283,7 @@ def _cmd_estimate(config: dict, args) -> int:
         return 0
     report = result.to_report()
     report["step"] = path.step
-    _write_json(report, out)
+    _write(_write_json, report, out)
     print(
         "estimate: theta_hat = ["
         + ", ".join(f"{v:.6g}" for v in result.theta_hat)
@@ -273,7 +296,7 @@ def _cmd_limits(config: dict, args) -> int:
     model = build_model(config["model"])
     report = limit_summary(model).report
     out = _out_dir(args) / "limits.json"
-    _write_json(report, out)
+    _write(_write_json, report, out)
     flags = [] if report["flags"]["clt_valid"] else ["clt_invalid"]
     if report["flags"]["degenerate_limit"]:
         flags.append("degenerate_limit")
@@ -314,8 +337,8 @@ def _cmd_mc_consistency(config: dict, args) -> int:
     mc = _mc_config(config, args, "consistency")
     report = run_consistency(mc)
     out = _out_dir(args)
-    write_replicates_csv(report, out / "consistency_replicates.csv")
-    _write_json(report_to_dict(report), out / "consistency_report.json")
+    _write(write_replicates_csv, report, out / "consistency_replicates.csv")
+    _write(_write_json, report_to_dict(report), out / "consistency_report.json")
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"mc-consistency: {verdict} "
@@ -328,9 +351,9 @@ def _cmd_mc_clt(config: dict, args) -> int:
     mc = _mc_config(config, args, "clt")
     report = run_clt(mc)
     out = _out_dir(args)
-    write_replicates_csv(report, out / "clt_replicates.csv")
-    _write_json(report_to_dict(report), out / "clt_report.json")
-    write_qq_csv(report, out / "clt_qq.csv")
+    _write(write_replicates_csv, report, out / "clt_replicates.csv")
+    _write(_write_json, report_to_dict(report), out / "clt_report.json")
+    _write(write_qq_csv, report, out / "clt_qq.csv")
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"mc-clt: {verdict} (n={mc.n_list[0]}, R={mc.replicates}, "
@@ -360,7 +383,7 @@ def _cmd_coupling(config: dict, args) -> int:
         for alpha in alphas
     ]
     out = _out_dir(args)
-    write_coupling_csv(reports, out / "coupling_decay.csv")
+    _write(write_coupling_csv, reports, out / "coupling_decay.csv")
     payload = {
         "gap0": gap0,
         "runs": [
@@ -373,7 +396,7 @@ def _cmd_coupling(config: dict, args) -> int:
             for rep in reports
         ],
     }
-    _write_json(payload, out / "coupling_report.json")
+    _write(_write_json, payload, out / "coupling_report.json")
     passed = all(rep.passed for rep in reports)
     verdict = "PASS" if passed else "FAIL"
 
@@ -430,6 +453,7 @@ def main(argv=None) -> int:
         parser.error(f"--workers must be >= 0 (0: the config value), got {args.workers}")
     try:
         config = load_config(args.config, args.overrides)
+        _keyed("--out: ", _refuse_out, Path(args.out))
         return _COMMANDS[args.command](config, args)
     except (PerifouError, OSError) as exc:
         print(f"perifou {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)

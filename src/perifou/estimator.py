@@ -95,6 +95,15 @@ class EstimateResult:
         }
 
 
+def _project(phi: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
+    """phi @ fold_periods(row, m) for each row of ``values``, shape (B, p).
+
+    ``matmul`` over the stacked (m, 1) columns runs one matrix-vector
+    product per row, so a row's sums are those of the row alone; ``F @
+    phi.T`` or an einsum would sum in another order."""
+    return np.matmul(phi, fold_periods(values, m)[..., None])[..., 0]
+
+
 def build_design(path: SamplePath) -> DesignStats:
     """Left-endpoint Riemann sums of the basis/path functionals.
 
@@ -104,31 +113,39 @@ def build_design(path: SamplePath) -> DesignStats:
     from the identity is a genuine discretization diagnostic.  A path whose
     residual variance after projection on the basis is numerically zero
     (e.g. a constant path against the constant basis) is rejected by
-    :func:`normal_matrix_inverse`, not here.
+    :func:`normal_matrix_inverse`, not here.  For a batch of B paths
+    (:class:`SamplePath` with 2-D x) the loadings are (B, p) and the
+    residual has one entry per path, each that path's own bit for bit.
     """
     n = path.n_periods
     step = path.step
-    x_left = path.x[:-1]
+    x_left = path.x.reshape(-1, path.x.shape[-1])[:, :-1]
     phi = period_basis(path.model.basis, path.step)
     gram = (n * step) * (phi @ phi.T)
-    loadings = step * (phi @ fold_periods(x_left, path.steps_per_period)) / n
+    loadings = step * _project(phi, x_left, path.steps_per_period) / n
     # Over the N = n*m grid points np.dot is a BLAS ddot, which OpenBLAS
     # spreads over every core; in a process pool those threads contend with
     # the other workers, so the N-length reductions of this module use
     # einsum's single-threaded loop.
-    energy = step * float(np.einsum("i,i", x_left, x_left))
-    residual = energy / n - float(np.dot(loadings, loadings))
+    energy = step * np.einsum("bi,bi->b", x_left, x_left)
+    # |L|^2 stays one np.dot per path: an einsum over the batch moves its last digit
+    residual = energy / n - np.array([np.dot(row, row) for row in loadings])
+    if path.x.ndim == 1:
+        return DesignStats(gram=gram, loadings=loadings[0], residual=float(residual[0]), n_periods=n)
     return DesignStats(gram=gram, loadings=loadings, residual=residual, n_periods=n)
 
 
-def refuse_aliasing(period_gram: np.ndarray) -> None:
+def refuse_aliasing(
+    period_gram: np.ndarray, grid: str = "the grid of model.step_denominator"
+) -> None:
     """Raise InvalidInput when ``period_gram``, the basis Gram block of one
     period on the grid, departs from I_p by more than ALIASING_TOLERANCE:
-    the grid cannot carry a basis frequency (e.g. sin 2 pi 8 t on t = j/16)."""
+    the grid cannot carry a basis frequency (e.g. sin 2 pi 8 t on t = j/16).
+    The message names the basis and ``grid``."""
     aliasing = np.abs(period_gram - np.eye(period_gram.shape[0])).max()
     if aliasing > ALIASING_TOLERANCE:
         raise InvalidInput(
-            f"model.basis is not orthonormal on the grid of model.step_denominator: "
+            f"model.basis is not orthonormal on {grid}: "
             f"max |gram/n - I| = {aliasing:.3g} > {ALIASING_TOLERANCE:.0e}; "
             "a basis frequency aliases on this grid"
         )
@@ -248,13 +265,13 @@ def discrete_trace_correction(
     return float(np.einsum("i,i", n_steps - lags, terms))  # not np.dot: see build_design
 
 
-def _require_finite(path: SamplePath, sigma: float, *values) -> None:
+def _require_finite(x: np.ndarray, sigma: float, *values) -> None:
     """Raise InvalidInput unless every entry of ``values``, functionals of
-    ``path`` in the normal equations, is finite."""
+    the path ``x`` in the normal equations, is finite."""
     if not all(np.isfinite(v).all() for v in values):
         raise InvalidInput(
             "the normal equations overflow double precision on this path: "
-            f"max |x| = {np.abs(path.x).max():g} at model.sigma = {sigma:g}"
+            f"max |x| = {np.abs(x).max():g} at model.sigma = {sigma:g}"
         )
 
 
@@ -277,27 +294,84 @@ def estimate(
     increments are available (None otherwise), assembled under the same
     integral convention as the mode, which makes
     theta_hat - theta = sigma Q^{-1} R an exact identity of the
-    discretized system.
+    discretized system.  This is :func:`estimate_rows` for one path, except
+    that a degenerate design raises DegenerateDesign.
     """
+    if path.x.ndim != 1:
+        raise InvalidInput("estimate takes one path; estimate_rows takes a batch")
+    (row,) = _path_sums(path, mode)
+    return _solve(path, *row, mode, sigma, alpha_for_correction)
+
+
+def estimate_rows(
+    path: SamplePath,
+    mode: str = "naive_pathwise",
+    sigma: float | None = None,
+    alpha_for_correction: float | None = None,
+) -> list:
+    """:func:`estimate` for each path of a batch (:class:`SamplePath` with
+    2-D x), in row order: None where a path's design is degenerate.
+
+    The path sums (folds, loadings, energy, response and noise vector) run
+    once over the batch; the normal equations, with their overflow and
+    degeneracy refusals, are solved path by path, so each result is that
+    path's :func:`estimate` bit for bit, and the first path whose equations
+    overflow raises what :func:`estimate` raises for it.
+    """
+    results = []
+    for row in _path_sums(path, mode):
+        try:
+            results.append(_solve(path, *row, mode, sigma, alpha_for_correction))
+        except DegenerateDesign:
+            results.append(None)
+    return results
+
+
+def _path_sums(path: SamplePath, mode: str):
+    """(x, design, response, noise vector or None) for each path of ``path``
+    in row order, one path or the rows of a batch, once ``mode`` is known;
+    the sums run over every row at once."""
     if mode not in MODES:
         raise InvalidInput(f"mode must be one of {MODES}, got {mode!r}")
-    model = path.model
-    if sigma is None:
-        sigma = model.sigma
     m = path.steps_per_period
-    phi = period_basis(model.basis, path.step)
-    x_left = path.x[:-1]
+    phi = period_basis(path.model.basis, path.step)
+    x = path.x.reshape(-1, path.x.shape[-1])
+    x_left = x[:, :-1]
+    driver = path.driver_increments
     # Overflow is refused by _require_finite below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         design = build_design(path)
         # The response P is the functional of dx that the noise vector R is
         # of db.  einsum, not np.dot: see build_design
-        response, noise_vector = (
-            None if dz is None
-            else np.append(phi @ fold_periods(dz, m), -float(np.einsum("i,i", x_left, dz)))
-            for dz in (np.diff(path.x), path.driver_increments)
+        response, noise = (
+            [None] * len(x) if dz is None
+            else np.column_stack([_project(phi, dz, m), -np.einsum("bi,bi->b", x_left, dz)])
+            for dz in (np.diff(x), None if driver is None else driver.reshape(x_left.shape))
         )
-    _require_finite(path, sigma, design.loadings, design.residual, response)
+    designs = [design]
+    if path.x.ndim > 1:
+        designs = [
+            DesignStats(design.gram, loadings, residual, design.n_periods)
+            for loadings, residual in zip(design.loadings, design.residual.tolist())
+        ]
+    return zip(x, designs, response, noise)
+
+
+def _solve(
+    path: SamplePath,
+    x: np.ndarray,
+    design: DesignStats,
+    response: np.ndarray,
+    noise_vector: np.ndarray | None,
+    mode: str,
+    sigma: float | None,
+    alpha_for_correction: float | None,
+) -> EstimateResult:
+    """The normal equations of the path ``x`` on ``path``'s grid, solved from
+    its path sums."""
+    if sigma is None:
+        sigma = path.model.sigma
+    _require_finite(x, sigma, design.loadings, design.residual, response)
     inverse = normal_matrix_inverse(design)
 
     correction, source = 0.0, None
@@ -312,16 +386,16 @@ def estimate(
             )
         correction = discrete_trace_correction(
             alpha_for_correction,
-            model.hurst,
+            path.model.hurst,
             path.step,
-            path.x.size - 1,
+            x.size - 1,
             stationary=path.stationary_start,
         )
         try:
             response[-1] += sigma**2 * correction
         except OverflowError:  # sigma**2 beyond double precision
             response[-1] = math.inf
-        _require_finite(path, sigma, response)
+        _require_finite(x, sigma, response)
 
     theta_hat = inverse @ response
 

@@ -152,6 +152,12 @@ def fgn_covariance(hurst: float, count: int, step: float = 1.0) -> np.ndarray:
     return step ** (2.0 * hurst) * rho[np.abs(lags[:, None] - lags)]
 
 
+def embedding_size(count: int) -> int:
+    """M, the smallest power of two >= 2*(count-1) (and >= 2): the size of the
+    circulant that embeds the covariance of ``count`` increments."""
+    return 1 << max(1, 2 * (count - 1) - 1).bit_length()
+
+
 def _embedding_eigenvalues(hurst: float, count: int) -> np.ndarray:
     """Eigenvalues lambda_0..lambda_{M/2} of the smallest power-of-two
     circulant embedding, of size M >= 2*(count-1).
@@ -161,7 +167,7 @@ def _embedding_eigenvalues(hurst: float, count: int) -> np.ndarray:
     next is made, and the spectrum's real part is copied out, so at most
     the row and its transform are held at once.
     """
-    size = 1 << max(1, 2 * (count - 1) - 1).bit_length()
+    size = embedding_size(count)
     rho = fgn_autocovariance(hurst, np.arange(size // 2 + 1, dtype=float))
     row = np.concatenate([rho, rho[-2:0:-1]])
     del rho
@@ -226,29 +232,50 @@ def generate_fgn_circulant(spec: FgnSpec) -> np.ndarray:
         Y_0 = a_0 z1_0,  Y_{M/2} = a_{M/2} z1_{M/2},
         Y_k = a_k/2 * ((z1_k + z1_{M-k}) - i (z2_k - z2_{M-k})),  0 < k < M/2,
     and the draw is M * irfft(Y) over the same first ``count`` entries: one
-    real inverse transform of size M in place of a complex one.
+    real inverse transform of size M in place of a complex one.  This is
+    :func:`generate_fgn_batch` for one spec.
 
     Raises NonnegativeEmbeddingFailure if an eigenvalue is materially
     negative.
     """
-    rng = np.random.default_rng(spec.seed)
-    scale = spec.step**spec.hurst
-    if spec.count == 1:
-        return scale * rng.standard_normal(1)
-    weights = _half_spectrum_weights(spec.hurst, spec.count)
+    return generate_fgn_batch([spec])[0]
+
+
+def generate_fgn_batch(specs) -> np.ndarray:
+    """:func:`generate_fgn_circulant` for specs that differ in seed alone, as
+    the rows of a (len(specs), count) array.
+
+    Each row draws its own 2M normals from its own seed and folds them into
+    its half spectrum, so a row is the draw of its spec alone, bit for bit;
+    the weights product, the inverse transform and the scale run once over
+    the batch.  While it runs, a batch of B draws holds its B half spectra
+    and the B·M inverse transforms, whose first row is first the block of
+    normals reused for z1 and z2 of every row.
+    """
+    first = specs[0]
+    if any((s.hurst, s.step, s.count) != (first.hurst, first.step, first.count) for s in specs):
+        raise ValueError("a batch of fGn draws shares hurst, step and count")
+    scale, count = first.step**first.hurst, first.count
+    if count == 1:
+        return scale * np.array([np.random.default_rng(s.seed).standard_normal(1) for s in specs])
+    weights = _half_spectrum_weights(first.hurst, count)
     half = weights.size - 1
     size = 2 * half
     _keep_heap_warm()
-    # imag[0] and imag[half] of the spectrum are never written and stay 0
-    spectrum, z = np.zeros(half + 1, dtype=complex), np.empty(size)
-    rng.standard_normal(out=z)  # z1, then z2: the same stream as one call of size 2M
-    spectrum.real = z[: half + 1]
-    spectrum.real[1:half] += z[:half:-1]
-    rng.standard_normal(out=z)
-    np.subtract(z[:half:-1], z[1:half], out=spectrum.imag[1:half])
-    spectrum *= weights
-    np.fft.irfft(spectrum, n=size, out=z)
-    return scale * z[: spec.count]
+    # imag[0] and imag[half] of each spectrum are never written and stay 0
+    spectra, draws = np.zeros((len(specs), half + 1), dtype=complex), np.empty((len(specs), size))
+    z = draws[0]
+    for spec, spectrum in zip(specs, spectra):
+        rng = np.random.default_rng(spec.seed)
+        rng.standard_normal(out=z)  # z1, then z2: the same stream as one call of size 2M
+        spectrum.real = z[: half + 1]
+        spectrum.real[1:half] += z[:half:-1]
+        rng.standard_normal(out=z)
+        np.subtract(z[:half:-1], z[1:half], out=spectrum.imag[1:half])
+    spectra *= weights
+    np.fft.irfft(spectra, n=size, axis=-1, out=draws)
+    del spectra
+    return scale * draws[:, :count]
 
 
 def generate_fgn_cholesky(spec: FgnSpec) -> np.ndarray:

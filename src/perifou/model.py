@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from perifou.errors import InvalidInput
-from perifou.fgn import FgnSpec, generate_fgn_circulant
+from perifou.fgn import FgnSpec, generate_fgn_batch
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -138,7 +138,9 @@ class SamplePath:
     spans n whole periods, so every periodic integrand can be evaluated on
     one period and summed with :func:`fold_periods`.  The constructor
     enforces this (up to 1e-9 relative in t_k) together with one finite x
-    per grid point and, when given, one driver increment per step.
+    per grid point and, when given, one driver increment per step.  ``x``
+    of shape (B, N + 1), with a (B, N) driver, holds a batch of B paths on
+    the one grid (:func:`simulate_paths`); the path CSV holds one path.
 
     ``driver_increments`` are the sigma-free fBm increments that drove the
     simulation (None for externally observed data).  ``stationary_start``
@@ -168,10 +170,10 @@ class SamplePath:
             raise InvalidInput(f"path grid is not t_k = k/{m} starting at t = 0")
         if (grid.size - 1) % m:
             raise InvalidInput(f"path spans {(grid.size - 1) / m} periods, not a whole number")
-        if self.x.shape != grid.shape or not np.all(np.isfinite(self.x)):
+        if self.x.shape[-1:] != grid.shape or self.x.ndim > 2 or not np.all(np.isfinite(self.x)):
             raise InvalidInput(f"path needs one finite x per grid point ({grid.size})")
         driver = self.driver_increments
-        if driver is not None and driver.shape != (grid.size - 1,):
+        if driver is not None and driver.shape != self.x.shape[:-1] + (grid.size - 1,):
             raise InvalidInput(f"driver has {driver.size} increments for {grid.size - 1} steps")
 
     @property
@@ -237,61 +239,72 @@ def _period_mean(model: FouModel, step: float) -> np.ndarray:
 
 
 def first_order_recursion(
-    drive: np.ndarray, a: float, y0: float = 0.0, period: int | None = None
+    drive: np.ndarray, a: float, y0=0.0, period: int | None = None
 ) -> np.ndarray:
     """y_k = a * y_{k-1} + drive_k for k = 0..len(drive)-1, with y_{-1} = y0
-    and a > 0.
+    and a > 0, along the last axis; a 2-D ``drive`` is a batch of rows, each
+    recurred alone from its own ``y0`` (a float, or one per row).
 
     Evaluated block by block in numpy.  A block starts at every multiple
     of ``period`` (default: the whole drive), and within a period every
     ``_BLOCK_SCALE`` / |log a| steps, so that a^{-j} stays below 2^64 in
     it.  Entered from c, block entry j is y_j = a^j (sum_{i<=j} a^{-i}
-    drive_i + c a): a scaled ``cumsum`` and two whole-array passes, with
-    each block's last value carried into the next by a loop over blocks
-    in the same float operations.  So a recursion restarted at a multiple
-    of ``period`` from the value it held there repeats the rest bit for
-    bit.  The error is of the order of the plain loop's, a few eps * max|y|
-    unless a is within about 1e-6 of 1, and a drive within 2^{-64} of
-    overflowing is scaled by a power of two first, which changes no bit of
-    the result.
+    drive_i + c a): a scaled ``cumsum`` and two whole-array passes over
+    every row at once, with each block's last value carried into the next
+    by a loop over blocks in the same float operations.  So a recursion
+    restarted at a multiple of ``period`` from the value it held there
+    repeats the rest bit for bit, and a row of a batch is the recursion of
+    that row alone.  The error is of the order of the plain loop's, a few
+    eps * max|y| unless a is within about 1e-6 of 1, and a row within
+    2^{-64} of overflowing is scaled by a power of two first, which
+    changes no bit of its result; a row that needs no scaling is left as
+    it is, since scaling could push its smallest entries into subnormals.
     """
     drive = np.asarray(drive, dtype=float)
-    n = drive.size
-    if n == 0:
-        return np.empty(0)
+    if drive.shape[-1] == 0:
+        return np.empty(drive.shape)
+    rows = drive.reshape(-1, drive.shape[-1])
+    batch, n = rows.shape
     period = n if period is None else period
     lam = abs(math.log(a))
     width = max(1, min(period, int(_BLOCK_SCALE / lam) if lam else period))
     per_period = -(-period // width)  # blocks in one period; the last may be short
     span = per_period * width
     periods = -(-n // period)
-    # a block's scaled sums reach 2^64 width max|drive, y0|: where that could pass
-    # 2^1023, recur on the inputs scaled by a power of two, which is exact
-    excess = math.frexp(max(drive.max(), -drive.min(), abs(y0)))[1] + width.bit_length() - 957
-    if excess > 0:
-        scaled = first_order_recursion(np.ldexp(drive, -excess), a, math.ldexp(y0, -excess), period)
-        return np.ldexp(scaled, excess)
+    starts = np.broadcast_to(np.asarray(y0, dtype=float), (batch,))
+    # a block's scaled sums reach 2^64 width max|drive, y0|: in a row where that could
+    # pass 2^1023, recur on the row scaled by a power of two, which is exact
+    top = np.maximum(np.maximum(rows.max(axis=1), -rows.min(axis=1)), np.abs(starts))
+    excess = np.maximum(np.frexp(top)[1] + width.bit_length() - 957, 0)
+    if excess.any():
+        scaled = first_order_recursion(
+            np.ldexp(rows, -excess[:, None]), a, np.ldexp(starts, -excess), period
+        )
+        return np.ldexp(scaled, excess[:, None]).reshape(drive.shape)
     powers = a ** np.arange(width, dtype=float)
-    if span == period and periods * period == n:
-        y = drive.reshape(-1, width) / powers
+    if span == period and periods * period == n:  # rows may be strided: split, then divide
+        y = np.divide(rows.reshape(batch, -1, width), powers).reshape(-1, width)
     else:  # zeros after each period's end and the drive's end, which no kept entry sees
-        padded = np.zeros((periods, span))
+        padded = np.zeros((batch, periods, span))
         whole = n // period
-        padded[:whole, :period] = drive[: whole * period].reshape(whole, period)
-        padded[whole:, : n - whole * period] = drive[whole * period :]
+        padded[:, :whole, :period] = rows[:, : whole * period].reshape(batch, whole, period)
+        padded[:, whole:, : n - whole * period] = rows[:, None, whole * period :]
         y = padded.reshape(-1, width)
         y /= powers
     np.cumsum(y, axis=1, out=y)
     ends = np.full(per_period, width - 1)
     ends[-1] = period - 1 - (per_period - 1) * width
-    sums = y.reshape(periods, per_period, width)[:, np.arange(per_period), ends].ravel()
-    entries, carry = [], float(y0) * a  # entries[b] = c a for block b
-    for total, power in zip(sums.tolist(), powers[ends].tolist() * periods):
-        entries.append(carry)
-        carry = (total + carry) * power * a
+    sums = y.reshape(batch, periods, per_period, width)[:, :, np.arange(per_period), ends]
+    entries, block_powers = [], powers[ends].tolist() * periods
+    for row_sums, carry in zip(sums.reshape(batch, -1).tolist(), (starts * a).tolist()):
+        for total, power in zip(row_sums, block_powers):  # entries[b] = c a for block b
+            entries.append(carry)
+            carry = (total + carry) * power * a
     y += np.array(entries)[:, None]
     y *= powers
-    return y.reshape(periods, span)[:, :period].reshape(-1)[:n]
+    return y.reshape(batch, periods, span)[:, :, :period].reshape(batch, -1)[:, :n].reshape(
+        drive.shape
+    )
 
 
 def euler_decay(alpha: float, step: float, alpha_key: str = "model.alpha") -> float:
@@ -307,7 +320,8 @@ def euler_decay(alpha: float, step: float, alpha_key: str = "model.alpha") -> fl
 
 
 def _euler(model: FouModel, increments: np.ndarray, x0: float, step: float) -> np.ndarray:
-    """Run x_{k+1} = x_k + (L(t_k) - alpha x_k) step + sigma dB_k.
+    """Run x_{k+1} = x_k + (L(t_k) - alpha x_k) step + sigma dB_k along the
+    last axis of ``increments``, every row of a batch from the same x0.
 
     The grid phase starts at 0 mod 1, which covers burn-in segments as well
     because they span whole periods.  Evaluated by
@@ -316,14 +330,16 @@ def _euler(model: FouModel, increments: np.ndarray, x0: float, step: float) -> n
     same path bit for bit.  The recursion is stable only for alpha * step < 1.
     """
     a = euler_decay(model.alpha, step)
-    x = np.empty(increments.size + 1)
-    x[0] = x0
-    drive = np.multiply(model.sigma, increments, out=x[1:])
+    count = increments.shape[-1]
+    x = np.empty(increments.shape[:-1] + (count + 1,))
+    x[..., 0] = x0
+    drive = np.multiply(model.sigma, increments, out=x[..., 1:])
     forcing = _period_mean(model, step) * step
-    periods = drive[: drive.size - drive.size % forcing.size].reshape(-1, forcing.size)
+    whole = count - count % forcing.size
+    periods = drive[..., :whole].reshape(drive.shape[:-1] + (-1, forcing.size))
     periods += forcing  # whole periods, by broadcasting; then the part period
-    drive[periods.size :] += forcing[: drive.size - periods.size]
-    x[1:] = first_order_recursion(drive, a, x0, forcing.size)
+    drive[..., whole:] += forcing[: count - whole]
+    x[..., 1:] = first_order_recursion(drive, a, x0, forcing.size)
     return x
 
 
@@ -354,6 +370,33 @@ def burn_in_periods(
     return burn
 
 
+def simulate_paths(
+    model: FouModel,
+    n_periods: int,
+    step: float,
+    seeds,
+    stationary_start: bool = False,
+) -> SamplePath:
+    """Euler paths over ``n_periods`` whole periods with grid spacing ``step``,
+    one row of x and of the driver per seed, on one grid.
+
+    With ``stationary_start`` the recursion first runs over enough extra
+    periods that the initial transient is forgotten to below
+    ``BURN_IN_FORGETTING``; the burn-in segment is discarded and x[:, 0] is
+    its terminal value.  The burn-in noise is drawn jointly with the
+    retained noise, so the long-range dependence of the driver is preserved.
+    A draw of more than ``MAX_PATH_INCREMENTS`` increments (a small alpha
+    burns in ~18.4/alpha periods) raises InvalidInput before anything is
+    allocated.  Each row draws from its own seed alone
+    (:func:`~perifou.fgn.generate_fgn_batch`) and recurs alone
+    (:func:`first_order_recursion`), so it is the path :func:`simulate_path`
+    gives for its seed, bit for bit; the transform, the recursion and the
+    grid's checks run once per batch.
+    """
+    grid, x, driver = _simulate(model, n_periods, step, seeds, stationary_start)
+    return SamplePath(grid, x, driver, model, stationary_start)
+
+
 def simulate_path(
     model: FouModel,
     n_periods: int,
@@ -361,45 +404,35 @@ def simulate_path(
     seed: int,
     stationary_start: bool = False,
 ) -> SamplePath:
-    """Euler path over ``n_periods`` whole periods with grid spacing ``step``.
+    """The path of :func:`simulate_paths` for one seed."""
+    grid, x, driver = _simulate(model, n_periods, step, (seed,), stationary_start)
+    return SamplePath(grid, x[0], driver[0], model, stationary_start)
 
-    With ``stationary_start`` the recursion first runs over enough extra
-    periods that the initial transient is forgotten to below
-    ``BURN_IN_FORGETTING``; the burn-in segment is discarded and x[0] is its
-    terminal value.  The burn-in noise is drawn jointly with the retained
-    noise, so the long-range dependence of the driver is preserved.  A draw
-    of more than ``MAX_PATH_INCREMENTS`` increments (a small alpha burns in
-    ~18.4/alpha periods) raises InvalidInput before anything is allocated.
-    """
+
+def _simulate(model: FouModel, n_periods: int, step: float, seeds, stationary_start: bool):
+    """The grid and the (B, N + 1) x and (B, N) driver rows of :func:`simulate_paths`."""
     if n_periods < 1:
         raise InvalidInput(f"n_periods must be >= 1, got {n_periods}")
     m = _check_step(step)
     burn_periods = burn_in_periods(model.alpha, n_periods, m, stationary_start)
     n_keep = n_periods * m
     n_burn = burn_periods * m
-    spec = FgnSpec(model.hurst, step, n_keep + n_burn, seed)
-    increments = generate_fgn_circulant(spec)
+    increments = generate_fgn_batch([FgnSpec(model.hurst, step, n_keep + n_burn, s) for s in seeds])
     x_full = _euler(model, increments, model.xi0, step)
-    grid = np.arange(n_keep + 1) * step
-    return SamplePath(
-        grid=grid,
-        x=x_full[n_burn:],
-        driver_increments=increments[n_burn:],
-        model=model,
-        stationary_start=stationary_start,
-    )
+    return np.arange(n_keep + 1) * step, x_full[:, n_burn:], increments[:, n_burn:]
 
 
 def path_from_increments(
     model: FouModel, increments: np.ndarray, x0: float, step: float
 ) -> SamplePath:
-    """Replay the Euler recursion from ``x0`` with given driver increments.
+    """Replay the Euler recursion from ``x0`` with given driver increments,
+    one path, or a batch of rows on one grid.
 
     Used for coupling studies where two starts share one noise realization.
     """
     increments = np.asarray(increments, dtype=float)
     x = _euler(model, increments, x0, step)
-    grid = np.arange(increments.size + 1) * step
+    grid = np.arange(increments.shape[-1] + 1) * step
     return SamplePath(grid=grid, x=x, driver_increments=increments, model=model)
 
 

@@ -251,7 +251,7 @@ def test_mc_clt_at_zero_sigma_refuses_before_any_replicate(
     def spy(name):
         return lambda *args: calls.append(name)
 
-    for name in ("_run_replicate", "_map_jobs", "limit_summary"):
+    for name in ("_run_batch", "_map_jobs", "limit_summary"):
         monkeypatch.setattr(experiments, name, spy(name))
     cfg = config_file(base_config())
     out = tmp_path / "clt"
@@ -275,7 +275,7 @@ def test_aliased_basis_refuses_a_study_before_any_work(
     def spy(name):
         return lambda *args: calls.append(name)
 
-    for name in ("_run_replicate", "_map_jobs", "limit_summary"):
+    for name in ("_run_batch", "_map_jobs", "limit_summary"):
         monkeypatch.setattr(experiments, name, spy(name))
     cfg = config_file(base_config())
     out = tmp_path / "study"
@@ -298,8 +298,7 @@ def test_aliased_basis_refuses_a_simulated_estimate_before_the_path(
 ):
     """sin 2 pi 128 t vanishes on t = j/256: one period's Gram block refuses
     the basis before the path is simulated.  A path CSV holds its grid only
-    in the file, so an estimate from one still refuses, in
-    normal_matrix_inverse."""
+    in the file, so an estimate from one refuses once the file is read."""
     config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -317,6 +316,21 @@ def test_aliased_basis_refuses_a_simulated_estimate_before_the_path(
     assert main(argv + ["--set", f"estimate.path_csv={tmp_path / 'path.csv'}"]) == 2
     assert "model.basis" in _refusal(capsys, "estimate")
     assert not (out / "estimate.json").exists()
+
+
+def test_aliased_basis_on_a_path_csv_names_the_file_grid(tmp_path, capsys):
+    """The acceptance basis sin/cos 2 pi t aliases on t = k/2, the file's
+    grid; model.step_denominator (256) is valid and is not blamed."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"
+    target = tmp_path / "half.csv"
+    target.write_text("t,x\n" + "".join(f"{k / 2!r},{(-0.5) ** k}\n" for k in range(9)))
+    out = tmp_path / "est"
+    argv = ["estimate", "--config", str(config), "--out", str(out)]
+    assert main(argv + ["--set", f"estimate.path_csv={target}"]) == 2
+    err = _refusal(capsys, "estimate")
+    assert "model.basis is not orthonormal on the grid of estimate.path_csv (step 1/2)" in err
+    assert "model.step_denominator" not in err
+    assert not out.exists()
 
 
 def test_aliased_basis_estimate_exits_2_without_writing(tmp_path, capsys):
@@ -493,6 +507,48 @@ def test_coupling_without_a_slope_fails_without_claiming_exact(config_file, tmp_
     assert "exact" not in line
     run = json.loads((out / "coupling_report.json").read_text())["runs"][0]
     assert run["exact_match"] is False and run["slope"] is None
+
+
+_FIRST_ARTIFACT = {
+    "simulate": "path.csv",
+    "estimate": "estimate.json",
+    "limits": "limits.json",
+    "mc-consistency": "consistency_replicates.csv",
+    "mc-clt": "clt_replicates.csv",
+    "coupling": "coupling_decay.csv",
+}
+
+
+@pytest.mark.parametrize("command", list(_FIRST_ARTIFACT))
+def test_out_that_is_not_a_directory_exits_2_naming_it(
+    config_file, tmp_path, capsys, monkeypatch, command
+):
+    """An --out that is a file, or lies under one, is refused before any
+    path, limit object or replicate, and nothing is created; an artifact
+    that cannot be written (here a directory in its place) names --out too."""
+    settings = ["consistency.n_list=[2,4]", "consistency.replicates=2", "clt.replicates=4"]
+    argv = [command, "--config", config_file(base_config())]
+    argv += [arg for item in settings for arg in ("--set", item)]
+    calls = []
+
+    def spy(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_map_jobs", spy("_map_jobs"))
+        for name in ("simulate_path", "limit_summary", "run_coupling"):
+            patch.setattr(cli, name, spy(name))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        for out in (blocker, blocker / "out"):
+            assert main(argv + ["--out", str(out)]) == 2
+            refusal = _refusal(capsys, command)
+            assert f"--out: {blocker} exists and is not a directory" in refusal
+        assert blocker.read_text() == "" and calls == []
+    out = tmp_path / "out"
+    (out / _FIRST_ARTIFACT[command]).mkdir(parents=True)
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "--out: [Errno 21] Is a directory" in _refusal(capsys, command)
 
 
 def test_workers_flag_overrides_config(config_file, tmp_path):
@@ -726,7 +782,7 @@ def test_study_euler_step_refusal_before_any_work(
     def spy(name):
         return lambda *args: calls.append(name)
 
-    for name in ("_run_replicate", "_map_jobs", "limit_summary"):
+    for name in ("_run_batch", "_map_jobs", "limit_summary"):
         monkeypatch.setattr(experiments, name, spy(name))
     out = tmp_path / "o"
     argv = [command, "--config", config_file(base_config()), "--out", str(out)]
@@ -866,7 +922,7 @@ def test_study_increment_cap_names_its_horizon_before_any_work(
     def spy(name):
         return lambda *args: calls.append(name)
 
-    for name in ("_run_replicate", "_map_jobs", "limit_summary"):
+    for name in ("_run_batch", "_map_jobs", "limit_summary"):
         monkeypatch.setattr(experiments, name, spy(name))
     out = tmp_path / "o"
     settings = ["model.alpha=1e-4", "model.step_denominator=256"]

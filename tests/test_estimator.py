@@ -26,12 +26,13 @@ from perifou.estimator import (
     EstimateResult,
     build_design,
     discrete_trace_correction,
+    estimate_rows,
     euler_lag_sum,
     normal_matrix_inverse,
     scaled_upper_gamma,
 )
 from perifou.fgn import fgn_autocovariance, substream_seed
-from perifou.model import SamplePath, fold_periods, period_grid
+from perifou.model import SamplePath, fold_periods, period_grid, simulate_paths
 
 
 def sine_basis():
@@ -574,6 +575,8 @@ def test_design_and_response_from_cached_basis_are_bit_identical(m):
     design = build_design(path)
     np.testing.assert_array_equal(design.gram, (n * step) * (phi @ phi.T))
     np.testing.assert_array_equal(design.loadings, step * (phi @ fold_periods(x_left, m)) / n)
+    energy = step * float(np.einsum("i,i", x_left, x_left))
+    assert design.residual == energy / n - float(np.dot(design.loadings, design.loadings))
 
     result = estimate(path, mode="naive_pathwise")
     alpha_entry = -float(np.einsum("i,i", x_left, dx))
@@ -585,3 +588,39 @@ def test_design_and_response_from_cached_basis_are_bit_identical(m):
     np.testing.assert_array_equal(
         result.noise_vector, np.append(phi @ fold_periods(db, m), noise_alpha_entry)
     )
+
+
+@pytest.mark.parametrize("mode", ["naive_pathwise", "oracle_divergence"])
+def test_batched_path_sums_equal_the_one_path_formulas(mode):
+    """Each row of a batch gets the one-path sums written out here: a
+    matrix-vector product per fold, einsum over the N grid points and np.dot
+    for |L|^2 (an einsum over the batch there differs in the last bit on
+    about a third of the rows at p = 7)."""
+    specs = [{"kind": "const"}] + [
+        {"kind": kind, "k": k} for k in (1, 2, 3) for kind in ("sin", "cos")
+    ]
+    mu = (1.0, -0.5, 2.0, 0.0, 0.25, -1.5, 0.75)
+    model = FouModel(hurst=0.65, alpha=4.0, mu=mu, sigma=0.5, basis=BasisSet.from_specs(specs))
+    step, n, m = 1.0 / 64, 5, 64
+    batch = simulate_paths(model, n, step, range(12), stationary_start=True)
+    phi = model.basis.evaluate(period_grid(step))
+    design = build_design(batch)
+    results = estimate_rows(batch, mode=mode, alpha_for_correction=4.0)
+    for row, (x, db) in enumerate(zip(batch.x, batch.driver_increments)):
+        x_left, dx = x[:-1], np.diff(x)
+        loadings = step * (phi @ fold_periods(x_left, m)) / n
+        residual = step * float(np.einsum("i,i", x_left, x_left)) / n - float(np.dot(loadings, loadings))
+        np.testing.assert_array_equal(design.loadings[row], loadings)
+        assert design.residual[row] == residual
+        wanted = np.append(phi @ fold_periods(dx, m), -float(np.einsum("i,i", x_left, dx)))
+        noise = np.append(phi @ fold_periods(db, m), -float(np.einsum("i,i", x_left, db)))
+        correction = 0.0
+        if mode == "oracle_divergence":
+            correction = discrete_trace_correction(4.0, 0.65, step, n * m, stationary=True)
+            wanted[-1] += 0.25 * correction
+            noise[-1] += 0.5 * correction
+        inverse = normal_matrix_inverse(DesignStats(design.gram, loadings, residual, n))
+        assert results[row].theta_hat.tobytes() == (inverse @ wanted).tobytes()
+        assert results[row].noise_vector.tobytes() == noise.tobytes()
+    with pytest.raises(InvalidInput, match="estimate_rows takes a batch"):
+        estimate(batch, mode=mode)

@@ -4,6 +4,7 @@ import ctypes
 import json
 import math
 from dataclasses import fields
+from dataclasses import replace as dc_replace
 
 import mpmath
 import numpy as np
@@ -30,7 +31,12 @@ from perifou.experiments import (
     write_qq_csv,
     write_replicates_csv,
 )
-from perifou.model import path_from_increments
+from perifou.cli import main as cli_main
+from perifou.errors import DegenerateDesign, InvalidInput
+from perifou.estimator import estimate, estimate_rows
+from perifou.experiments import _run_batch
+from perifou.fgn import embedding_size, substream_seed
+from perifou.model import SamplePath, path_from_increments, simulate_path, simulate_paths
 
 
 def sine_basis():
@@ -94,7 +100,8 @@ def test_worker_count_does_not_change_results():
 
 def test_pool_gets_no_more_workers_than_jobs_left(monkeypatch, tmp_path):
     """The fork-context pool starts all ``max_workers`` processes up front,
-    so two replicates at workers=6 must fork one process, not six."""
+    so two batches (two horizons of two replicates) at workers=6 must fork
+    one process, not six, and one batch none."""
     import concurrent.futures
 
     sizes = []
@@ -105,8 +112,10 @@ def test_pool_gets_no_more_workers_than_jobs_left(monkeypatch, tmp_path):
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
-    serial = run_consistency(small_config(n_list=(2,), replicates=2, workers=1))
-    pooled = run_consistency(small_config(n_list=(2,), replicates=2, workers=6))
+    run_consistency(small_config(n_list=(2,), replicates=2, workers=6))
+    assert sizes == []
+    serial = run_consistency(small_config(n_list=(2, 4), replicates=2, workers=1))
+    pooled = run_consistency(small_config(n_list=(2, 4), replicates=2, workers=6))
     assert sizes == [1]
     write_replicates_csv(serial, tmp_path / "serial.csv")
     write_replicates_csv(pooled, tmp_path / "pooled.csv")
@@ -119,6 +128,136 @@ def test_replicate_seeds_depend_only_on_master_n_r():
     seeds_a = {(r.n, r.replicate): r.seed for r in report.rows if r.n == 8}
     seeds_b = {(r.n, r.replicate): r.seed for r in other.rows if r.n == 8}
     assert seeds_a == seeds_b
+
+
+# -------------------------------------------------------------- batches
+
+P7_SPECS = [{"kind": "const"}] + [
+    {"kind": kind, "k": k} for k in (1, 2, 3) for kind in ("sin", "cos")
+]
+
+
+def _p_model(p, sigma=0.5):
+    """alpha = 4 as in the benchmark's p = 7 workload: a short burn-in."""
+    specs = P7_SPECS if p == 7 else [{"kind": "sin", "k": 1}, {"kind": "cos", "k": 1}]
+    mu = (0.5, -1.0, 1.2, 0.3, -0.7, 1.9, 0.1)[:p]
+    return FouModel(hurst=0.65, alpha=4.0, mu=mu, sigma=sigma, basis=BasisSet.from_specs(specs))
+
+
+def _single(model, step, mode, master, n, r):
+    """The replicate (n, r) as one path through simulate_path and estimate."""
+    seed = substream_seed(master, n, r)
+    path = simulate_path(model, n, step, seed, stationary_start=True)
+    alpha_ref = model.alpha if mode == "oracle_divergence" else None
+    return estimate(path, mode=mode, sigma=model.sigma, alpha_for_correction=alpha_ref)
+
+
+@pytest.mark.parametrize("mode", ["oracle_divergence", "naive_pathwise"])
+@pytest.mark.parametrize("p", [2, 7])
+@pytest.mark.parametrize("n", [2, 10, 25])
+def test_batched_replicates_equal_single_paths_bit_for_bit(n, p, mode):
+    model, step, master = _p_model(p), 1 / 256, 17
+    for size in (1, 2, 3, 8):
+        replicates = tuple(range(10, 10 + size))
+        rows = _run_batch(model, step, mode, master, (n, replicates))
+        assert [(row.n, row.replicate) for row in rows] == [(n, r) for r in replicates]
+        for row in rows:
+            single = _single(model, step, mode, master, n, row.replicate)
+            assert row.seed == substream_seed(master, n, row.replicate)
+            assert row.theta_hat == tuple(single.theta_hat.tolist())
+            assert row.noise_vector == tuple(single.noise_vector.tolist())
+
+
+def test_degenerate_row_gives_none_and_leaves_its_neighbours():
+    """A constant path against the constant basis has no residual variance."""
+    model = FouModel(hurst=0.65, alpha=4.0, mu=(1.0,), sigma=0.5,
+                     basis=BasisSet.from_specs([{"kind": "const"}]))
+    batch = simulate_paths(model, 3, 1 / 64, (1, 2, 3), stationary_start=True)
+    x = batch.x.copy()
+    x[1] = 0.7
+    batch = SamplePath(batch.grid, x, batch.driver_increments, model, True)
+    results = estimate_rows(batch, mode="oracle_divergence", sigma=0.5, alpha_for_correction=4.0)
+    assert results[1] is None
+    with pytest.raises(DegenerateDesign):
+        estimate(SamplePath(batch.grid, x[1], batch.driver_increments[1], model, True))
+    for row in (0, 2):
+        single = SamplePath(batch.grid, x[row], batch.driver_increments[row], model, True)
+        alone = estimate(single, mode="oracle_divergence", sigma=0.5, alpha_for_correction=4.0)
+        assert results[row].theta_hat.tobytes() == alone.theta_hat.tobytes()
+        assert results[row].noise_vector.tobytes() == alone.noise_vector.tobytes()
+
+
+def test_overflowing_row_raises_what_the_serial_loop_raises_at_the_same_job():
+    """sigma is set so that the sum of x^2 overflows on some replicates of a
+    batch of eight but not on the first: the batch raises at the first job
+    whose normal equations overflow, with that path's message."""
+    model, step, master, n = _p_model(2, sigma=1.0), 1 / 256, 3, 10
+    energy = [float(np.sum(simulate_path(_p_model(2, sigma=1.0), n, step,
+                                         substream_seed(master, n, r), True).x[:-1] ** 2))
+              for r in range(8)]
+    assert max(energy) > energy[0]
+    threshold = (energy[0] + max(energy)) / 2  # sigma^2 * energy overflows above it
+    model = dc_replace(model, sigma=math.sqrt(np.finfo(float).max / threshold), mu=(0.0, 0.0))
+    config = McConfig(model, (n,), 8, step, "naive_pathwise", master)
+    assert [len(replicates) for _, replicates in experiments._batches(config, [(n, 0)] * 8)] == [8]
+    serial = None
+    for r in range(8):
+        try:
+            _single(model, step, "naive_pathwise", master, n, r)
+        except InvalidInput as exc:
+            serial = r, str(exc)
+            break
+    assert serial is not None and serial[0] > 0
+    with pytest.raises(InvalidInput) as batched:
+        experiments._map_jobs(config, [(n, r) for r in range(8)])
+    assert str(batched.value) == serial[1] and "overflow" in serial[1]
+
+
+@pytest.mark.parametrize(
+    "alpha, step, n_list",
+    [(1.0, 1 / 256, (200,)), (4.0, 1 / 256, (2, 10, 25)), (1.0, 1 / 64, (1, 4, 8)),
+     (0.5, 1 / 16, (1, 3)), (4.0, 1 / 4, (1, 2, 50))],
+)
+def test_batches_keep_job_order_and_the_point_budget(alpha, step, n_list):
+    """Batches hold consecutive jobs of one horizon, in job order, and B*M
+    stays within BATCH_POINTS unless B = 1; at n = 200, m = 256 and alpha =
+    1 (M = 2^17) every batch is one replicate, as the acceptance mc-clt runs."""
+    model = FouModel(hurst=0.65, alpha=alpha, mu=(1.0, 2.0), sigma=0.5, basis=sincos_basis())
+    config = McConfig(model, n_list, 20, step, "oracle_divergence", 1)
+    jobs = [(n, r) for n in n_list for r in range(20)]
+    batches = experiments._batches(config, jobs)
+    assert [(n, r) for n, replicates in batches for r in replicates] == jobs
+    m = round(1 / step)
+    for n, replicates in batches:
+        count = (n + math.ceil(math.log(1e8) / alpha)) * m
+        points = len(replicates) * embedding_size(count)
+        assert points <= experiments.BATCH_POINTS or len(replicates) == 1
+    sizes = [len(replicates) for _, replicates in batches]
+    if n_list == (200,):
+        assert sizes == [1] * 20
+    if n_list == (2, 10, 25):
+        assert sizes == [16, 4, 8, 8, 4, 4, 4, 4, 4, 4]
+
+
+def test_batched_study_artifacts_identical_across_worker_counts(tmp_path):
+    """mc-consistency in batches of up to 16 replicates (n = 2 and 4, m =
+    64): one batch before the fork and three on the pool write the serial
+    bytes."""
+    config = {
+        "model": {"hurst": 0.65, "alpha": 1.0, "mu": [1.0, 2.0], "sigma": 0.5,
+                  "basis": [{"kind": "sin", "k": 1}, {"kind": "cos", "k": 1}],
+                  "step_denominator": 64},
+        "consistency": {"n_list": [2, 4], "replicates": 20, "master_seed": 2024},
+    }
+    study = small_config(n_list=(2, 4), replicates=20)
+    jobs = [(n, r) for n in (2, 4) for r in range(20)]
+    assert [len(r) for _, r in experiments._batches(study, jobs)] == [16, 4, 16, 4]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    argv = ["mc-consistency", "--config", str(tmp_path / "config.json")]
+    statuses = [cli_main(argv + ["--out", str(tmp_path / w), "--workers", w]) for w in "12"]
+    assert statuses[0] == statuses[1] in (0, 1)  # 1: the short study's verdict is FAIL
+    for name in ("consistency_replicates.csv", "consistency_report.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 # -------------------------------------------------------------- aggregation
@@ -447,7 +586,7 @@ _FAULTS_PREAMBLE = """
 import resource
 from functools import partial
 from perifou import BasisSet, FouModel, McConfig, run_clt
-from perifou.experiments import _run_replicate
+from perifou.experiments import _run_batch
 basis = BasisSet.from_specs([{"kind": "sin", "k": 1}, {"kind": "cos", "k": 1}])
 model = FouModel(hurst=0.65, alpha=1.0, mu=(1.0, 2.0), sigma=0.5, basis=basis)
 def faults(who):
@@ -460,12 +599,12 @@ def test_warm_replicates_fault_no_heap_back_in():
     """At n = 200 the draw's embedding is M = 2^17; with glibc trimming its
     heap after every draw each replicate faulted ~480 pages back in."""
     code = """
-run = partial(_run_replicate, model, 1 / 256, "oracle_divergence", 5)
+run = partial(_run_batch, model, 1 / 256, "oracle_divergence", 5)
 for r in range(3):
-    run((200, r))
+    run((200, (r,)))
 before = faults(resource.RUSAGE_SELF)
 for r in range(3, 23):
-    run((200, r))
+    run((200, (r,)))
 print(faults(resource.RUSAGE_SELF) - before)
 """
     assert fresh_interpreter_prints(_FAULTS_PREAMBLE + code)[-1] <= 5 * 20

@@ -31,6 +31,7 @@ from perifou.model import (
     period_basis,
     period_grid,
     read_sample_path_csv,
+    simulate_paths,
     write_sample_path_csv,
 )
 
@@ -288,10 +289,10 @@ def test_simulation_propagates_embedding_failure(monkeypatch, tmp_path):
     import perifou.model as model_module
     from perifou.errors import NonnegativeEmbeddingFailure
 
-    def refuse(spec):
+    def refuse(specs):
         raise NonnegativeEmbeddingFailure("forced")
 
-    monkeypatch.setattr(model_module, "generate_fgn_circulant", refuse)
+    monkeypatch.setattr(model_module, "generate_fgn_batch", refuse)
     model = FouModel(hurst=0.7, alpha=1.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
     with pytest.raises(NonnegativeEmbeddingFailure):
         simulate_path(model, 2, 1 / 32, seed=6)
@@ -769,3 +770,43 @@ def test_first_order_recursion_partial_and_replayed_periods(a, count, y0):
     for start in (256, 512):
         replay = first_order_recursion(drive[start:], a, full[start - 1], 256)
         np.testing.assert_array_equal(replay, full[start:])
+
+
+@pytest.mark.parametrize("period", [None, 256, 100])
+@pytest.mark.parametrize("count", [1, 600, 3 * 256 + 100])
+def test_first_order_recursion_rows_are_the_single_row_recursions(period, count):
+    """A 2-D drive recurs row by row, each from its own y0, bit for bit."""
+    drive = np.random.default_rng(count).standard_normal((3, count))
+    starts = np.array([0.3, -1.0, 0.0])
+    rows = first_order_recursion(drive, 1.0 - 1.0 / 256.0, starts, period)
+    for row, start, got in zip(drive, starts, rows):
+        np.testing.assert_array_equal(got, first_order_recursion(row, 1.0 - 1.0 / 256.0, start, period))
+
+
+def test_first_order_recursion_scales_only_the_rows_that_need_it():
+    """The overflow scaling is decided per row: beside a row near the largest
+    double, a row of subnormal-range values is left unscaled, as it would be
+    alone; scaled by 2^{-k} and back it would lose its low bits."""
+    rng = np.random.default_rng(11)
+    tiny = rng.standard_normal(600) * 1e-305
+    huge = np.ldexp(rng.standard_normal(600), 1000)
+    a = 1.0 - 1.0 / 256.0
+    alone = first_order_recursion(tiny, a, 0.0, 256)
+    batch = first_order_recursion(np.stack([tiny, huge]), a, 0.0, 256)
+    np.testing.assert_array_equal(batch[0], alone)
+    np.testing.assert_array_equal(batch[1], first_order_recursion(huge, a, 0.0, 256))
+    rescaled = np.ldexp(first_order_recursion(np.ldexp(tiny, -70), a, 0.0, 256), 70)
+    assert not np.array_equal(rescaled, alone)
+
+
+@pytest.mark.parametrize("stationary", [False, True])
+def test_simulate_paths_rows_are_simulate_path(stationary):
+    """Each row of a batch is the path of its seed alone, x and driver."""
+    model = FouModel(hurst=0.7, alpha=2.0, mu=(1.0,), sigma=0.5, basis=sine_basis())
+    seeds = (5, 9, 2**63 + 1)
+    batch = simulate_paths(model, 3, 1 / 64, seeds, stationary)
+    assert batch.x.shape == (3, 3 * 64 + 1) and batch.n_periods == 3
+    for seed, x, driver in zip(seeds, batch.x, batch.driver_increments):
+        path = simulate_path(model, 3, 1 / 64, seed, stationary)
+        np.testing.assert_array_equal(x, path.x)
+        np.testing.assert_array_equal(driver, path.driver_increments)
