@@ -23,7 +23,7 @@ from pathlib import Path
 
 from perifou.asymptotics import CLT_HURST_UPPER, limit_summary
 from perifou.errors import DegenerateDesign, InvalidInput, PerifouError
-from perifou.estimator import MODES, estimate, refuse_aliasing
+from perifou.estimator import MODES, estimate
 from perifou.experiments import (
     COUPLING_GAP_FLOOR,
     McConfig,
@@ -41,8 +41,8 @@ from perifou.model import (
     FouModel,
     burn_in_periods,
     euler_decay,
-    period_basis,
     read_sample_path_csv,
+    refuse_aliasing,
     simulate_path,
     write_sample_path_csv,
 )
@@ -224,17 +224,11 @@ def _write_json(payload: dict, filename: Path) -> None:
         handle.write("\n")
 
 
-def _refuse_aliased_basis(model: FouModel, m: int, grid: str) -> None:
-    """refuse_aliasing on one period of the grid of step 1/m, named ``grid``."""
-    phi = period_basis(model.basis, 1.0 / m)
-    refuse_aliasing((1.0 / m) * (phi @ phi.T), grid)
-
-
 def _refuse_before_any_path(model: FouModel, m: int) -> None:
     """The Euler decay and refuse_aliasing on one period of the grid of step
     1/m, checked before limit objects, replicates or any path."""
     euler_decay(model.alpha, 1.0 / m)
-    _refuse_aliased_basis(model, m, "the grid of model.step_denominator")
+    refuse_aliasing(model.basis, 1.0 / m)
 
 
 def _simulate(model: FouModel, section: dict):
@@ -259,12 +253,17 @@ def _cmd_estimate(config: dict, args) -> int:
     model = build_model(config["model"])
     section = config["estimate"]
     mode = section["mode"]
+    if mode == "naive_pathwise" and section["alpha_for_correction"] is not None:
+        raise InvalidInput(
+            f"estimate.alpha_for_correction = {section['alpha_for_correction']!r} has no use in "
+            "estimate.mode = 'naive_pathwise', which applies no trace correction; set it to null"
+        )
     model_section = config["model"]
     csv, start = section["path_csv"], model_section["stationary_start"]
     if csv is not None:  # the grid is in the file
         path = _keyed("estimate.path_csv: ", read_sample_path_csv, csv, model, start)
         m = path.steps_per_period
-        _refuse_aliased_basis(model, m, f"the grid of estimate.path_csv (step 1/{m})")
+        refuse_aliasing(model.basis, path.step, f"the grid of estimate.path_csv (step 1/{m})")
     else:
         _refuse_before_any_path(model, model_section["step_denominator"])
         path = _simulate(model, model_section)

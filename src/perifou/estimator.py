@@ -1,10 +1,12 @@
-"""Least-squares drift estimation from a sample path.
+"""Least-squares drift estimation from a sample path or a batch of them.
 
 The estimator solves the normal equations Q theta_hat = P assembled from
 left-endpoint Riemann(-Stieltjes) sums on the simulation grid.  Q has a
-closed-form inverse because the basis block is n * I_p up to discretization
-error.  Two integral conventions are supported for the quadratic term
-integral X dX:
+closed-form inverse because the basis block is n * I_p up to rounding on a
+grid that ``model.refuse_aliasing`` admits; that check runs once per grid.
+The equations of a batch of paths are solved in one vectorized pass, and
+one path is a batch of one.  Two integral conventions are supported for the
+quadratic term integral X dX:
 
 * ``naive_pathwise``  - forward sums of observed increments only; for
   long-memory noise this estimator of alpha is biased low because the
@@ -27,7 +29,7 @@ import numpy as np
 
 from perifou.errors import DegenerateDesign, InvalidInput
 from perifou.fgn import fgn_autocovariance
-from perifou.model import SamplePath, fold_periods, period_basis
+from perifou.model import SamplePath, fold_periods, period_basis, refuse_aliasing
 
 MODES = ("naive_pathwise", "oracle_divergence")
 
@@ -36,10 +38,6 @@ MODES = ("naive_pathwise", "oracle_divergence")
 # scale-free, as alpha_hat is; noiseless paths in the basis span reach
 # 2.5e-12 at 60 000 increments, so 1e-10 leaves margin up to the 2^24 cap.
 DEGENERACY_THRESHOLD = 1e-10
-
-# Largest entry of gram/n - I a basis may show on its grid; valid bases sit
-# at rounding level (<= 1.4e-15), an aliased frequency at order one.
-ALIASING_TOLERANCE = 1e-9
 
 # Floor for the plug-in mean-reversion rate in the two-pass correction;
 # the naive alpha_hat can dip below zero when the trace term dominates.
@@ -52,14 +50,14 @@ _EXPLICIT_LAGS = 4096  # K of euler_lag_sum: lags added one by one; beyond them,
 class DesignStats:
     """Path functionals entering the normal equations.
 
-    gram      (p, p)  integral phi_i phi_j dt over [0, n]
     loadings  (p,)    (1/n) integral phi_i X dt
     residual  float   (1/n) integral X^2 dt - |loadings|^2, the residual
                       variance of X after projecting on the basis
     n_periods int
-    """
 
-    gram: np.ndarray
+    The basis block integral phi_i phi_j dt over [0, n] is n * I_p on a grid
+    that :func:`perifou.model.refuse_aliasing` admits."""
+
     loadings: np.ndarray
     residual: float
     n_periods: int
@@ -108,12 +106,10 @@ def build_design(path: SamplePath) -> DesignStats:
     """Left-endpoint Riemann sums of the basis/path functionals.
 
     The basis is periodic, so each sum pairs one period of basis values
-    with the path folded over periods.  The basis Gram block is computed
-    from the samples rather than assumed to be n * I_p, so its deviation
-    from the identity is a genuine discretization diagnostic.  A path whose
-    residual variance after projection on the basis is numerically zero
-    (e.g. a constant path against the constant basis) is rejected by
-    :func:`normal_matrix_inverse`, not here.  For a batch of B paths
+    with the path folded over periods.  A path whose residual variance
+    after projection on the basis is numerically zero (e.g. a constant path
+    against the constant basis) is rejected by :func:`normal_matrix_inverse`
+    and :func:`estimate`, not here.  For a batch of B paths
     (:class:`SamplePath` with 2-D x) the loadings are (B, p) and the
     residual has one entry per path, each that path's own bit for bit.
     """
@@ -121,67 +117,62 @@ def build_design(path: SamplePath) -> DesignStats:
     step = path.step
     x_left = path.x.reshape(-1, path.x.shape[-1])[:, :-1]
     phi = period_basis(path.model.basis, path.step)
-    gram = (n * step) * (phi @ phi.T)
     loadings = step * _project(phi, x_left, path.steps_per_period) / n
     # Over the N = n*m grid points np.dot is a BLAS ddot, which OpenBLAS
     # spreads over every core; in a process pool those threads contend with
     # the other workers, so the N-length reductions of this module use
     # einsum's single-threaded loop.
     energy = step * np.einsum("bi,bi->b", x_left, x_left)
-    # |L|^2 stays one np.dot per path: an einsum over the batch moves its last digit
-    residual = energy / n - np.array([np.dot(row, row) for row in loadings])
+    residual = energy / n - _squares(loadings)
     if path.x.ndim == 1:
-        return DesignStats(gram=gram, loadings=loadings[0], residual=float(residual[0]), n_periods=n)
-    return DesignStats(gram=gram, loadings=loadings, residual=residual, n_periods=n)
+        return DesignStats(loadings=loadings[0], residual=float(residual[0]), n_periods=n)
+    return DesignStats(loadings=loadings, residual=residual, n_periods=n)
 
 
-def refuse_aliasing(
-    period_gram: np.ndarray, grid: str = "the grid of model.step_denominator"
-) -> None:
-    """Raise InvalidInput when ``period_gram``, the basis Gram block of one
-    period on the grid, departs from I_p by more than ALIASING_TOLERANCE:
-    the grid cannot carry a basis frequency (e.g. sin 2 pi 8 t on t = j/16).
-    The message names the basis and ``grid``."""
-    aliasing = np.abs(period_gram - np.eye(period_gram.shape[0])).max()
-    if aliasing > ALIASING_TOLERANCE:
-        raise InvalidInput(
-            f"model.basis is not orthonormal on {grid}: "
-            f"max |gram/n - I| = {aliasing:.3g} > {ALIASING_TOLERANCE:.0e}; "
-            "a basis frequency aliases on this grid"
-        )
+def _squares(loadings: np.ndarray) -> np.ndarray:
+    """|L|^2 of each row of ``loadings``: one np.dot per row, since an einsum
+    over the batch moves its last digit."""
+    return np.array([np.dot(row, row) for row in np.atleast_2d(loadings)])
+
+
+def _degenerate(design: DesignStats) -> tuple:
+    """The mask of the paths of ``design`` whose residual variance is at most DEGENERACY_THRESHOLD
+    times their mean square b/n = residual + |L|^2, and the DegenerateDesign of a path."""
+    residual = np.atleast_1d(design.residual)
+    mean_square = residual + _squares(design.loadings)
+    return residual <= DEGENERACY_THRESHOLD * mean_square, lambda row: DegenerateDesign(
+        f"residual variance {residual[row]:.3e} <= {DEGENERACY_THRESHOLD:.0e} x "
+        f"the mean square {mean_square[row]:.3e}; mean reversion is unidentifiable"
+    )
 
 
 def normal_matrix_inverse(design: DesignStats) -> np.ndarray:
-    """Closed-form inverse of the normal matrix.
+    """Closed-form inverse of the normal matrix of one path.
 
     Q^{-1} = (1/n) [[I_p + g L L^t, g L], [g L^t, g]] with loadings L and
     g = 1/residual, by block (Schur) inversion of [[I, -L], [-L^t, b/n]];
-    valid because the basis Gram block equals n * I_p up to discretization
-    error.  Note the positive off-diagonal blocks: the two minus signs of
-    Q cancel there.  Raises InvalidInput (:func:`refuse_aliasing`) when the
-    Gram block departs from n * I_p, and DegenerateDesign when the
-    residual variance is at most DEGENERACY_THRESHOLD times the path's
-    mean square b/n = residual + |L|^2.
+    valid because the basis Gram block equals n * I_p on a grid that
+    :func:`perifou.model.refuse_aliasing` admits.  Note the positive
+    off-diagonal blocks: the two minus signs of Q cancel there.  Raises
+    DegenerateDesign when the residual variance is at most
+    DEGENERACY_THRESHOLD times the path's mean square b/n = residual + |L|^2.
     """
-    refuse_aliasing(design.gram / design.n_periods)
-    mean_square = design.residual + float(np.dot(design.loadings, design.loadings))
-    if design.residual <= DEGENERACY_THRESHOLD * mean_square:
-        raise DegenerateDesign(
-            f"residual variance {design.residual:.3e} <= {DEGENERACY_THRESHOLD:.0e} x "
-            f"the mean square {mean_square:.3e}; mean reversion is unidentifiable"
-        )
+    degenerate, refusal = _degenerate(design)
+    if degenerate[0]:
+        raise refusal(0)
     return block_inverse(design.loadings, 1.0 / design.residual) / design.n_periods
 
 
-def block_inverse(lam: np.ndarray, g: float) -> np.ndarray:
+def block_inverse(lam: np.ndarray, g) -> np.ndarray:
     """[[I_p + g L L^t, g L], [g L^t, g]], the inverse of
-    [[I_p, -L], [-L^t, 1/g + |L|^2]] by block (Schur) inversion."""
-    p = lam.size
-    inv = np.empty((p + 1, p + 1))
-    inv[:p, :p] = np.eye(p) + g * np.outer(lam, lam)
-    inv[:p, p] = g * lam
-    inv[p, :p] = g * lam
-    inv[p, p] = g
+    [[I_p, -L], [-L^t, 1/g + |L|^2]] by block (Schur) inversion; L of shape
+    (..., p) and g of shape (...) give one inverse per leading index."""
+    g = np.expand_dims(g, -1)
+    p = lam.shape[-1]
+    inv = np.empty(lam.shape[:-1] + (p + 1, p + 1))
+    inv[..., :p, :p] = np.eye(p) + g[..., None] * (lam[..., :, None] * lam[..., None, :])
+    inv[..., :p, p] = inv[..., p, :p] = g * lam
+    inv[..., p, p] = g[..., 0]
     return inv
 
 
@@ -265,16 +256,6 @@ def discrete_trace_correction(
     return float(np.einsum("i,i", n_steps - lags, terms))  # not np.dot: see build_design
 
 
-def _require_finite(x: np.ndarray, sigma: float, *values) -> None:
-    """Raise InvalidInput unless every entry of ``values``, functionals of
-    the path ``x`` in the normal equations, is finite."""
-    if not all(np.isfinite(v).all() for v in values):
-        raise InvalidInput(
-            "the normal equations overflow double precision on this path: "
-            f"max |x| = {np.abs(x).max():g} at model.sigma = {sigma:g}"
-        )
-
-
 def estimate(
     path: SamplePath,
     mode: str = "naive_pathwise",
@@ -299,8 +280,10 @@ def estimate(
     """
     if path.x.ndim != 1:
         raise InvalidInput("estimate takes one path; estimate_rows takes a batch")
-    (row,) = _path_sums(path, mode)
-    return _solve(path, *row, mode, sigma, alpha_for_correction)
+    (result,) = _solve(path, mode, sigma, alpha_for_correction)
+    if isinstance(result, DegenerateDesign):
+        raise result
+    return result
 
 
 def estimate_rows(
@@ -312,102 +295,94 @@ def estimate_rows(
     """:func:`estimate` for each path of a batch (:class:`SamplePath` with
     2-D x), in row order: None where a path's design is degenerate.
 
-    The path sums (folds, loadings, energy, response and noise vector) run
-    once over the batch; the normal equations, with their overflow and
-    degeneracy refusals, are solved path by path, so each result is that
-    path's :func:`estimate` bit for bit, and the first path whose equations
-    overflow raises what :func:`estimate` raises for it.
+    The normal equations of the batch are solved in one pass, each result
+    is that path's :func:`estimate` bit for bit, and the refusal raised is
+    the first that solving path by path would raise.
     """
-    results = []
-    for row in _path_sums(path, mode):
-        try:
-            results.append(_solve(path, *row, mode, sigma, alpha_for_correction))
-        except DegenerateDesign:
-            results.append(None)
-    return results
+    results = _solve(path, mode, sigma, alpha_for_correction)
+    return [None if isinstance(result, DegenerateDesign) else result for result in results]
 
 
-def _path_sums(path: SamplePath, mode: str):
-    """(x, design, response, noise vector or None) for each path of ``path``
-    in row order, one path or the rows of a batch, once ``mode`` is known;
-    the sums run over every row at once."""
+def _solve(path: SamplePath, mode: str, sigma: float | None, alpha_for_correction) -> list:
+    """The normal equations of every path of ``path``, one path or the rows
+    of a batch, in one pass: an EstimateResult per path in row order, or the
+    DegenerateDesign of a path whose design is degenerate."""
     if mode not in MODES:
         raise InvalidInput(f"mode must be one of {MODES}, got {mode!r}")
-    m = path.steps_per_period
+    if sigma is None:
+        sigma = path.model.sigma
+    m, n = path.steps_per_period, path.n_periods
     phi = period_basis(path.model.basis, path.step)
     x = path.x.reshape(-1, path.x.shape[-1])
     x_left = x[:, :-1]
     driver = path.driver_increments
-    # Overflow is refused by _require_finite below, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Every non-finite value is refused below, not warned about; a
+    # degenerate row's inverse divides by its zero residual and is dropped.
+    with np.errstate(all="ignore"):
         design = build_design(path)
+        loadings, residual = np.atleast_2d(design.loadings), np.atleast_1d(design.residual)
         # The response P is the functional of dx that the noise vector R is
         # of db.  einsum, not np.dot: see build_design
         response, noise = (
-            [None] * len(x) if dz is None
+            None if dz is None
             else np.column_stack([_project(phi, dz, m), -np.einsum("bi,bi->b", x_left, dz)])
             for dz in (np.diff(x), None if driver is None else driver.reshape(x_left.shape))
         )
-    designs = [design]
-    if path.x.ndim > 1:
-        designs = [
-            DesignStats(design.gram, loadings, residual, design.n_periods)
-            for loadings, residual in zip(design.loadings, design.residual.tolist())
-        ]
-    return zip(x, designs, response, noise)
-
-
-def _solve(
-    path: SamplePath,
-    x: np.ndarray,
-    design: DesignStats,
-    response: np.ndarray,
-    noise_vector: np.ndarray | None,
-    mode: str,
-    sigma: float | None,
-    alpha_for_correction: float | None,
-) -> EstimateResult:
-    """The normal equations of the path ``x`` on ``path``'s grid, solved from
-    its path sums."""
-    if sigma is None:
-        sigma = path.model.sigma
-    _require_finite(x, sigma, design.loadings, design.residual, response)
-    inverse = normal_matrix_inverse(design)
-
-    correction, source = 0.0, None
-    if mode == "oracle_divergence":
-        source = "given" if alpha_for_correction is not None else "plug-in"
-        if alpha_for_correction is None:
-            alpha_for_correction = max(float((inverse @ response)[-1]), _PLUG_IN_FLOOR)
-        if not 0.0 < 1.0 - alpha_for_correction * path.step < 1.0:  # as rounded
-            raise InvalidInput(
-                f"{source} alpha_for_correction {alpha_for_correction!r} breaks "
-                "0 < 1 - alpha*step < 1; set estimate.alpha_for_correction to override"
-            )
-        correction = discrete_trace_correction(
-            alpha_for_correction,
-            path.model.hurst,
-            path.step,
-            x.size - 1,
-            stationary=path.stationary_start,
+        failing = ~(  # overflow
+            np.isfinite(loadings).all(-1) & np.isfinite(residual) & np.isfinite(response).all(-1)
         )
-        try:
-            response[-1] += sigma**2 * correction
-        except OverflowError:  # sigma**2 beyond double precision
-            response[-1] = math.inf
-        _require_finite(x, sigma, response)
+        if not failing[0]:  # path by path, the first path's overflow is refused first
+            refuse_aliasing(path.model.basis, path.step)
+        degenerate, refusal = _degenerate(design)
+        inverse = block_inverse(loadings, 1.0 / residual) / n
 
-    theta_hat = inverse @ response
+        corrections, alphas, source = np.zeros(len(x)), [None] * len(x), None
+        broken = np.zeros(len(x), dtype=bool)
+        if mode == "oracle_divergence":
+            source = "given" if alpha_for_correction is not None else "plug-in"
+            alphas = [alpha_for_correction] * len(x)
+            if alpha_for_correction is None:
+                theta = np.matmul(inverse, response[..., None])[..., 0]
+                alphas = np.maximum(theta[:, -1], _PLUG_IN_FLOOR).tolist()
+            decay = 1.0 - np.array(alphas, dtype=float) * path.step  # as rounded
+            live = ~failing & ~degenerate
+            broken = live & ~((0.0 < decay) & (decay < 1.0))
+            live &= ~broken
+            # one cached value for a given alpha, one per path for the plug-in
+            corrections[live] = [
+                discrete_trace_correction(alphas[row], path.model.hurst, path.step, n * m,
+                                          stationary=path.stationary_start)
+                for row in np.flatnonzero(live)
+            ]
+            try:
+                response[:, -1] += sigma**2 * corrections
+            except OverflowError:  # sigma**2 beyond double precision
+                response[:, -1] = math.inf
+            failing |= broken | live & ~np.isfinite(response).all(-1)
+            if noise is not None:
+                noise[:, -1] += sigma * corrections
+        if failing.any():
+            row = int(np.argmax(failing))
+            if broken[row]:
+                raise InvalidInput(
+                    f"{source} alpha_for_correction {alphas[row]!r} breaks "
+                    "0 < 1 - alpha*step < 1; set estimate.alpha_for_correction to override"
+                )
+            raise InvalidInput(
+                "the normal equations overflow double precision on this path: "
+                f"max |x| = {np.abs(x[row]).max():g} at model.sigma = {sigma:g}"
+            )
+        theta = np.matmul(inverse, response[..., None])[..., 0]
 
-    if noise_vector is not None and mode == "oracle_divergence":
-        noise_vector[-1] += sigma * correction
-
-    return EstimateResult(
-        theta_hat=theta_hat,
-        design=design,
-        mode=mode,
-        noise_vector=noise_vector,
-        correction=correction,
-        correction_alpha=float(alpha_for_correction) if source else None,
-        correction_alpha_source=source,
-    )
+    return [
+        refusal(row) if degenerate[row] else EstimateResult(
+            theta_hat=theta[row],
+            design=DesignStats(loadings[row], float(residual[row]), n),
+            mode=mode,
+            noise_vector=None if noise is None else noise[row],
+            correction=float(corrections[row]),
+            correction_alpha=None if source is None else float(alphas[row]),
+            correction_alpha_source=source,
+        )
+        for row in range(len(x))
+    ]

@@ -269,8 +269,8 @@ def run_clt(config: McConfig) -> ExperimentReport:
     InvalidInput when sigma is 0, before the limit objects or any replicate: every replicate is
     then the same path, so the scaled errors have no spread to compare.  Raises DegenerateDesign
     when fewer than two replicates have an identifiable design.  A basis frequency the grid
-    aliases is refused (InvalidInput) by ``estimator.normal_matrix_inverse`` inside the first
-    replicate; ``perifou mc-clt`` and ``mc-consistency`` refuse it before any study work.
+    aliases is refused (InvalidInput) by ``model.refuse_aliasing`` once, as the first batch is
+    estimated; ``perifou mc-clt`` and ``mc-consistency`` refuse it before any study work.
     """
     if len(config.n_list) != 1:
         raise ValueError("run_clt expects a single horizon in n_list")

@@ -37,6 +37,10 @@ MAX_PATH_INCREMENTS = 1 << 24
 # A block of first_order_recursion spans at most this / |log a| steps, so a^{-j} < 2^64.
 _BLOCK_SCALE = 64.0 * math.log(2.0)
 
+# Largest entry of gram/n - I a basis may show on its grid; valid bases sit
+# at rounding level (<= 1.4e-15), an aliased frequency at order one.
+ALIASING_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class BasisFunction:
@@ -225,6 +229,27 @@ def period_basis(basis: BasisSet, step: float) -> np.ndarray:
     values = basis.evaluate(period_grid(step))
     values.setflags(write=False)
     return values
+
+
+@lru_cache(maxsize=16)
+def refuse_aliasing(
+    basis: BasisSet, step: float, grid: str = "the grid of model.step_denominator"
+) -> np.ndarray:
+    """The basis Gram block step * phi phi^T of one period of the grid, read-only; InvalidInput
+    naming the basis and ``grid`` when it departs from I_p by more than ALIASING_TOLERANCE, as
+    when the grid cannot carry a basis frequency (sin 2 pi 8 t on t = j/16).  Cached, so a grid
+    is checked once; :func:`period_basis` does not check, as a path may be simulated on it."""
+    phi = period_basis(basis, step)
+    gram = step * (phi @ phi.T)
+    aliasing = np.abs(gram - np.eye(basis.p)).max()
+    if aliasing > ALIASING_TOLERANCE:
+        raise InvalidInput(
+            f"model.basis is not orthonormal on {grid}: "
+            f"max |gram/n - I| = {aliasing:.3g} > {ALIASING_TOLERANCE:.0e}; "
+            "a basis frequency aliases on this grid"
+        )
+    gram.setflags(write=False)
+    return gram
 
 
 def _period_mean(model: FouModel, step: float) -> np.ndarray:

@@ -137,12 +137,12 @@ def quadrature_noise_covariance(model: FouModel) -> np.ndarray:
 
 
 def normal_matrix(design: DesignStats) -> np.ndarray:
-    """Assemble Q = [[G, -a], [-a^t, b]] with a = n * loadings and
-    b = n * (residual + |loadings|^2)."""
+    """Assemble Q = [[n I_p, -a], [-a^t, b]] with a = n * loadings and
+    b = n * (residual + |loadings|^2), on a grid the aliasing check admits."""
     n, lam = design.n_periods, design.loadings
     p = lam.size
     q = np.empty((p + 1, p + 1))
-    q[:p, :p] = design.gram
+    q[:p, :p] = n * np.eye(p)
     q[:p, p] = -n * lam
     q[p, :p] = -n * lam
     q[p, p] = n * (design.residual + float(lam @ lam))

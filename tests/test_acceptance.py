@@ -216,9 +216,7 @@ def test_criterion_03_closed_form_inverse():
         n = int(rng.integers(3, 500))
         loadings = rng.normal(scale=2.0, size=p)
         residual = float(rng.uniform(0.02, 5.0))
-        stats = DesignStats(
-            gram=n * np.eye(p), loadings=loadings, residual=residual, n_periods=n
-        )
+        stats = DesignStats(loadings=loadings, residual=residual, n_periods=n)
         q = normal_matrix(stats)
         inv = normal_matrix_inverse(stats)
         worst = max(worst, float(np.max(np.abs(q @ inv - np.eye(p + 1)))))
@@ -397,3 +395,22 @@ def test_criterion_10_artifact_determinism(tmp_path, consistency_study, clt_stud
     )
     _verdict(10, "artifact determinism across worker counts", ok, detail)
     assert ok, detail
+
+
+def test_artifacts_match_the_golden_digests(tmp_path, consistency_study, clt_study):
+    """Every artifact of the six subcommands on configs/acceptance.json is
+    byte-identical to tests/golden/acceptance.json: the studies as the
+    fixtures wrote them, the other four commands run here.  A failure names
+    each moved artifact, the largest relative move per key of a JSON one,
+    and both numpy versions if they differ."""
+    from golden.update import ARTIFACTS, GOLDEN, differences, record, run
+
+    places = {"mc-consistency": consistency_study[1], "mc-clt": clt_study[1]}
+    run([command for command in dict.fromkeys(ARTIFACTS.values()) if command not in places], tmp_path)
+    current = record({name: places.get(cmd, tmp_path) / name for name, cmd in ARTIFACTS.items()})
+    moved = differences(json.loads(GOLDEN.read_text(encoding="utf-8")), current)
+    assert not moved, (
+        "artifacts moved against tests/golden/acceptance.json "
+        "(regenerate it with python tests/golden/update.py only for a move on purpose):\n"
+        + "\n".join(moved)
+    )

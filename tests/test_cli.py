@@ -350,6 +350,29 @@ def test_aliased_basis_estimate_exits_2_without_writing(tmp_path, capsys):
     assert not (out / "estimate.json").exists()
 
 
+@pytest.mark.parametrize("csv", [False, True])
+def test_a_given_alpha_in_naive_mode_is_refused_before_the_path(tmp_path, capsys, monkeypatch, csv):
+    """naive_pathwise applies no trace correction, so a given
+    estimate.alpha_for_correction would be ignored: the estimate exits 2
+    naming both keys before it simulates or reads a path, and writes nothing."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"
+
+    def no_path(*args, **kwargs):
+        raise AssertionError("a path was simulated or read")
+
+    monkeypatch.setattr(cli, "simulate_path", no_path)
+    monkeypatch.setattr(cli, "read_sample_path_csv", no_path)
+    out = tmp_path / "est"
+    settings = ["estimate.mode=naive_pathwise", "estimate.alpha_for_correction=3.0"]
+    if csv:
+        settings.append(f"estimate.path_csv={tmp_path / 'path.csv'}")
+    argv = ["estimate", "--config", str(config), "--out", str(out)]
+    assert main(argv + [arg for item in settings for arg in ("--set", item)]) == 2
+    refusal = _refusal(capsys, "estimate")
+    assert "estimate.alpha_for_correction" in refusal and "estimate.mode" in refusal
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

@@ -32,7 +32,7 @@ from perifou.estimator import (
     scaled_upper_gamma,
 )
 from perifou.fgn import fgn_autocovariance, substream_seed
-from perifou.model import SamplePath, fold_periods, period_grid, simulate_paths
+from perifou.model import SamplePath, fold_periods, period_grid, refuse_aliasing, simulate_paths
 
 
 def sine_basis():
@@ -86,7 +86,7 @@ def test_folded_sums_match_full_grid_sums(subset, n, m, stationary, seed):
 
     bound = basis_bound(basis)
     design = result.design
-    assert close(design.gram, step * phi @ phi.T, n * bound**2)
+    assert close(n * refuse_aliasing(basis, step), step * phi @ phi.T, n * bound**2)
     assert close(n * design.loadings, step * phi @ x_left, step * bound * np.abs(x_left).sum())
     assert close(result.noise_vector[:-1], phi @ db, bound * np.abs(db).sum())
     assert result.noise_vector[-1] == -float(np.einsum("i,i", x_left, db))
@@ -127,7 +127,7 @@ def test_design_riemann_sums_match_manual():
     assert 3 * stats.loadings[0] == pytest.approx(np.sum(phi * path.x[:-1]) / 32, rel=1e-12)
     energy = 3 * (stats.residual + stats.loadings[0] ** 2)
     assert energy == pytest.approx(np.sum(path.x[:-1] ** 2) / 32, rel=1e-12)
-    assert stats.gram[0, 0] == pytest.approx(3.0, abs=1e-10)
+    assert 3 * refuse_aliasing(model.basis, path.step)[0, 0] == pytest.approx(3.0, abs=1e-10)
 
 
 def test_gram_block_close_to_identity_scaled():
@@ -136,15 +136,14 @@ def test_gram_block_close_to_identity_scaled():
     )
     step = 1 / 128
     path = simulate_path(model, 7, step, seed=4)
-    stats = build_design(path)
-    assert np.max(np.abs(stats.gram / 7 - np.eye(2))) <= 10 * step
+    assert np.max(np.abs(refuse_aliasing(model.basis, path.step) - np.eye(2))) <= 10 * step
 
 
 # ------------------------------------------------------------- inverse
 
 
 def test_inverse_block_diagonal_when_loadings_vanish():
-    stats = DesignStats(gram=5 * np.eye(2), loadings=np.zeros(2), residual=2.0, n_periods=5)
+    stats = DesignStats(loadings=np.zeros(2), residual=2.0, n_periods=5)
     inv = normal_matrix_inverse(stats)
     expected = np.diag([1 / 5, 1 / 5, (5 / 10.0) / 5]).astype(float)
     np.testing.assert_allclose(inv, expected, atol=1e-14)
@@ -154,7 +153,7 @@ def test_inverse_two_by_two_hand_value():
     # p=1, loadings 1, energy/n = 2 -> residual 1; direct inversion of
     # [[n, -n], [-n, 2n]] gives (1/n) [[2, 1], [1, 1]]
     n = 7
-    stats = DesignStats(gram=n * np.eye(1), loadings=np.array([1.0]), residual=1.0, n_periods=n)
+    stats = DesignStats(loadings=np.array([1.0]), residual=1.0, n_periods=n)
     inv = normal_matrix_inverse(stats)
     np.testing.assert_allclose(inv, np.array([[2.0, 1.0], [1.0, 1.0]]) / n, atol=1e-14)
     np.testing.assert_allclose(inv, np.linalg.inv(normal_matrix(stats)), atol=1e-14)
@@ -167,7 +166,7 @@ def test_inverse_matches_dense_solver_on_random_designs():
         n = int(rng.integers(3, 400))
         loadings = rng.normal(scale=2.0, size=p)
         residual = float(rng.uniform(0.05, 4.0))
-        stats = DesignStats(gram=n * np.eye(p), loadings=loadings, residual=residual, n_periods=n)
+        stats = DesignStats(loadings=loadings, residual=residual, n_periods=n)
         q = normal_matrix(stats)
         inv = normal_matrix_inverse(stats)
         assert np.max(np.abs(q @ inv - np.eye(p + 1))) <= 1e-8
@@ -175,15 +174,15 @@ def test_inverse_matches_dense_solver_on_random_designs():
 
 
 def test_inverse_rejects_degenerate_designs():
-    stats = DesignStats(gram=4 * np.eye(1), loadings=np.array([1.0]), residual=0.0, n_periods=4)
+    stats = DesignStats(loadings=np.array([1.0]), residual=0.0, n_periods=4)
     with pytest.raises(DegenerateDesign):
         normal_matrix_inverse(stats)
 
 
 def test_record_shapes():
-    """Four numbers determine the design; the result keeps no value that
+    """Three numbers determine the design; the result keeps no value that
     only tests read."""
-    assert [f.name for f in fields(DesignStats)] == ["gram", "loadings", "residual", "n_periods"]
+    assert [f.name for f in fields(DesignStats)] == ["loadings", "residual", "n_periods"]
     assert [f.name for f in fields(EstimateResult)] == [
         "theta_hat", "design", "mode", "noise_vector", "correction",
         "correction_alpha", "correction_alpha_source",
@@ -573,7 +572,7 @@ def test_design_and_response_from_cached_basis_are_bit_identical(m):
     x_left, dx, db = path.x[:-1], np.diff(path.x), path.driver_increments
 
     design = build_design(path)
-    np.testing.assert_array_equal(design.gram, (n * step) * (phi @ phi.T))
+    np.testing.assert_array_equal(refuse_aliasing(model.basis, step), step * (phi @ phi.T))
     np.testing.assert_array_equal(design.loadings, step * (phi @ fold_periods(x_left, m)) / n)
     energy = step * float(np.einsum("i,i", x_left, x_left))
     assert design.residual == energy / n - float(np.dot(design.loadings, design.loadings))
@@ -619,8 +618,88 @@ def test_batched_path_sums_equal_the_one_path_formulas(mode):
             correction = discrete_trace_correction(4.0, 0.65, step, n * m, stationary=True)
             wanted[-1] += 0.25 * correction
             noise[-1] += 0.5 * correction
-        inverse = normal_matrix_inverse(DesignStats(design.gram, loadings, residual, n))
+        inverse = normal_matrix_inverse(DesignStats(loadings, residual, n))
         assert results[row].theta_hat.tobytes() == (inverse @ wanted).tobytes()
         assert results[row].noise_vector.tobytes() == noise.tobytes()
     with pytest.raises(InvalidInput, match="estimate_rows takes a batch"):
         estimate(batch, mode=mode)
+
+
+def _p7_batch(rows: int, step: float = 1.0 / 64, n: int = 5):
+    specs = [{"kind": "const"}] + [
+        {"kind": kind, "k": k} for k in (1, 2, 3) for kind in ("sin", "cos")
+    ]
+    mu = (1.0, -0.5, 2.0, 0.0, 0.25, -1.5, 0.75)
+    model = FouModel(hurst=0.65, alpha=4.0, mu=mu, sigma=0.5, basis=BasisSet.from_specs(specs))
+    return simulate_paths(model, n, step, range(rows), stationary_start=True)
+
+
+def _row(batch, row: int) -> SamplePath:
+    return SamplePath(batch.grid, batch.x[row], batch.driver_increments[row], batch.model, True)
+
+
+def test_plug_in_batch_equals_each_path_alone_bit_for_bit():
+    """With alpha unknown each path of a batch gets its own plug-in alpha and
+    correction: the batch solve equals estimate of each path alone."""
+    batch = _p7_batch(6)
+    results = estimate_rows(batch, mode="oracle_divergence")
+    alphas = set()
+    for row, result in enumerate(results):
+        alone = estimate(_row(batch, row), mode="oracle_divergence")
+        assert result.theta_hat.tobytes() == alone.theta_hat.tobytes()
+        assert result.noise_vector.tobytes() == alone.noise_vector.tobytes()
+        assert result.correction == alone.correction
+        assert result.correction_alpha == alone.correction_alpha
+        assert result.correction_alpha_source == alone.correction_alpha_source == "plug-in"
+        alphas.add(result.correction_alpha)
+    assert len(alphas) == len(results)
+
+
+@pytest.mark.parametrize("alpha", [None, 4.0])
+def test_overflow_after_a_degenerate_row_is_refused_in_a_batch(alpha):
+    """A degenerate path gives None and raises nothing in a batch, so the
+    overflow of a later path is what the batch raises, naming that path."""
+    model = FouModel(hurst=0.65, alpha=4.0, mu=(1.0,), sigma=0.5, basis=const_basis())
+    batch = simulate_paths(model, 3, 1 / 64, (1, 2, 3), stationary_start=True)
+    x = batch.x.copy()
+    x[0] = 0.7  # constant against the constant basis: no residual variance
+    x[2] *= 1e160  # its sum of x^2 overflows
+    batch = SamplePath(batch.grid, x, batch.driver_increments, model, True)
+    with pytest.raises(InvalidInput, match="overflow double precision") as refusal:
+        estimate_rows(batch, mode="oracle_divergence", alpha_for_correction=alpha)
+    assert f"max |x| = {np.abs(x[2]).max():g}" in str(refusal.value)
+    assert estimate_rows(SamplePath(batch.grid, x[:2], None, model, True))[0] is None
+
+
+@pytest.mark.parametrize("mode, alpha", [
+    ("naive_pathwise", None), ("oracle_divergence", 4.0), ("oracle_divergence", None),
+])
+def test_a_batch_checks_aliasing_once_and_inverts_once(monkeypatch, mode, alpha):
+    """The grid is checked for aliasing once per call and the B inverses come
+    from one broadcasting block_inverse, not one per path."""
+    import perifou.estimator as estimator
+
+    calls = []
+
+    def spy(name, function):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return counted
+
+    for name in ("refuse_aliasing", "block_inverse"):
+        monkeypatch.setattr(estimator, name, spy(name, getattr(estimator, name)))
+    results = estimate_rows(_p7_batch(8), mode=mode, alpha_for_correction=alpha)
+    assert len(results) == 8 and None not in results
+    assert sorted(calls) == ["block_inverse", "refuse_aliasing"]
+
+
+def test_estimate_refuses_an_aliasing_grid_once_the_path_is_finite():
+    """sin 2 pi 8 t vanishes on t = j/16: estimate and estimate_rows refuse
+    the grid, as the CLI does before any path."""
+    basis = BasisSet.from_specs([{"kind": "sin", "k": 8}, {"kind": "cos", "k": 1}])
+    model = FouModel(hurst=0.65, alpha=1.0, mu=(1.0, 2.0), sigma=0.5, basis=basis)
+    batch = simulate_paths(model, 4, 1 / 16, (1, 2), stationary_start=True)
+    for call in (lambda: estimate(_row(batch, 0)), lambda: estimate_rows(batch)):
+        with pytest.raises(InvalidInput, match="model.basis is not orthonormal on the grid"):
+            call()
