@@ -159,8 +159,6 @@ def noise_covariance_limit(model: FouModel) -> np.ndarray:
     is this the limit of Cov(n^{-H} R_n) (see the module docstring).
     """
     hurst, beta = model.hurst, 2.0 * model.hurst - 1.0
-    if not 0.5 < hurst < 1.0:
-        raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
     rows = [_exponentials([(f, 1.0)]) for f in model.basis.functions]
     rows.append(_exponentials((f, -w) for f, w in steady_mean_terms(model).items()))
     freqs = sorted(set().union(*rows))

@@ -117,27 +117,25 @@ def _run_batch(model: FouModel, step: float, mode: str, master_seed: int, batch)
     ]
 
 
-def _batches(config: McConfig, jobs) -> list:
-    """The (n, r) jobs as (n, replicates) batches, in job order: consecutive
-    jobs at one horizon, at most max(1, BATCH_POINTS // M) of them, M the
+def _batches(config: McConfig) -> list:
+    """The study's replicates as (n, replicates) batches, horizon by horizon
+    in n_list order and by replicate within one: at most
+    max(1, BATCH_POINTS // M) consecutive replicates a batch, M the
     circulant embedding size of that horizon's draw."""
-    m = round(1.0 / config.step)
+    m, total = round(1.0 / config.step), config.replicates
     batches = []
-    for n, r in jobs:
+    for n in config.n_list:
         count = (n + burn_in_periods(config.model.alpha, n, m, True)) * m
         size = max(1, BATCH_POINTS // embedding_size(count))
-        if batches and batches[-1][0] == n and len(batches[-1][1]) < size:
-            batches[-1][1].append(r)
-        else:
-            batches.append((n, [r]))
-    return [(n, tuple(replicates)) for n, replicates in batches]
+        batches += [(n, tuple(range(r, min(r + size, total)))) for r in range(0, total, size)]
+    return batches
 
 
-def _map_jobs(config: McConfig, jobs) -> list:
-    """One ReplicateResult per (n, r) job, in job order, batch by batch
-    (:func:`_batches`), serially or on a pool."""
+def _map_jobs(config: McConfig) -> list:
+    """One ReplicateResult per replicate (n, r) of the study, ordered by
+    (n, r), batch by batch (:func:`_batches`), serially or on a pool."""
     run = partial(_run_batch, config.model, config.step, config.mode, config.master_seed)
-    batches = _batches(config, jobs)
+    batches = _batches(config)
     if config.workers == 1:
         return [row for batch in batches for row in run(batch)]
     # Imported here: concurrent.futures loads multiprocessing, about 18 ms
@@ -221,8 +219,7 @@ def run_consistency(config: McConfig) -> ExperimentReport:
     """Estimate on independent stationary-start paths for each n in
     n_list and summarize bias and RMSE per component."""
     start = time.perf_counter()
-    jobs = [(n, r) for n in config.n_list for r in range(config.replicates)]
-    rows = _map_jobs(config, jobs)
+    rows = _map_jobs(config)
     aggregates = aggregate_rows(config.model.theta, rows)
     passed = _consistency_passed(aggregates, config.n_list)
     return ExperimentReport(
@@ -283,7 +280,7 @@ def run_clt(config: McConfig) -> ExperimentReport:
         )
     summary = limit_summary(config.model)
     degenerate_limit = summary.report["flags"]["degenerate_limit"]
-    rows = _map_jobs(config, [(n, r) for r in range(config.replicates)])
+    rows = _map_jobs(config)
     kept = [row for row in rows if row.theta_hat is not None]
     if len(kept) < 2:
         raise DegenerateDesign(

@@ -121,17 +121,10 @@ def fgn_autocovariance(hurst: float, lag):
         n = np.maximum(flat[first : first + _SERIES_CHUNK], 2.0)
         inverse_square = np.multiply(n, n)
         np.reciprocal(inverse_square, out=inverse_square)
-        total, most, least = np.zeros(n.size), _series_terms(n.min()), _series_terms(n.max())
-        if most > least:  # Horner's steps i > least, on the lags below _SERIES_ENDS[i] alone
-            few = np.flatnonzero(n < _SERIES_ENDS[least + 1])
-            head, small, square = np.zeros(few.size), n[few], inverse_square[few]
-            for i in range(most, least, -1):
-                head *= square
-                head += np.where(small < _SERIES_ENDS[i], coefficients[i - 1], 0.0)
-            total[few] = head
-        for i in range(least, 0, -1):
+        total = np.zeros(n.size)
+        for i in range(_series_terms(n.min()), 0, -1):  # term i on the lags below its end
             total *= inverse_square
-            total += coefficients[i - 1]
+            total += np.where(n < _SERIES_ENDS[i], coefficients[i - 1], 0.0)
         out = rho[first : first + _SERIES_CHUNK]
         np.power(n, two_h - 2.0, out=out)
         out *= total

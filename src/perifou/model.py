@@ -307,15 +307,13 @@ def first_order_recursion(
         )
         return np.ldexp(scaled, excess[:, None]).reshape(drive.shape)
     powers = a ** np.arange(width, dtype=float)
-    if span == period and periods * period == n:  # rows may be strided: split, then divide
-        y = np.divide(rows.reshape(batch, -1, width), powers).reshape(-1, width)
-    else:  # zeros after each period's end and the drive's end, which no kept entry sees
-        padded = np.zeros((batch, periods, span))
-        whole = n // period
-        padded[:, :whole, :period] = rows[:, : whole * period].reshape(batch, whole, period)
-        padded[:, whole:, : n - whole * period] = rows[:, None, whole * period :]
-        y = padded.reshape(-1, width)
-        y /= powers
+    # zeros after each period's end and the drive's end, which no kept entry sees
+    padded = np.zeros((batch, periods, span))
+    whole = n // period
+    padded[:, :whole, :period] = rows[:, : whole * period].reshape(batch, whole, period)
+    padded[:, whole:, : n - whole * period] = rows[:, None, whole * period :]
+    y = padded.reshape(-1, width)
+    y /= powers
     np.cumsum(y, axis=1, out=y)
     ends = np.full(per_period, width - 1)
     ends[-1] = period - 1 - (per_period - 1) * width

@@ -199,7 +199,7 @@ def test_overflowing_row_raises_what_the_serial_loop_raises_at_the_same_job():
     threshold = (energy[0] + max(energy)) / 2  # sigma^2 * energy overflows above it
     model = dc_replace(model, sigma=math.sqrt(np.finfo(float).max / threshold), mu=(0.0, 0.0))
     config = McConfig(model, (n,), 8, step, "naive_pathwise", master)
-    assert [len(replicates) for _, replicates in experiments._batches(config, [(n, 0)] * 8)] == [8]
+    assert [len(replicates) for _, replicates in experiments._batches(config)] == [8]
     serial = None
     for r in range(8):
         try:
@@ -209,7 +209,7 @@ def test_overflowing_row_raises_what_the_serial_loop_raises_at_the_same_job():
             break
     assert serial is not None and serial[0] > 0
     with pytest.raises(InvalidInput) as batched:
-        experiments._map_jobs(config, [(n, r) for r in range(8)])
+        experiments._map_jobs(config)
     assert str(batched.value) == serial[1] and "overflow" in serial[1]
 
 
@@ -225,7 +225,7 @@ def test_batches_keep_job_order_and_the_point_budget(alpha, step, n_list):
     model = FouModel(hurst=0.65, alpha=alpha, mu=(1.0, 2.0), sigma=0.5, basis=sincos_basis())
     config = McConfig(model, n_list, 20, step, "oracle_divergence", 1)
     jobs = [(n, r) for n in n_list for r in range(20)]
-    batches = experiments._batches(config, jobs)
+    batches = experiments._batches(config)
     assert [(n, r) for n, replicates in batches for r in replicates] == jobs
     m = round(1 / step)
     for n, replicates in batches:
@@ -250,8 +250,7 @@ def test_batched_study_artifacts_identical_across_worker_counts(tmp_path):
         "consistency": {"n_list": [2, 4], "replicates": 20, "master_seed": 2024},
     }
     study = small_config(n_list=(2, 4), replicates=20)
-    jobs = [(n, r) for n in (2, 4) for r in range(20)]
-    assert [len(r) for _, r in experiments._batches(study, jobs)] == [16, 4, 16, 4]
+    assert [len(r) for _, r in experiments._batches(study)] == [16, 4, 16, 4]
     (tmp_path / "config.json").write_text(json.dumps(config))
     argv = ["mc-consistency", "--config", str(tmp_path / "config.json")]
     statuses = [cli_main(argv + ["--out", str(tmp_path / w), "--workers", w]) for w in "12"]
