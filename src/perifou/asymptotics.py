@@ -206,7 +206,7 @@ def quadratic_noise_variance(hurst: float, step: float, alpha: float, n_steps: i
     lags = np.arange(last + 1)
     multiplicity = np.where(lags == 0, 1.0, 2.0) * (last + 1 - lags)
     terms = c_zz * c_bb + c_zb[last:] * c_zb[last::-1]
-    return float(np.dot(multiplicity, terms))
+    return float(np.einsum("i,i", multiplicity, terms))  # not np.dot: see estimator.build_design
 
 
 def finite_horizon_noise_cov(model: FouModel, n_periods: int, step: float) -> np.ndarray:

@@ -269,14 +269,15 @@ def estimate(
     ``alpha_for_correction`` when given (verification runs with known
     truth) and otherwise at the naive alpha_hat from a first pass ("given"
     or "plug-in", as the result records); either must give a decay
-    0 < 1 - alpha*step < 1 in double precision, or InvalidInput is raised.
-    theta_hat needs no driver, so either mode runs on an observed path alone.  The
-    noise vector R with P = Q theta + sigma R is returned whenever driver
-    increments are available (None otherwise), assembled under the same
-    integral convention as the mode, which makes
-    theta_hat - theta = sigma Q^{-1} R an exact identity of the
-    discretized system.  This is :func:`estimate_rows` for one path, except
-    that a degenerate design raises DegenerateDesign.
+    0 < 1 - alpha*step < 1 in double precision, or InvalidInput is raised;
+    ``naive_pathwise`` refuses a given alpha.  theta_hat needs no driver,
+    so either mode runs on an observed path alone.  The noise vector R
+    with P = Q theta + sigma R is returned whenever driver increments are
+    available (None otherwise), assembled under the same integral
+    convention as the mode, which makes theta_hat - theta = sigma Q^{-1} R
+    an exact identity of the discretized system.  This is
+    :func:`estimate_rows` for one path, except that a degenerate design
+    raises DegenerateDesign.
     """
     if path.x.ndim != 1:
         raise InvalidInput("estimate takes one path; estimate_rows takes a batch")
@@ -309,6 +310,9 @@ def _solve(path: SamplePath, mode: str, sigma: float | None, alpha_for_correctio
     DegenerateDesign of a path whose design is degenerate."""
     if mode not in MODES:
         raise InvalidInput(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "naive_pathwise" and alpha_for_correction is not None:
+        raise InvalidInput(f"alpha_for_correction = {alpha_for_correction!r} has no use in mode "
+                           "'naive_pathwise', which applies no trace correction; pass None")
     if sigma is None:
         sigma = path.model.sigma
     m, n = path.steps_per_period, path.n_periods

@@ -8,7 +8,11 @@ that moves an artifact on purpose, regenerate it from the repository root:
 
     python tests/golden/update.py
 
-and name each moved artifact in CHANGES.md.
+and name each moved artifact in CHANGES.md.  The artifacts are made twice,
+in fresh interpreters with OPENBLAS_NUM_THREADS=1 and =2; if the two runs
+differ in any byte, nothing is written and each artifact that differs is
+named with the JSON keys, or the CSV line and column, where it does, so the
+digests never record bits that depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -16,8 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -93,6 +100,13 @@ def json_moves(old, new) -> dict:
     return moves
 
 
+def _describe(moves: dict) -> str:
+    return "largest relative move per key: " + (
+        ", ".join(f"{key} {move:.3g}" if move != "changed" else f"{key} changed"
+                  for key, move in moves.items()) or "none (formatting only)"
+    )
+
+
 def differences(golden: dict, current: dict) -> list:
     """One line per artifact of ``golden`` that moved in ``current``, then one naming
     both numpy versions if they differ; empty when nothing moved."""
@@ -103,11 +117,7 @@ def differences(golden: dict, current: dict) -> list:
             continue
         line = f"{name}: sha256 moved, {want['size']} -> {got['size']} bytes"
         if "content" in want:
-            moves = json_moves(want["content"], got["content"])
-            line += "; largest relative move per key: " + (
-                ", ".join(f"{key} {move:.3g}" if move != "changed" else f"{key} changed"
-                          for key, move in moves.items()) or "none (formatting only)"
-            )
+            line += "; " + _describe(json_moves(want["content"], got["content"]))
         lines.append(line)
     if current["numpy"] != golden["numpy"]:
         lines.append(
@@ -116,15 +126,61 @@ def differences(golden: dict, current: dict) -> list:
     return lines
 
 
-def main() -> None:
+def run_with_blas_threads(threads: str, out: Path) -> None:
+    """Write every artifact into ``out`` from a fresh interpreter whose BLAS
+    runs ``threads`` threads."""
+    code = (
+        "import sys; from pathlib import Path; sys.path[:0] = sys.argv[1:3]\n"
+        "from golden.update import ARTIFACTS, run\n"
+        "run(dict.fromkeys(ARTIFACTS.values()), Path(sys.argv[3]))"
+    )
+    paths = [str(ROOT / "src"), str(ROOT / "tests"), str(out)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    subprocess.run([sys.executable, "-c", code, *paths], env=env, check=True)
+
+
+def _first_csv_difference(one: str, two: str) -> str:
+    """The first line and column where two CSV texts differ."""
+    header = one.split("\n", 1)[0].split(",")
+    lines = zip_longest(one.splitlines(), two.splitlines(), fillvalue="")
+    line, pair = next((i, pair) for i, pair in enumerate(lines) if pair[0] != pair[1])
+    cells = zip_longest(*(row.split(",") for row in pair), fillvalue="")
+    column = next(j for j, (x, y) in enumerate(cells) if x != y)
+    return f"line {line + 1}, column {header[column] if column < len(header) else column + 1}"
+
+
+def thread_differences(first: Path, second: Path) -> list:
+    """One line per artifact whose bytes differ between ``first`` and
+    ``second``: the keys that moved in a JSON artifact, the first line and
+    column that differ in a CSV one."""
+    lines = []
+    for name in ARTIFACTS:
+        one, two = (first / name).read_bytes(), (second / name).read_bytes()
+        if one == two:
+            continue
+        if name.endswith(".json"):
+            where = _describe(json_moves(json.loads(one), json.loads(two)))
+        else:
+            where = _first_csv_difference(one.decode("utf-8"), two.decode("utf-8"))
+        lines.append(f"{name}: {where}")
+    return lines
+
+
+def main() -> int:
     with tempfile.TemporaryDirectory() as temporary:
-        out = Path(temporary)
-        run(dict.fromkeys(ARTIFACTS.values()), out)
-        current = record({name: out / name for name in ARTIFACTS})
+        outs = [Path(temporary) / threads for threads in ("1", "2")]
+        for threads, out in zip(("1", "2"), outs):
+            run_with_blas_threads(threads, out)
+        moved = thread_differences(*outs)
+        if moved:
+            print("not written: the artifacts differ between 1 and 2 BLAS threads:\n"
+                  + "\n".join(moved), file=sys.stderr)
+            return 1
+        current = record({name: outs[0] / name for name in ARTIFACTS})
     GOLDEN.write_text(json.dumps(current, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")
+    return 0
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(ROOT / "src"))
-    main()
+    sys.exit(main())

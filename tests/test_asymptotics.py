@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    fresh_interpreter_prints,
     gauss_jacobi,
     memory_quadratic_noise_variance,
     quadrature_noise_covariance,
@@ -568,6 +569,21 @@ def test_quadratic_noise_variance_matches_the_memory_recursion(hurst, n_steps, a
     ours = quadratic_noise_variance(hurst, 1 / 256, alpha, n_steps)
     reference = memory_quadratic_noise_variance(hurst, 1 / 256, alpha, n_steps)
     assert ours == pytest.approx(reference, rel=1e-9)
+
+
+def test_quadratic_noise_variance_is_the_same_on_one_and_two_blas_threads(monkeypatch):
+    """The lag sum over the acceptance mc-clt horizon (N = 51200) is the same
+    double whether BLAS runs one thread or two: a threaded np.dot there moved
+    it by 2.0e-16 relative, and clt_report.json with it."""
+    code = (
+        "from perifou.asymptotics import quadratic_noise_variance\n"
+        "print(repr(quadratic_noise_variance(0.65, 1 / 256, 1.0, 51200)))"
+    )
+    values = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        values += fresh_interpreter_prints(code)
+    assert values[0] == values[1]
 
 
 def test_quadratic_noise_variance_memory_does_not_grow_as_alpha_falls():

@@ -447,7 +447,8 @@ def test_estimator_identity_exact(mode):
     # theta_hat - theta = sigma Q^{-1} R for the discretized system
     model = FouModel(hurst=0.65, alpha=1.0, mu=(1.0, 2.0), sigma=0.5, basis=sincos_basis())
     path = simulate_path(model, 20, 1 / 256, seed=11, stationary_start=True)
-    result = estimate(path, mode=mode, sigma=model.sigma, alpha_for_correction=model.alpha)
+    alpha = model.alpha if mode == "oracle_divergence" else None
+    result = estimate(path, mode=mode, sigma=model.sigma, alpha_for_correction=alpha)
     inverse = normal_matrix_inverse(result.design)
     gap = result.theta_hat - model.theta - model.sigma * (inverse @ result.noise_vector)
     assert np.max(np.abs(gap)) <= 1e-8
@@ -604,7 +605,8 @@ def test_batched_path_sums_equal_the_one_path_formulas(mode):
     batch = simulate_paths(model, n, step, range(12), stationary_start=True)
     phi = model.basis.evaluate(period_grid(step))
     design = build_design(batch)
-    results = estimate_rows(batch, mode=mode, alpha_for_correction=4.0)
+    alpha = 4.0 if mode == "oracle_divergence" else None
+    results = estimate_rows(batch, mode=mode, alpha_for_correction=alpha)
     for row, (x, db) in enumerate(zip(batch.x, batch.driver_increments)):
         x_left, dx = x[:-1], np.diff(x)
         loadings = step * (phi @ fold_periods(x_left, m)) / n
@@ -703,3 +705,19 @@ def test_estimate_refuses_an_aliasing_grid_once_the_path_is_finite():
     for call in (lambda: estimate(_row(batch, 0)), lambda: estimate_rows(batch)):
         with pytest.raises(InvalidInput, match="model.basis is not orthonormal on the grid"):
             call()
+
+
+def test_naive_mode_refuses_a_given_alpha_before_any_path_sum(monkeypatch):
+    """naive_pathwise applies no trace correction, so a given alpha would be
+    dropped without a word: estimate and estimate_rows refuse it, naming
+    both, before the path sums are taken; an unknown mode is refused first."""
+    import perifou.estimator as estimator
+
+    batch = _p7_batch(2)
+    monkeypatch.setattr(estimator, "build_design", lambda path: pytest.fail("summed"))
+    for call in (estimate, estimate_rows):
+        path = _row(batch, 0) if call is estimate else batch
+        with pytest.raises(InvalidInput, match="alpha_for_correction = 4.0 .*'naive_pathwise'"):
+            call(path, mode="naive_pathwise", alpha_for_correction=4.0)
+        with pytest.raises(InvalidInput, match="mode must be one of"):
+            call(path, mode="bayes", alpha_for_correction=4.0)

@@ -65,14 +65,22 @@ def test_autocovariance_within_1e_15_of_40_digits_up_to_lag_2_pow_24(hurst):
     assert np.max(np.abs(ours / exact - 1.0)) <= 1e-15
 
 
+# Lags 2 to 60, over which the series falls from 29 terms to 5, and the
+# lags on either side of 133.4, 681.3 and 17782.8, where it falls from 5
+# terms to 4, 4 to 3 and 3 to 2.
+_SERIES_LENGTH_LAGS = (0, 1, *range(2, 61), 133, 134, 680, 681, 682, 17782, 17783, 39999)
+
+
 def test_autocovariance_depends_on_the_lag_alone():
     """Each lag's series length is set by that lag, so a value does not
-    depend on the other lags of the call, their order or their number."""
+    depend on the other lags of the call, their order or their number: a
+    lag alone runs only its own terms, and in the 40000-lag call it shares
+    a chunk whose Horner loop runs the terms of that chunk's smallest lag."""
     lags = np.arange(40000, dtype=float)
     rho = fgn_autocovariance(0.65, lags)
     order = np.random.default_rng(3).permutation(lags.size)
     np.testing.assert_array_equal(fgn_autocovariance(0.65, lags[order]), rho[order])
-    for n in (0, 1, 2, 7, 8, 9, 680, 681, 17783, 39999):
+    for n in _SERIES_LENGTH_LAGS:
         assert fgn_autocovariance(0.65, n) == rho[n]
 
 
