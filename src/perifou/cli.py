@@ -341,7 +341,7 @@ def _cmd_mc_consistency(config: dict, args) -> int:
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"mc-consistency: {verdict} "
-        f"(n={list(mc.n_list)}, R={mc.replicates}, {report.wall_clock:.1f}s)"
+        f"(n={list(mc.n_list)}, R={mc.replicates}, {report.ran_on}, {report.wall_clock:.1f}s)"
     )
     return 0 if report.passed else 1
 
@@ -359,7 +359,7 @@ def _cmd_mc_clt(config: dict, args) -> int:
         "mu-block rel Frobenius "
         f"finite-horizon={report.clt['finite_horizon_mu_rel_frobenius']:.3f}, "
         f"limit={report.clt['mu_block_rel_frobenius']:.3f}, "
-        f"{report.wall_clock:.1f}s)"
+        f"{report.ran_on}, {report.wall_clock:.1f}s)"
     )
     return 0 if report.passed else 1
 

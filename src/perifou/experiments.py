@@ -9,6 +9,8 @@ Aggregation runs single-threaded over results ordered by (n, r).
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -87,8 +89,8 @@ class ExperimentReport:
 
     ``clt`` holds :func:`run_clt`'s statistics, JSON-ready under their
     ``clt_report.json`` keys and in file order, and is None for consistency.
-    ``wall_clock`` is never serialized, so artifacts are byte-identical
-    across repeated runs."""
+    ``wall_clock`` and ``ran_on`` are never serialized, so artifacts are
+    byte-identical across repeated runs."""
 
     config: McConfig
     rows: list
@@ -96,6 +98,7 @@ class ExperimentReport:
     passed: bool
     clt: dict | None = None
     wall_clock: float = 0.0
+    ran_on: str = "serial"
 
 
 def _run_batch(model: FouModel, step: float, mode: str, master_seed: int, batch) -> list:
@@ -131,29 +134,60 @@ def _batches(config: McConfig) -> list:
     return batches
 
 
-def _map_jobs(config: McConfig) -> list:
-    """One ReplicateResult per replicate (n, r) of the study, ordered by
-    (n, r), batch by batch (:func:`_batches`), serially or on a pool."""
+def _run_threaded(run, batches, width: int) -> list:
+    """``run`` over ``batches`` on the calling thread and ``width - 1``
+    helpers, each taking the next batch in order until none is left or one
+    has failed; rows in batch order, or the first failure in batch order."""
+    results, failed, lock = [None] * len(batches), [], threading.Lock()
+    taken = iter(range(len(batches)))
+
+    def next_index():
+        with lock:
+            return None if failed else next(taken, None)
+
+    def take():
+        for i in iter(next_index, None):
+            try:
+                results[i] = run(batches[i])
+            except BaseException as exc:  # noqa: BLE001 - raised below, in batch order
+                results[i] = exc
+                failed.append(i)
+
+    helpers = [threading.Thread(target=take) for _ in range(width - 1)]
+    for helper in helpers:
+        helper.start()
+    take()
+    for helper in helpers:
+        helper.join()
+    if failed:
+        raise results[min(failed)]
+    return [row for rows in results for row in rows]
+
+
+def _map_jobs(config: McConfig) -> tuple:
+    """The study's rows, ordered by (n, r), batch by batch (:func:`_batches`),
+    and how they ran: ``serial``, ``N threads`` (workers = 1, N at most the
+    usable CPUs) or ``N processes``.  The first batch runs on the calling
+    thread, so the threads or forked workers find its cached weights and
+    period values, glibc's heap settings and a warm heap.  Neither gets more
+    of them than batches left: the pool forks all of its workers up front."""
     run = partial(_run_batch, config.model, config.step, config.mode, config.master_seed)
     batches = _batches(config)
-    if config.workers == 1:
-        return [row for batch in batches for row in run(batch)]
+    first, rest = run(batches[0]), batches[1:]
+    # os.cpu_count() where there is no affinity call, as on macOS
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    width = min(config.workers if config.workers > 1 else cpus or 1, len(rest))
+    if config.workers == 1 or not rest:
+        ran_on = f"{width} threads" if width > 1 else "serial"
+        return first + _run_threaded(run, rest, width), ran_on
     # Imported here: concurrent.futures loads multiprocessing, about 18 ms
     # that only a pool needs.
     from concurrent.futures import ProcessPoolExecutor
 
-    # The first batch runs before the fork, so the workers inherit what it
-    # sets up (the sampler's cached weights, glibc's heap thresholds and a
-    # warm heap, the cached period values of the basis) instead of each
-    # doing it again.  The pool forks all of its workers up front, so it
-    # gets no more of them than there are batches left.
-    first, rest = run(batches[0]), batches[1:]
-    if not rest:
-        return first
-    workers = min(config.workers, len(rest))
-    chunk = max(1, len(rest) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return first + [row for rows in pool.map(run, rest, chunksize=chunk) for row in rows]
+    chunk = max(1, len(rest) // (width * 8))
+    with ProcessPoolExecutor(max_workers=width) as pool:
+        rows = [row for rows in pool.map(run, rest, chunksize=chunk) for row in rows]
+    return first + rows, f"{width} process" + "es" * (width > 1)
 
 
 def aggregate_rows(theta: np.ndarray, rows) -> dict:
@@ -172,14 +206,8 @@ def aggregate_rows(theta: np.ndarray, rows) -> dict:
         kept = [row.theta_hat for row in block if row.theta_hat is not None]
         excluded = len(block) - len(kept)
         if not kept:
-            per_n[n] = {
-                "included": 0,
-                "excluded": excluded,
-                "mean": None,
-                "bias": None,
-                "rmse": None,
-                "se": None,
-            }
+            per_n[n] = {"included": 0, "excluded": excluded,
+                        **dict.fromkeys(("mean", "bias", "rmse", "se"))}
             continue
         estimates = np.array(kept)
         errors = estimates - theta
@@ -219,7 +247,7 @@ def run_consistency(config: McConfig) -> ExperimentReport:
     """Estimate on independent stationary-start paths for each n in
     n_list and summarize bias and RMSE per component."""
     start = time.perf_counter()
-    rows = _map_jobs(config)
+    rows, ran_on = _map_jobs(config)
     aggregates = aggregate_rows(config.model.theta, rows)
     passed = _consistency_passed(aggregates, config.n_list)
     return ExperimentReport(
@@ -228,6 +256,7 @@ def run_consistency(config: McConfig) -> ExperimentReport:
         aggregates=aggregates,
         passed=passed,
         wall_clock=time.perf_counter() - start,
+        ran_on=ran_on,
     )
 
 
@@ -280,7 +309,7 @@ def run_clt(config: McConfig) -> ExperimentReport:
         )
     summary = limit_summary(config.model)
     degenerate_limit = summary.report["flags"]["degenerate_limit"]
-    rows = _map_jobs(config)
+    rows, ran_on = _map_jobs(config)
     kept = [row for row in rows if row.theta_hat is not None]
     if len(kept) < 2:
         raise DegenerateDesign(
@@ -342,6 +371,7 @@ def run_clt(config: McConfig) -> ExperimentReport:
         passed=passed,
         clt=clt,
         wall_clock=time.perf_counter() - start,
+        ran_on=ran_on,
     )
 
 

@@ -198,8 +198,8 @@ def _keep_heap_warm() -> None:
     freed so far (about 2 MB here), so after each draw at M = 2^17 it gave
     back the draw's arrays and ~1.9 MB of ``irfft`` scratch, which the next
     draw faulted in again (~480 pages per n = 200 replicate for the scratch
-    alone).  The process pool of a Monte Carlo study forks after the first
-    replicate, so its workers inherit the setting.
+    alone).  A Monte Carlo study starts its threads or forks its pool after
+    its first batch; the settings hold for every thread and forked worker.
     Setting either threshold turns off glibc's adjustment of both, so both
     are set: blocks below 16 MB come from the heap, and up to 64 MB of free
     heap top is kept.  A C library without ``mallopt`` is left alone.

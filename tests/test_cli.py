@@ -586,6 +586,19 @@ def test_workers_flag_overrides_config(config_file, tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("command", ["mc-consistency", "mc-clt"])
+@pytest.mark.parametrize(
+    "cpus, workers, ran_on", [(1, "1", "serial"), (2, "1", "2 threads"), (2, "2", "2 processes")]
+)
+def test_study_summary_names_how_the_batches_ran(
+    config_file, tmp_path, capsys, monkeypatch, command, cpus, workers, ran_on
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    cfg = config_file(base_config())
+    main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--workers", workers])
+    assert f", {ran_on}, " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["simulate", "estimate", "limits", "coupling"])
 def test_workers_flag_only_on_study_commands(config_file, tmp_path, capsys, command):
     cfg = config_file(base_config())

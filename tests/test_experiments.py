@@ -3,6 +3,8 @@
 import ctypes
 import json
 import math
+import os
+import threading
 from dataclasses import fields
 from dataclasses import replace as dc_replace
 
@@ -120,6 +122,129 @@ def test_pool_gets_no_more_workers_than_jobs_left(monkeypatch, tmp_path):
     write_replicates_csv(serial, tmp_path / "serial.csv")
     write_replicates_csv(pooled, tmp_path / "pooled.csv")
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+
+
+def _on_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _threaded_config(**overrides):
+    """p = 7 at alpha = 4: batches of 8 replicates at n = 10 and 4 at n = 25."""
+    defaults = dict(model=_p_model(7), n_list=(10, 25), replicates=24, step=1 / 256)
+    return small_config(**{**defaults, **overrides})
+
+
+def test_threaded_study_equals_the_batch_loop_and_the_pool(monkeypatch, tmp_path):
+    """workers=1 runs its batches on threads; the plain loop over the
+    batches is the reference, and the pool's CSV is byte-equal."""
+    _on_cpus(monkeypatch, 2)
+    config = _threaded_config()
+    batches = experiments._batches(config)
+    assert len(batches) == 9
+    threaded = run_consistency(config)
+    assert threaded.ran_on == "2 threads"
+    loop = [row for batch in batches for row in _run_batch(
+        config.model, config.step, config.mode, config.master_seed, batch)]
+    assert len(threaded.rows) == len(loop) == 48
+    for row, reference in zip(threaded.rows, loop):
+        assert [getattr(row, f.name) for f in fields(row)] == [
+            getattr(reference, f.name) for f in fields(reference)]
+    pooled = run_consistency(dc_replace(config, workers=2))
+    assert pooled.ran_on == "2 processes"
+    write_replicates_csv(threaded, tmp_path / "threaded.csv")
+    write_replicates_csv(pooled, tmp_path / "pooled.csv")
+    assert (tmp_path / "threaded.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "cpus, replicates, helpers", [(1, 24, 0), (2, 8, 0), (2, 24, 1), (3, 32, 2), (4, 24, 1)]
+)
+def test_helper_threads_start_after_the_first_batch(monkeypatch, cpus, replicates, helpers):
+    """min(usable CPUs, batches left) threads run the batches after the
+    first, the calling thread among them; none starts before it returns."""
+    events = []
+
+    class SpyThread(threading.Thread):
+        def start(self):
+            events.append("thread")
+            super().start()
+
+    def spy_batch(*args):
+        rows = _run_batch(*args)
+        events.append("batch")
+        return rows
+
+    _on_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(threading, "Thread", SpyThread)
+    monkeypatch.setattr(experiments, "_run_batch", spy_batch)
+    report = run_consistency(_threaded_config(n_list=(10,), replicates=replicates))
+    assert events.count("thread") == helpers
+    assert events[0] == "batch" and events.count("batch") == math.ceil(replicates / 8)
+    assert report.ran_on == (f"{helpers + 1} threads" if helpers else "serial")
+
+
+def test_cpu_count_stands_in_where_there_is_no_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    config = _threaded_config(n_list=(10,))
+    for count, ran_on in ((2, "2 threads"), (None, "serial"), (1, "serial")):
+        monkeypatch.setattr(os, "cpu_count", lambda count=count: count)
+        assert run_consistency(config).ran_on == ran_on
+
+
+class BatchFailure(Exception):
+    pass
+
+
+def _failing_batches(monkeypatch, config, fail):
+    """Spy on _run_batch: record each batch's index as it starts and call
+    ``fail(index)`` before running it."""
+    batches, started = experiments._batches(config), []
+
+    def spy_batch(*args):
+        index = batches.index(args[-1])
+        started.append(index)
+        fail(index)
+        return _run_batch(*args)
+
+    monkeypatch.setattr(experiments, "_run_batch", spy_batch)
+    return batches, started
+
+
+def test_threaded_study_raises_the_failing_batch_and_starts_no_more(monkeypatch):
+    _on_cpus(monkeypatch, 2)
+    config = _threaded_config(n_list=(10,), replicates=96)
+
+    def fail(index):
+        if index == 3:
+            raise BatchFailure(index)
+
+    batches, started = _failing_batches(monkeypatch, config, fail)
+    assert len(batches) == 12
+    with pytest.raises(BatchFailure, match="^3$"):
+        run_consistency(config)
+    # the other thread may already be running batch 4, but no more starts
+    assert sorted(started)[:4] == [0, 1, 2, 3] and max(started) <= 4
+
+
+def test_threaded_study_raises_the_first_failure_in_batch_order(monkeypatch):
+    """Batch 4 fails while batch 3 is still running: batch 3's exception is
+    raised, as in the serial loop, and neither thread starts batch 5."""
+    _on_cpus(monkeypatch, 2)
+    config = _threaded_config(n_list=(10,), replicates=96)
+    fourth_failed = threading.Event()
+
+    def fail(index):
+        if index == 3:
+            assert fourth_failed.wait(timeout=30)
+            raise BatchFailure(index)
+        if index == 4:
+            fourth_failed.set()
+            raise BatchFailure(index)
+
+    _, started = _failing_batches(monkeypatch, config, fail)
+    with pytest.raises(BatchFailure, match="^3$"):
+        run_consistency(config)
+    assert sorted(started) == [0, 1, 2, 3, 4]
 
 
 def test_replicate_seeds_depend_only_on_master_n_r():
@@ -468,7 +593,7 @@ def test_report_dict_excludes_wall_clock():
     payload = report_to_dict(report)
     assert "wall_clock" not in json.dumps(payload)
     assert [field.name for field in fields(report)] == [
-        "config", "rows", "aggregates", "passed", "clt", "wall_clock"
+        "config", "rows", "aggregates", "passed", "clt", "wall_clock", "ran_on"
     ]
     assert report.clt is None
     assert list(payload) == [
@@ -607,6 +732,29 @@ for r in range(3, 23):
 print(faults(resource.RUSAGE_SELF) - before)
 """
     assert fresh_interpreter_prints(_FAULTS_PREAMBLE + code)[-1] <= 5 * 20
+
+
+@needs_mallopt
+def test_warm_threaded_study_faults_no_heap_back_in():
+    """The heap settings hold for the helper thread of a one-process study
+    too.  A second 200-replicate p = 7 study on two threads faulted 9-94
+    pages in (about 12 000 with glibc trimming its heap), a serial one 5."""
+    code = """
+import os
+from dataclasses import replace
+from perifou import run_consistency
+os.sched_getaffinity = lambda pid: {0, 1}
+specs = [{"kind": "const"}] + [{"kind": k, "k": j} for j in (1, 2, 3) for k in ("sin", "cos")]
+model = FouModel(hurst=0.65, alpha=4.0, mu=(0.5, -1.0, 1.2, 0.3, -0.7, 1.9, 0.1), sigma=0.5,
+                 basis=BasisSet.from_specs(specs))
+config = McConfig(model=model, n_list=(10, 25), replicates=200, step=1 / 256,
+                  mode="oracle_divergence", master_seed=5)
+run_consistency(config)
+before = faults(resource.RUSAGE_SELF)
+assert run_consistency(replace(config, master_seed=6)).ran_on == "2 threads"
+print(faults(resource.RUSAGE_SELF) - before)
+"""
+    assert fresh_interpreter_prints(_FAULTS_PREAMBLE + code)[-1] <= 2 * 200
 
 
 @needs_mallopt
